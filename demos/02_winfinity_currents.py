@@ -39,7 +39,7 @@ for l in range(3):
     print(f"J^{l} ->", state_to_text(realize_current(l, alg)))
 
 print("\n== representation check (central element at -1) ==")
-rep = verify_rep(1, 2, 2, -2, alg, max_weight=4, max_degree=3)
+rep = verify_rep([(1, 2, 2, -2)], alg, max_weight=4, max_degree=3)
 print(f"checked {rep['checked']} states, mismatches: {len(rep['mismatches'])}")
 
 print("\n== mode-action coefficients on degree-1 symbols ==")

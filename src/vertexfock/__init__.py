@@ -13,7 +13,6 @@ from .fock import (
     C,
     GAMMA,
     AlgebraDescriptor,
-    Bidegree,
     State,
     apply_mode,
     basis,

@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands wrap the library module by module; every emission is
-deterministic given the flags.  Exit codes: 0 success/found, 2 usage
-error, 3 not found (e.g. no decoupling relation), 4 deficiency
-(span-check).  Caps are guarded by a configurable hard ceiling.
+deterministic given the flags.  Exit codes: 0 success/found, 1
+verification mismatch (winf-verify, verify-identities, and decouple
+when the found relation does not re-verify), 2 usage error (including
+arithmetic on hostile input, such as a zero denominator or an
+expression nested too deeply to evaluate), 3 not found (e.g. no
+decoupling relation), 4 deficiency (span-check).  Caps are guarded by
+a configurable hard ceiling.
 
 Action mini-language for group actions:
 
@@ -58,6 +62,7 @@ from .winfinity import (
 )
 
 EXIT_OK = 0
+EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 EXIT_DEFICIENT = 4
@@ -181,24 +186,23 @@ def cmd_verify_identities(args) -> int:
     alg = _alg(args)
     report = identity_suite(alg, args.trials, args.max_weight, args.max_degree, args.seed)
     _emit(args, report, text_fn=lambda: json.dumps(report, indent=2))
-    return EXIT_OK if not report["mismatches"] else 1
+    return EXIT_OK if not report["mismatches"] else EXIT_MISMATCH
 
 
 def cmd_winf_verify(args) -> int:
     _check_caps(args, args.max_weight, args.max_degree, args.lmax, args.kmax)
     alg = AlgebraDescriptor(args.kind, args.n)
-    checked = 0
-    mismatches = []
-    for l1 in range(args.lmax + 1):
-        for k1 in range(-args.kmax, args.kmax + 1):
-            for l2 in range(l1, args.lmax + 1):
-                for k2 in range(-args.kmax, args.kmax + 1):
-                    rep = verify_rep(l1, k1, l2, k2, alg, args.max_weight, args.max_degree)
-                    checked += rep["checked"]
-                    mismatches.extend(rep["mismatches"])
-    report = {"checked": checked, "mismatches": mismatches}
+    ks = range(-args.kmax, args.kmax + 1)
+    pairs = [
+        (l1, k1, l2, k2)
+        for l1 in range(args.lmax + 1)
+        for k1 in ks
+        for l2 in range(l1, args.lmax + 1)
+        for k2 in ks
+    ]
+    report = verify_rep(pairs, alg, args.max_weight, args.max_degree)
     _emit(args, report, text_fn=lambda: json.dumps(report, indent=2))
-    return EXIT_OK if not mismatches else 1
+    return EXIT_OK if not report["mismatches"] else EXIT_MISMATCH
 
 
 def cmd_matrices(args) -> int:
@@ -281,7 +285,7 @@ def cmd_decouple(args) -> int:
     obj["found"] = True
     obj["reverified"] = ok
     _emit(args, obj, text_fn=rel.to_text)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def cmd_inv_dims(args) -> int:
@@ -470,6 +474,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ZeroDivisionError as exc:
+        print(f"error: division by zero ({exc})", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply to evaluate", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ZERO, ONE, format_scalar, parse_scalar
+from .linalg import ZERO, format_scalar, parse_scalar
 
 # species codes, in canonical order
 BETA, GAMMA, B, C = 0, 1, 2, 3
@@ -81,21 +81,6 @@ class AlgebraDescriptor:
             raise ValueError(f"species {SPECIES_NAMES[sp]} not in algebra {self.kind}")
         if not 1 <= idx <= self.rank:
             raise ValueError(f"index {idx} out of range 1..{self.rank}")
-
-
-class Bidegree(tuple):
-    """(conformal weight, filtration degree) pair."""
-
-    def __new__(cls, weight: int, degree: int):
-        return super().__new__(cls, (weight, degree))
-
-    @property
-    def weight(self) -> int:
-        return self[0]
-
-    @property
-    def degree(self) -> int:
-        return self[1]
 
 
 def mode_sort_key(g: GeneratorMode) -> tuple[int, int, int]:
@@ -155,13 +140,21 @@ def canonicalize(factors) -> tuple[int, Monomial] | None:
 
 
 def _coeff(x):
-    """Exact coefficient: int stays int (it is an exact rational, and
-    much faster), Fraction stays Fraction, strings parse, floats are
-    rejected."""
-    if isinstance(x, (int, Fraction)):
+    """Exact coefficient, integer-first: an int stays an int, and so
+    does an integral Fraction (as its numerator); any other Fraction
+    stays a Fraction.  Strings parse; floats are rejected.
+
+    This is the one place that decides a coefficient's representation.
+    The free-field structure constants are integers, and int arithmetic
+    is several times faster than Fraction arithmetic, so a state stays
+    integral until a genuine denominator (1/k!, a cocycle value) enters.
+    """
+    if isinstance(x, int):
         return x
     if isinstance(x, str):
-        return parse_scalar(x)
+        x = parse_scalar(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
@@ -170,7 +163,8 @@ class State:
 
     Immutable by convention: never mutate ``terms`` after construction.
     Supports +, -, and scalar multiplication.  Coefficients are exact
-    rationals (ints or Fractions).
+    rationals: ints wherever they are integral (see ``_coeff``),
+    Fractions otherwise.
     """
 
     __slots__ = ("terms",)
@@ -187,7 +181,7 @@ class State:
             if r is None:
                 continue
             sg, mono = r
-            v = clean.get(mono, ZERO) + sg * c
+            v = clean.get(mono, 0) + sg * c
             if v == 0:
                 clean.pop(mono, None)
             else:
@@ -251,16 +245,12 @@ ZERO_STATE = State()
 
 
 def vacuum() -> State:
-    return State({VACUUM_MONO: ONE})
+    return State({VACUUM_MONO: 1})
 
 
 def generator_state(species: int, index: int = 1) -> State:
     """The state of the generator field itself: a(-1) applied to the vacuum."""
-    return State({((species, index, -1),): ONE})
-
-
-def state(terms) -> State:
-    return State(terms)
+    return State({((species, index, -1),): 1})
 
 
 def _apply_creation(g: GeneratorMode, mono: Monomial) -> tuple[int, Monomial] | None:

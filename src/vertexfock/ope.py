@@ -46,7 +46,8 @@ from .fock import (
     weight,
 )
 
-_MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, Fraction]] = {}
+# structure constants of monomial products are integers
+_MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
 
 
 def clear_cache() -> None:
@@ -61,7 +62,7 @@ def _add_into(acc: dict, mono: Monomial, val) -> None:
         acc[mono] = v
 
 
-def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, Fraction]:
+def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
     key = (ma, n, mb)
     hit = _MEMO.get(key)
     if hit is not None:
@@ -74,7 +75,7 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, Fraction]
     m = -mode - 1
     ap = ma[1:]
     wa, wb = mono_weight(ap), mono_weight(mb)
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, int] = {}
 
     # normally ordered part: creation modes of the peeled generator
     for k in range(0, wa + wb - n):
@@ -201,10 +202,6 @@ def _sign_factor(a: State, b: State) -> int:
     return -1 if parity(a) and parity(b) else 1
 
 
-def _scaled(c: Fraction, s: State) -> State:
-    return c * s
-
-
 @dataclass
 class IdentityReport:
     """Exact evaluation of both sides of the four Wick/circle identities."""
@@ -242,30 +239,28 @@ def check_identities(a: State, b: State, c: State, n: int) -> IdentityReport:
         coef = Fraction(1, math.factorial(k + 1))
         bc = circle(b, k, c)
         if bc:
-            rhs = rhs + _scaled(coef, wick(derive(a, k + 1), bc))
+            rhs = rhs + coef * wick(derive(a, k + 1), bc)
         ac = circle(a, k, c)
         if ac:
-            rhs = rhs + _scaled(sab * coef, wick(derive(b, k + 1), ac))
+            rhs = rhs + sab * coef * wick(derive(b, k + 1), ac)
     defects["nested_wick"] = lhs - rhs
 
     # :ab: - sgn :ba: = sum_k (-1)^k/(k+1)! d^{k+1}(a o_k b)
-    lhs = wick(a, b) - _scaled(sab, wick(b, a))
+    lhs = wick(a, b) - sab * wick(b, a)
     rhs = State()
     for k in range(locality_bound(a, b)):
         ab = circle(a, k, b)
         if ab:
-            rhs = rhs + _scaled(Fraction((-1) ** k, math.factorial(k + 1)), derive(ab, k + 1))
+            rhs = rhs + Fraction((-1) ** k, math.factorial(k + 1)) * derive(ab, k + 1)
     defects["wick_commutator"] = lhs - rhs
 
     # a o_n :bc: - :(a o_n b)c: - sgn :b(a o_n c): = sum_{k=1}^n C(n,k) (a o_{n-k} b) o_{k-1} c
-    lhs = circle(a, n, wick(b, c)) - wick(circle(a, n, b), c) - _scaled(
-        sab, wick(b, circle(a, n, c))
-    )
+    lhs = circle(a, n, wick(b, c)) - wick(circle(a, n, b), c) - sab * wick(b, circle(a, n, c))
     rhs = State()
     for k in range(1, n + 1):
         ab = circle(a, n - k, b)
         if ab:
-            rhs = rhs + _scaled(Fraction(math.comb(n, k)), circle(ab, k - 1, c))
+            rhs = rhs + math.comb(n, k) * circle(ab, k - 1, c)
     defects["derivation_defect"] = lhs - rhs
 
     # (:ab:) o_n c = sum_k 1/k! :(d^k a)(b o_{n+k} c): + sgn sum_k b o_{n-k-1} (a o_k c)
@@ -274,11 +269,11 @@ def check_identities(a: State, b: State, c: State, n: int) -> IdentityReport:
     for k in range(locality_bound(b, c)):
         bc = circle(b, n + k, c)
         if bc:
-            rhs = rhs + _scaled(Fraction(1, math.factorial(k)), wick(derive(a, k), bc))
+            rhs = rhs + Fraction(1, math.factorial(k)) * wick(derive(a, k), bc)
     for k in range(locality_bound(a, c)):
         ac = circle(a, k, c)
         if ac:
-            rhs = rhs + circle(b, n - k - 1, _scaled(Fraction(sab), ac))
+            rhs = rhs + circle(b, n - k - 1, sab * ac)
     defects["iterate"] = lhs - rhs
 
     return IdentityReport(n, defects)

@@ -1,7 +1,7 @@
 """Randomized exact verification suites.
 
 Random states are honest random elements of a bidegree slice: a few
-basis monomials with small nonzero rational coefficients, restricted
+basis monomials with small nonzero integer coefficients, restricted
 to a fixed parity so the sign rules apply.  Everything is driven by a
 seeded generator, so runs are reproducible.
 """
@@ -9,7 +9,6 @@ seeded generator, so runs are reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .fock import AlgebraDescriptor, State, basis, mono_parity
 from .ope import check_identities
@@ -35,8 +34,7 @@ def random_homogeneous_state(
             pool = monos
         terms = {}
         for m in rng.sample(pool, min(len(pool), rng.randint(1, max_terms))):
-            c = rng.choice([-3, -2, -1, 1, 2, 3])
-            terms[m] = Fraction(c)
+            terms[m] = rng.choice([-3, -2, -1, 1, 2, 3])
         s = State(terms)
         if s:
             return s

@@ -428,15 +428,6 @@ def _raising_letters(weight_cap: int, k_cap: int) -> list[RaisingLetter]:
     return out
 
 
-def _apply_raising_word(word, f: State, alg: AlgebraDescriptor) -> State:
-    s = f
-    for l, k in reversed(word):
-        s = circle(realize_current(l, alg), k, s)
-        if not s:
-            break
-    return s
-
-
 def _span_dims_by_weight(vectors_by_weight: dict[int, list[State]]) -> dict[int, int]:
     dims = {}
     for w, vecs in sorted(vectors_by_weight.items()):

@@ -200,29 +200,8 @@ def default_central_value(alg: AlgebraDescriptor) -> Fraction:
     raise ValueError("no realized central value for kind " + alg.kind)
 
 
-def realized_op(l: int, k_sub: int, alg: AlgebraDescriptor):
-    """The realized mode operator of J^l_{k_sub} acting on states."""
-    j = realize_current(l, alg)
-    k_field = field_mode(l, k_sub)
-
-    def op(s: State) -> State:
-        return circle(j, k_field, s)
-
-    return op
-
-
-def apply_dop(x: DOp, s: State, alg: AlgebraDescriptor, kappa_value: Fraction) -> State:
-    out = x.kappa * kappa_value * s
-    for (l, k), c in x.terms.items():
-        out = out + c * circle(realize_current(l, alg), field_mode(l, k), s)
-    return out
-
-
 def verify_rep(
-    l1: int,
-    k1: int,
-    l2: int,
-    k2: int,
+    pairs,
     alg: AlgebraDescriptor,
     max_weight: int,
     max_degree: int,
@@ -230,32 +209,61 @@ def verify_rep(
 ) -> dict:
     """Check, on every basis state of each tested bidegree, that the
     commutator of realized mode operators equals the realized bracket
-    with the central element specialized.  Returns an exact report
-    {"checked": count, "mismatches": [...]}."""
+    with the central element specialized.
+
+    ``pairs`` is a sequence of (l1, k1, l2, k2), one per bracket
+    [J^{l1}_{k1}, J^{l2}_{k2}].  The basis is enumerated once, and the
+    image J^l(k) s of each basis state s under each mode it meets is
+    computed once, then shared by every pair and every bracket term
+    that uses it.  Returns an exact report {"checked": count,
+    "mismatches": [...]}, mismatches ordered by pair, then weight,
+    degree and basis order.
+    """
     if kappa_value is None:
         kappa_value = default_central_value(alg)
-    br = bracket_basis(l1, k1, l2, k2)
-    ja = realize_current(l1, alg)
-    jb = realize_current(l2, alg)
-    ka, kb = field_mode(l1, k1), field_mode(l2, k2)
+    # per pair: the two modes (l, field index), the central scalar, the
+    # bracket's modes with their coefficients, and the pair's mismatches
+    checks = []
+    for l1, k1, l2, k2 in pairs:
+        br = bracket_basis(l1, k1, l2, k2)
+        checks.append((
+            (l1, field_mode(l1, k1)),
+            (l2, field_mode(l2, k2)),
+            br.kappa * kappa_value,
+            [((l, field_mode(l, k)), c) for (l, k), c in br.terms.items()],
+            [],
+        ))
     checked = 0
-    mismatches = []
     for w in range(max_weight + 1):
         for d in range(max_degree + 1):
             for mono in basis(alg, w, d):
-                s = State({mono: ONE})
-                lhs = circle(ja, ka, circle(jb, kb, s)) - circle(jb, kb, circle(ja, ka, s))
-                rhs = apply_dop(br, s, alg, kappa_value)
-                checked += 1
-                if lhs != rhs:
-                    mismatches.append(
-                        {
-                            "l1": l1, "k1": k1, "l2": l2, "k2": k2,
-                            "weight": w, "degree": d,
-                            "state": repr(s), "difference": repr(lhs - rhs),
-                        }
-                    )
-    return {"checked": checked, "mismatches": mismatches}
+                s = State._raw({mono: 1})
+                images: dict[tuple[int, int], State] = {}
+
+                def image(mode):
+                    img = images.get(mode)
+                    if img is None:
+                        l, k = mode
+                        img = images[mode] = circle(realize_current(l, alg), k, s)
+                    return img
+
+                for a, b, central, terms, found in checks:
+                    lhs = (circle(realize_current(a[0], alg), a[1], image(b))
+                           - circle(realize_current(b[0], alg), b[1], image(a)))
+                    rhs = central * s
+                    for mode, c in terms:
+                        rhs = rhs + c * image(mode)
+                    if lhs != rhs:
+                        found.append(
+                            {
+                                "l1": a[0], "k1": sub_index(*a),
+                                "l2": b[0], "k2": sub_index(*b),
+                                "weight": w, "degree": d,
+                                "state": repr(s), "difference": repr(lhs - rhs),
+                            }
+                        )
+                checked += len(checks)
+    return {"checked": checked, "mismatches": [m for *_, found in checks for m in found]}
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,17 @@ def test_usage_errors(capsys):
     assert rc == 2
 
 
+def test_eval_zero_denominator_is_usage_error(capsys):
+    rc, out, err = run(capsys, "eval", "1/0 * beta[1]")
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
+def test_eval_deep_nesting_is_usage_error(capsys):
+    depth = 3000
+    rc, out, err = run(capsys, "eval", "(" * depth + "beta[1]" + ")" * depth)
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -23,9 +23,12 @@ from vertexfock.fock import (
     mono_parity,
     state_from_json,
     state_to_json,
+    state_to_text,
     vacuum,
     weight,
 )
+from vertexfock.ope import circle, derive
+from vertexfock.winfinity import realize_current
 
 BG1 = AlgebraDescriptor("bg", 1)
 BG2 = AlgebraDescriptor("bg", 2)
@@ -149,3 +152,51 @@ def test_state_json_roundtrip():
 def test_parity():
     assert mono_parity(((B, 1, -1), (C, 1, -2))) == 0
     assert mono_parity(((B, 1, -1),)) == 1
+
+
+def _all_int(s: State) -> bool:
+    return bool(s.terms) and all(type(c) is int for c in s.terms.values())
+
+
+def test_integral_coefficients_are_ints():
+    assert _all_int(vacuum())
+    for sp in (BETA, GAMMA, B, C):
+        assert _all_int(generator_state(sp, 2))
+    for alg in (BG1, BG2, BC1, AlgebraDescriptor("bc", 2)):
+        for l in range(4):
+            assert _all_int(realize_current(l, alg))
+    j1, j2 = realize_current(1, BG1), realize_current(2, BG1)
+    for n in (-2, -1, 0, 1, 2):
+        assert _all_int(circle(j1, n, j2))
+    assert _all_int(derive(j2, 3))
+    m = ((BETA, 1, -2), (GAMMA, 1, -1))
+    s = State({m: 5})
+    assert _all_int(Fraction(2) * s) and (Fraction(2) * s).terms == {m: 10}
+    assert _all_int(State({m: Fraction(3, 1)}))
+    assert _all_int(State({m: "6/3"}))
+    half = Fraction(1, 2) * s
+    assert half.terms == {m: Fraction(5, 2)} and type(half.terms[m]) is Fraction
+
+
+def test_mixed_state_serialization_is_unchanged():
+    s = State({
+        ((BETA, 1, -3), (GAMMA, 1, -1)): 2,
+        ((BETA, 1, -1),): Fraction(1, 2),
+        ((GAMMA, 1, -4),): Fraction(-3),
+        (): Fraction(6, 4),
+    })
+    assert state_to_json(s) == {"terms": [
+        [[], "3/2"],
+        [[["beta", 1, -1]], "1/2"],
+        [[["gamma", 1, -4]], "-3"],
+        [[["beta", 1, -3], ["gamma", 1, -1]], "2"],
+    ]}
+    assert state_to_text(s) == (
+        "3/2 * vac + 1/2 * beta[1] - 1/2 * D^3(gamma[1]) + NO(D^2(beta[1]), gamma[1])"
+    )
+    assert repr(s) == (
+        "State(3/2*|0> + 1/2*beta1(-1) + -3*gamma1(-4) + 2*beta1(-3) gamma1(-1))"
+    )
+    t = Fraction(1, 3) * derive(generator_state(BETA), 2) + vacuum()
+    assert state_to_json(t) == {"terms": [[[], "1"], [[["beta", 1, -3]], "2/3"]]}
+    assert state_to_text(t) == "vac + 1/3 * D^2(beta[1])"

@@ -98,7 +98,7 @@ def test_mode_index_conversion():
 
 
 def test_verify_rep_heisenberg_pair():
-    rep = verify_rep(0, 1, 0, -1, BG1, 2, 2)
+    rep = verify_rep([(0, 1, 0, -1)], BG1, 2, 2)
     assert rep["mismatches"] == []
     # the commutator is -1 times the identity
     j = realize_current(0, BG1)
@@ -107,16 +107,41 @@ def test_verify_rep_heisenberg_pair():
     assert comm == Fraction(-1) * s
     # nonpaired zero modes commute
     for k, m in [(2, 1), (1, 0), (-1, -2)]:
-        rep = verify_rep(0, k, 0, m, BG1, 2, 2)
+        rep = verify_rep([(0, k, 0, m)], BG1, 2, 2)
         assert rep["mismatches"] == []
 
 
 def test_verify_rep_sample():
     for alg in (BG1, BC1):
         for (l1, k1, l2, k2) in [(1, 2, 2, -2), (0, 1, 2, -1), (1, -1, 1, 1), (2, 3, 2, -3)]:
-            rep = verify_rep(l1, k1, l2, k2, alg, 3, 3)
+            rep = verify_rep([(l1, k1, l2, k2)], alg, 3, 3)
             assert rep["checked"] > 0
             assert rep["mismatches"] == [], (alg.kind, l1, k1, l2, k2)
+
+
+BATCH_PAIRS = [
+    (0, 1, 0, -1), (1, 2, 2, -2), (0, 2, 0, 1), (2, 3, 2, -3), (1, -1, 1, 1), (0, 1, 2, -1),
+]
+
+
+def test_verify_rep_batch_is_concatenation_of_single_pairs():
+    for alg in (BG1, BC1):
+        for kappa in (None, Fraction(5)):
+            multi = verify_rep(BATCH_PAIRS, alg, 2, 2, kappa)
+            singles = [verify_rep([p], alg, 2, 2, kappa) for p in BATCH_PAIRS]
+            assert multi["checked"] == sum(r["checked"] for r in singles)
+            assert multi["mismatches"] == [m for r in singles for m in r["mismatches"]]
+
+
+def test_verify_rep_wrong_central_value_fails_exactly_the_cocycle_pairs():
+    central = [p for p in BATCH_PAIRS if cocycle(*p) != 0]
+    assert central == [(0, 1, 0, -1), (2, 3, 2, -3)]
+    rep = verify_rep(BATCH_PAIRS, BG1, 2, 2, kappa_value=Fraction(5))
+    n_states = rep["checked"] // len(BATCH_PAIRS)
+    failed = [(m["l1"], m["k1"], m["l2"], m["k2"]) for m in rep["mismatches"]]
+    # every state fails on a central pair, and the report is pair-major
+    assert failed == [p for p in central for _ in range(n_states)]
+    assert verify_rep(BATCH_PAIRS, BG1, 2, 2)["mismatches"] == []
 
 
 def test_action_coeff_values():
