@@ -16,7 +16,7 @@ the mode a(m) of a weight-D generator shifts weight by D - m - 1, so
 all states have weight >= 0.  The filtration degree of a word is its
 number of modes.  The weight-0 subspace is infinite-dimensional
 (powers of gamma(-1)), so enumeration is always bigraded by
-(weight, degree), optionally refined by a diagonal charge.
+(weight, degree); group actions filter the result by charge.
 
 Monomials are kept in a canonical order: species beta < gamma < b < c,
 then index ascending, then mode descending.  Fermionic reordering
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ZERO, format_scalar, parse_scalar
+from .linalg import add_into, format_scalar, parse_scalar
 
 # species codes, in canonical order
 BETA, GAMMA, B, C = 0, 1, 2, 3
@@ -181,11 +181,7 @@ class State:
             if r is None:
                 continue
             sg, mono = r
-            v = clean.get(mono, 0) + sg * c
-            if v == 0:
-                clean.pop(mono, None)
-            else:
-                clean[mono] = v
+            add_into(clean, mono, sg * c)
         self.terms: dict[Monomial, Fraction] = clean
 
     @classmethod
@@ -208,11 +204,7 @@ class State:
     def __add__(self, other: "State") -> "State":
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            v = acc.get(m, 0) + c
-            if v == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = v
+            add_into(acc, m, c)
         return State._raw(acc)
 
     def __sub__(self, other: "State") -> "State":
@@ -236,9 +228,6 @@ class State:
             word = " ".join(f"{SPECIES_NAMES[sp]}{idx}({mode})" for sp, idx, mode in m) or "|0>"
             bits.append(f"{format_scalar(c)}*{word}")
         return "State(" + " + ".join(bits) + ")"
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, ZERO)
 
 
 ZERO_STATE = State()
@@ -267,13 +256,11 @@ def _apply_annihilation(g: GeneratorMode, mono: Monomial) -> dict[Monomial, int]
     for pos, h in enumerate(mono):
         hsp, hidx, hm = h
         if hsp == dual and hidx == idx and m + hm + 1 == 0:
-            rest = mono[:pos] + mono[pos + 1:]
-            val = sign * CONTRACTION[(sp, hsp)]
-            out[rest] = out.get(rest, 0) + val
+            add_into(out, mono[:pos] + mono[pos + 1:], sign * CONTRACTION[(sp, hsp)])
         if odd and SPECIES_PARITY[hsp]:
             sign = -sign
     # after passing every factor the annihilator hits the vacuum
-    return {m2: v for m2, v in out.items() if v != 0}
+    return out
 
 
 def apply_mode(g: GeneratorMode, s: State) -> State:
@@ -286,18 +273,10 @@ def apply_mode(g: GeneratorMode, s: State) -> State:
             if r is None:
                 continue
             sg, m2 = r
-            v = acc.get(m2, 0) + sg * c
-            if v == 0:
-                acc.pop(m2, None)
-            else:
-                acc[m2] = v
+            add_into(acc, m2, sg * c)
         else:
             for m2, sg in _apply_annihilation(g, mono).items():
-                v = acc.get(m2, 0) + sg * c
-                if v == 0:
-                    acc.pop(m2, None)
-                else:
-                    acc[m2] = v
+                add_into(acc, m2, sg * c)
     return State._raw(acc)
 
 
@@ -345,61 +324,59 @@ def _mode_alphabet(alg: AlgebraDescriptor, max_weight: int) -> list[GeneratorMod
     return out
 
 
-def basis(
-    alg: AlgebraDescriptor,
-    weight: int,
-    degree: int,
-    charge_matrix=None,
-    charge_target=None,
-) -> list[Monomial]:
+def words_of_weight(letters, weights, total, max_len=None, min_len=0, repeats=None) -> list[tuple]:
+    """Every multiset of letters of the given total weight with between
+    min_len and max_len letters, as a tuple in list order.
+
+    A letter may repeat unless ``repeats[p]`` is false for its position
+    p.  Words come depth first: lexicographic in the letter positions,
+    a word before its extensions.  Weights are >= 0, and must be > 0
+    unless max_len is given.
+    """
+    n = len(letters)
+    # suffix maximum of the letter weights, for pruning by length
+    suffix_max = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        suffix_max[p] = max(suffix_max[p + 1], weights[p])
+    # where the next letter's search starts after taking position p
+    nxt = [p if repeats is None or repeats[p] else p + 1 for p in range(n)]
+    out: list[tuple] = []
+    stack: list = []
+
+    def dfs(pos: int, rem: int):
+        depth = len(stack)
+        if rem == 0 and depth >= min_len:
+            out.append(tuple(stack))
+        if depth == max_len:
+            return
+        for p in range(pos, n):
+            w = weights[p]
+            if w > rem:
+                continue
+            if max_len is not None and rem - w > (max_len - depth - 1) * suffix_max[p]:
+                continue
+            stack.append(letters[p])
+            dfs(nxt[p], rem - w)
+            stack.pop()
+
+    if total >= 0:
+        dfs(0, total)
+    return out
+
+
+def basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[Monomial]:
     """All canonical monomials of the given weight and degree.
 
-    Deterministic (lexicographic in the canonical key); optionally
-    filtered to a fixed torus charge.
+    Deterministic (lexicographic in the canonical key).
     """
     if weight < 0 or degree < 0:
         return []
     alphabet = _mode_alphabet(alg, weight)
-    weights = [mode_weight(g) for g in alphabet]
-    n_mode = len(alphabet)
-    # suffix maximum of available mode weights, for pruning
-    suffix_max = [0] * (n_mode + 1)
-    for i in range(n_mode - 1, -1, -1):
-        suffix_max[i] = max(suffix_max[i + 1], weights[i])
-    out: list[Monomial] = []
-    stack: list[GeneratorMode] = []
-
-    def accept():
-        mono = tuple(stack)
-        if charge_matrix is not None:
-            q = mono_charge(mono, alg.rank)
-            tq = tuple(
-                sum(row[i] * q[i] for i in range(alg.rank)) for row in charge_matrix
-            )
-            want = charge_target if charge_target is not None else (0,) * len(charge_matrix)
-            if tq != tuple(want):
-                return
-        out.append(mono)
-
-    def dfs(pos: int, rem_w: int, rem_d: int):
-        if rem_d == 0:
-            if rem_w == 0:
-                accept()
-            return
-        for p in range(pos, n_mode):
-            w = weights[p]
-            if w > rem_w:
-                continue
-            if rem_w - w > (rem_d - 1) * suffix_max[p]:
-                continue
-            g = alphabet[p]
-            stack.append(g)
-            # fermions may not repeat a mode; bosons may
-            dfs(p + 1 if SPECIES_PARITY[g[0]] else p, rem_w - w, rem_d - 1)
-            stack.pop()
-
-    dfs(0, weight, degree)
-    return out
+    # fermions may not repeat a mode; bosons may
+    return words_of_weight(
+        alphabet, [mode_weight(g) for g in alphabet], weight, max_len=degree, min_len=degree,
+        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,22 +440,11 @@ def gr_symbol(s: State) -> dict[GrMonomial, Fraction]:
             syms.append((sp, idx, k))
             if k > 1:
                 coeff /= math.factorial(k)
-        gm = tuple(syms)
-        v = out.get(gm, ZERO) + coeff
-        if v == 0:
-            out.pop(gm, None)
-        else:
-            out[gm] = v
+        add_into(out, tuple(syms), coeff)
     return out
 
 
-def gr_basis(
-    alg: AlgebraDescriptor,
-    weight: int,
-    degree: int,
-    charge_matrix=None,
-    charge_target=None,
-) -> list[GrMonomial]:
+def gr_basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[GrMonomial]:
     """Monomials in the graded symbols of the given weight and degree.
 
     An independent enumeration (over symbol indices k >= 0 rather than
@@ -500,24 +466,10 @@ def gr_basis(
     out: list[GrMonomial] = []
     stack: list[GrSymbol] = []
 
-    def accept():
-        mono = tuple(stack)
-        if charge_matrix is not None:
-            q = [0] * alg.rank
-            for sp, idx, _ in mono:
-                q[idx - 1] += SPECIES_CHARGE[sp]
-            tq = tuple(
-                sum(row[i] * q[i] for i in range(alg.rank)) for row in charge_matrix
-            )
-            want = charge_target if charge_target is not None else (0,) * len(charge_matrix)
-            if tq != tuple(want):
-                return
-        out.append(mono)
-
     def dfs(pos: int, rem_w: int, rem_d: int):
         if rem_d == 0:
             if rem_w == 0:
-                accept()
+                out.append(tuple(stack))
             return
         for p in range(pos, len(alphabet)):
             w = weights[p]
@@ -600,18 +552,3 @@ def state_to_text(s: State) -> str:
         else:
             out += f" {sign} {txt}"
     return out
-
-
-def basis_csv_rows(alg: AlgebraDescriptor, monos, charge_matrix=None) -> list[list]:
-    """CSV rows (weight, degree, charge, monomial) for a basis listing."""
-    rows = []
-    for m in monos:
-        if charge_matrix is not None:
-            q = mono_charge(m, alg.rank)
-            ch = ";".join(
-                str(sum(row[i] * q[i] for i in range(alg.rank))) for row in charge_matrix
-            )
-        else:
-            ch = ";".join(str(x) for x in mono_charge(m, alg.rank))
-        rows.append([mono_weight(m), mono_degree(m), ch, mono_to_text(m)])
-    return rows

@@ -43,8 +43,9 @@ from .fock import (
     mono_charge,
     mono_degree,
     weight as state_weight,
+    words_of_weight,
 )
-from .linalg import ONE, ZERO, SparseMatrix, scalar
+from .linalg import ONE, ZERO, SparseMatrix, add_into, scalar
 from .ope import circle, derive, iterated_wick, wick
 
 VECTOR_SPECIES = (BETA, B)
@@ -146,11 +147,7 @@ def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Fraction]:
             if r is None:
                 continue
             sg, mono2 = r
-            v = out.get(mono2, ZERO) + sg * coef
-            if v == 0:
-                out.pop(mono2, None)
-            else:
-                out[mono2] = v
+            add_into(out, mono2, sg * coef)
     return out
 
 
@@ -163,11 +160,7 @@ def extend_action(X, alg: AlgebraDescriptor):
         acc: dict[Monomial, Fraction] = {}
         for mono, c in s.terms.items():
             for mono2, v in _derive_mono(mats, mono, alg.rank).items():
-                val = acc.get(mono2, 0) + c * v
-                if val == 0:
-                    acc.pop(mono2, None)
-                else:
-                    acc[mono2] = val
+                add_into(acc, mono2, c * v)
         return State._raw(acc)
 
     return op
@@ -232,16 +225,10 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
     diag = [X for X in mats if _is_diagonal(X)]
     rest = [X for X in mats if not _is_diagonal(X)]
 
-    def charge_of(mono):
-        q = [0] * rank_n
-        for sp, idx, _ in mono:
-            q[idx - 1] += SPECIES_CHARGE[sp]
-        return q
-
     # exactly diagonal operators act diagonally on monomials
     survivors = []
     for m in monos:
-        q = charge_of(m)
+        q = mono_charge(m, rank_n)
         if all(sum(X[i][i] * q[i] for i in range(rank_n)) == 0 for X in diag):
             survivors.append(m)
     if not rest:
@@ -251,7 +238,7 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
     comps = sorted(set(comp))
 
     def class_of(mono):
-        q = charge_of(mono)
+        q = mono_charge(mono, rank_n)
         return tuple(sum(q[i] for i in range(rank_n) if comp[i] == c) for c in comps)
 
     classes: dict[tuple, list] = {}
@@ -261,20 +248,14 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
     out = []
     for cls in sorted(classes):
         block = classes[cls]
-        entries: dict[tuple[int, int], Fraction] = {}
-        rows = 0
-        for X in rest:
-            # image monomials may violate the diagonal conditions but
-            # stay inside the class; they are rows like any other
-            imap: dict = {}
-            for col, m in enumerate(block):
-                for m2, v in derive_fn(X, m, rank_n).items():
-                    i2 = imap.setdefault(m2, len(imap))
-                    entries[(rows + i2, col)] = v
-            rows += len(imap)
-        mat = SparseMatrix(max(rows, 1), len(block), entries)
-        for vec in linalg.kernel_basis(mat):
-            out.append({block[i]: v for i, v in vec.entries.items()})
+        # image monomials may violate the diagonal conditions but stay
+        # inside the class; they are rows like any other
+        columns = [
+            {(t, m2): v for t, X in enumerate(rest) for m2, v in derive_fn(X, m, rank_n).items()}
+            for m in block
+        ]
+        for rel in linalg.kernel_of_columns(columns):
+            out.append({block[i]: v for i, v in rel.items()})
     return out
 
 
@@ -405,29 +386,11 @@ def _word_states(generators, gen_weights, alg, target_weight, max_len):
         for t in range(0, target_weight - gw + 1):
             letters.append((gi, t))
     letters.sort(reverse=True)
-    out: list[State] = []
-    stack: list[tuple[int, int]] = []
-
-    def dfs(pos: int, rem: int):
-        if rem == 0:
-            if stack:
-                out.append(
-                    iterated_wick([derive(generators[gi], t) for gi, t in stack])
-                )
-            return
-        if len(stack) >= max_len:
-            return
-        for p in range(pos, len(letters)):
-            gi, t = letters[p]
-            wl = gen_weights[gi] + t
-            if wl > rem:
-                continue
-            stack.append(letters[p])
-            dfs(p, rem - wl)
-            stack.pop()
-
-    dfs(0, target_weight)
-    return out
+    words = words_of_weight(
+        letters, [gen_weights[gi] + t for gi, t in letters], target_weight,
+        max_len=max_len, min_len=1,
+    )
+    return [iterated_wick([derive(generators[gi], t) for gi, t in word]) for word in words]
 
 
 def span_check(
@@ -445,11 +408,15 @@ def span_check(
     The invariant side is summed over degrees up to a window (default
     2*weight_cap, widened to cover every monomial the words produce).
     Reports the first deficient bidegree through the degree filtration.
+    Generators must have positive weight: weight 0 is checked against
+    the vacuum alone.
     """
     for g in generators:
         if not is_invariant_state(action, alg, g):
             raise ValueError("generator is not invariant under the action")
     gen_weights = [state_weight(g) for g in generators]
+    if 0 in gen_weights:
+        raise ValueError("span-check generators must have positive weight")
     window = degree_window if degree_window is not None else 2 * weight_cap
     dims: dict[int, tuple[int, int]] = {}
     first_def = None
@@ -559,23 +526,11 @@ def commutant_basis(
     monos = []
     for d in range(degree_cap + 1):
         monos.extend(basis(alg, weight, d))
-    if not monos:
-        return []
-    index: dict[Monomial, int] = {}
-    entries: dict[tuple[int, int], Fraction] = {}
-    row_base = 0
-    for cur in currents:
-        wcur = state_weight(cur)
-        for k in range(0, weight + wcur):
-            block: dict[Monomial, int] = {}
-            for col, m in enumerate(monos):
-                img = circle(cur, k, State({m: ONE}))
-                for m2, v in img.terms.items():
-                    i2 = block.setdefault(m2, len(block))
-                    entries[(row_base + i2, col)] = v
-            row_base += len(block)
-    mat = SparseMatrix(max(row_base, 1), len(monos), entries)
-    out = []
-    for vec in linalg.kernel_basis(mat):
-        out.append(State({monos[i]: v for i, v in vec.entries.items()}))
-    return out
+    modes = [(cur, k) for cur in currents for k in range(0, weight + state_weight(cur))]
+    columns = []
+    for m in monos:
+        s = State({m: ONE})
+        columns.append({
+            (t, m2): v for t, (cur, k) in enumerate(modes) for m2, v in circle(cur, k, s).terms.items()
+        })
+    return [State({monos[i]: v for i, v in rel.items()}) for rel in linalg.kernel_of_columns(columns)]

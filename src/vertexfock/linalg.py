@@ -114,7 +114,7 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             xj = x.entries.get(j)
             if xj is not None:
-                acc[i] = acc.get(i, ZERO) + v * xj
+                add_into(acc, i, v * xj)
         return SparseVector(self.rows, acc)
 
     def to_json(self) -> dict:
@@ -131,6 +131,15 @@ class SparseMatrix:
         return SparseMatrix(int(obj["rows"]), int(obj["cols"]), data)
 
 
+def add_into(acc: dict, key, val) -> None:
+    """acc[key] += val, dropping the key when the sum vanishes."""
+    v = acc.get(key, 0) + val
+    if v == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = v
+
+
 def _row_dicts(m: SparseMatrix) -> list[dict[int, Fraction]]:
     rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
@@ -138,14 +147,15 @@ def _row_dicts(m: SparseMatrix) -> list[dict[int, Fraction]]:
     return rows
 
 
-def _rref(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[int, int]]:
+def _rref(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[int, int, Fraction]]:
     """In-place reduced row echelon form.
 
     Pivot selection is deterministic: for each column in ascending
     order, the first not-yet-pivotal row (in original order) with a
-    nonzero entry becomes the pivot.  Returns (row, col) pivot pairs.
+    nonzero entry becomes the pivot.  Returns (row, col, value) per
+    pivot, the value being the entry before its row was normalized.
     """
-    pivots: list[tuple[int, int]] = []
+    pivots: list[tuple[int, int, Fraction]] = []
     used = [False] * len(rows)
     for col in range(ncols):
         prow = -1
@@ -156,8 +166,8 @@ def _rref(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[int, int]]:
         if prow < 0:
             continue
         used[prow] = True
-        pivots.append((prow, col))
         pv = rows[prow][col]
+        pivots.append((prow, col, pv))
         if pv != 1:
             rows[prow] = {j: v / pv for j, v in rows[prow].items()}
         prpairs = list(rows[prow].items())
@@ -190,7 +200,7 @@ def kernel_basis(m: SparseMatrix) -> list[SparseVector]:
     """
     rows = _row_dicts(m)
     pivots = _rref(rows, m.cols)
-    pivot_cols = {col: prow for prow, col in pivots}
+    pivot_cols = {col: prow for prow, col, _ in pivots}
     basis: list[SparseVector] = []
     for free in range(m.cols):
         if free in pivot_cols:
@@ -217,7 +227,7 @@ def solve(m: SparseMatrix, b: SparseVector) -> SparseVector | None:
         rows[i][aug] = v
     pivots = _rref(rows, m.cols + 1)
     entries: dict[int, Fraction] = {}
-    for prow, col in pivots:
+    for prow, col, _ in pivots:
         if col == aug:
             return None
         v = rows[prow].get(aug, ZERO)
@@ -227,65 +237,54 @@ def solve(m: SparseMatrix, b: SparseVector) -> SparseVector | None:
 
 
 def det(m: SparseMatrix) -> Fraction:
-    """Exact determinant of a square matrix by fraction-free-style elimination."""
+    """Exact determinant of a square matrix.
+
+    Reduction to RREF only normalizes pivot rows and adds multiples of
+    rows to others, so the determinant is the product of the pivot
+    values, signed by the permutation the pivot rows form.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = _row_dicts(m)
-    sign = 1
+    pivots = _rref(_row_dicts(m), m.cols)
+    if len(pivots) < m.rows:
+        return ZERO
     d = ONE
-    order: list[int] = []
-    used = [False] * m.rows
-    for col in range(m.cols):
-        prow = -1
-        for r in range(m.rows):
-            if not used[r] and rows[r].get(col, ZERO) != 0:
-                prow = r
-                break
-        if prow < 0:
-            return ZERO
-        used[prow] = True
-        order.append(prow)
-        pv = rows[prow][col]
+    perm = []
+    for prow, _, pv in pivots:
         d *= pv
-        prpairs = list(rows[prow].items())
-        for r in range(m.rows):
-            if used[r]:
-                continue
-            f = rows[r].get(col, ZERO)
-            if f == 0:
-                continue
-            f = f / pv
-            row = rows[r]
-            for j, v in prpairs:
-                nv = row.get(j, ZERO) - f * v
-                if nv == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-    # permutation sign of the pivot row order
-    perm = list(order)
+        perm.append(prow)
     for i in range(len(perm)):
         while perm[i] != i:
             j = perm[i]
             perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return d * sign
+            d = -d
+    return d
 
 
-def rank_of_columns(columns: list[dict], keys: list | None = None) -> int:
-    """Rank of a list of vectors given as key->Fraction dicts."""
-    if not columns:
-        return 0
+def _column_matrix(columns: list[dict], keys: list | None = None) -> tuple[SparseMatrix, dict]:
+    """The matrix with the given key->value dicts as columns, one row per
+    key (default: every key, sorted), and the row index of each key."""
     if keys is None:
-        keyset = set()
-        for c in columns:
-            keyset.update(c.keys())
-        keys = sorted(keyset)
+        keys = sorted(set().union(*columns))
     index = {k: i for i, k in enumerate(keys)}
-    entries = {}
-    for j, c in enumerate(columns):
-        for k, v in c.items():
-            if v != 0:
-                entries[(index[k], j)] = scalar(v)
-    m = SparseMatrix(len(keys), len(columns), entries)
-    return rank(m)
+    entries = {(index[k], j): v for j, c in enumerate(columns) for k, v in c.items()}
+    return SparseMatrix(max(len(keys), 1), len(columns), entries), index
+
+
+def rank_of_columns(columns: list[dict]) -> int:
+    """Rank of a list of vectors given as key->value dicts."""
+    return rank(_column_matrix(columns)[0])
+
+
+def kernel_of_columns(columns: list[dict]) -> list[dict[int, Fraction]]:
+    """Basis of the exact linear relations among the columns, each as
+    {column index: coefficient}; see ``kernel_basis`` for the order."""
+    return [vec.entries for vec in kernel_basis(_column_matrix(columns)[0])]
+
+
+def solve_in_span(columns: list[dict], target: dict) -> dict[int, Fraction] | None:
+    """Coefficients {column index: value} expressing target in the span
+    of the columns, or None if it is not in the span; see ``solve``."""
+    m, index = _column_matrix(columns, sorted(set(target).union(*columns)))
+    sol = solve(m, SparseVector(m.rows, {index[k]: v for k, v in target.items()}))
+    return None if sol is None else sol.entries

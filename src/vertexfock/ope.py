@@ -45,6 +45,7 @@ from .fock import (
     state_to_text,
     weight,
 )
+from .linalg import add_into
 
 # structure constants of monomial products are integers
 _MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
@@ -52,14 +53,6 @@ _MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
 
 def clear_cache() -> None:
     _MEMO.clear()
-
-
-def _add_into(acc: dict, mono: Monomial, val) -> None:
-    v = acc.get(mono, 0) + val
-    if v == 0:
-        acc.pop(mono, None)
-    else:
-        acc[mono] = v
 
 
 def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
@@ -89,7 +82,7 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
             if r is None:
                 continue
             sg, mono3 = r
-            _add_into(acc, mono3, sg * coef * c2)
+            add_into(acc, mono3, sg * coef * c2)
 
     # contraction part: annihilation modes of the peeled generator
     sign = (-1) ** m
@@ -106,7 +99,7 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
         for mono2, sg2 in hit_b.items():
             inner = _circle_mono(ap, n - j - m - 1, mono2)
             for mono3, c3 in inner.items():
-                _add_into(acc, mono3, coef * sg2 * c3)
+                add_into(acc, mono3, coef * sg2 * c3)
 
     _MEMO[key] = acc
     return acc
@@ -122,7 +115,7 @@ def circle(a: State, n: int, b: State) -> State:
                 continue
             c = ca * cb
             for mono, v in inner.items():
-                _add_into(acc, mono, c * v)
+                add_into(acc, mono, c * v)
     return State._raw(acc)
 
 
@@ -156,7 +149,7 @@ def derive(a: State, times: int = 1) -> State:
                 if r is None:
                     continue
                 sg, mono2 = r
-                _add_into(acc, mono2, sg * c * (-mode))
+                add_into(acc, mono2, sg * c * (-mode))
         out = State._raw(acc)
     return out
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .fock import AlgebraDescriptor, Monomial, State, vacuum
-from .linalg import ONE, ZERO, SparseMatrix, SparseVector, format_scalar, scalar
+from .fock import AlgebraDescriptor, State, vacuum, words_of_weight
+from .linalg import ONE, add_into, format_scalar, scalar
 from .ope import circle, derive, iterated_wick
 from .winfinity import bracket_basis, field_mode, realize_current
 
@@ -67,11 +67,7 @@ class VermaElement:
     def __add__(self, other):
         acc = dict(self.terms)
         for w, c in other.terms.items():
-            v = acc.get(w, ZERO) + c
-            if v == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = v
+            add_into(acc, w, c)
         return VermaElement(acc)
 
     def __sub__(self, other):
@@ -108,23 +104,7 @@ def vacuum_module_basis(weight_n: int) -> list[Word]:
         for l in range(0, k):
             letters.append((l, k))
     letters.sort(key=letter_key, reverse=True)
-    out: list[Word] = []
-    stack: list[Letter] = []
-
-    def dfs(pos: int, rem: int):
-        if rem == 0:
-            out.append(tuple(stack))
-            return
-        for p in range(pos, len(letters)):
-            l, k = letters[p]
-            if k > rem:
-                continue
-            stack.append(letters[p])
-            dfs(p, rem - k)  # letters may repeat
-            stack.pop()
-
-    dfs(0, weight_n)
-    return out
+    return words_of_weight(letters, [k for _, k in letters], weight_n)
 
 
 _ACT_MEMO: dict[tuple[int, int, Word, Fraction], dict[Word, Fraction]] = {}
@@ -156,25 +136,13 @@ def _act_basis(l: int, k: int, word: Word, c: Fraction) -> dict[Word, Fraction]:
     l1, k1 = lead
     for w2, c2 in inner.items():
         for w3, c3 in _act_basis(l1, -k1, w2, c).items():
-            v = acc.get(w3, ZERO) + c2 * c3
-            if v == 0:
-                acc.pop(w3, None)
-            else:
-                acc[w3] = v
+            add_into(acc, w3, c2 * c3)
     br = bracket_basis(l, k, l1, -k1)
     for (l2, k2), coef in br.terms.items():
         for w3, c3 in _act_basis(l2, k2, rest, c).items():
-            v = acc.get(w3, ZERO) + coef * c3
-            if v == 0:
-                acc.pop(w3, None)
-            else:
-                acc[w3] = v
+            add_into(acc, w3, coef * c3)
     if br.kappa != 0:
-        v = acc.get(rest, ZERO) + br.kappa * c
-        if v == 0:
-            acc.pop(rest, None)
-        else:
-            acc[rest] = v
+        add_into(acc, rest, br.kappa * c)
     _ACT_MEMO[key] = acc
     return acc
 
@@ -187,17 +155,9 @@ def act(x, v: VermaElement, c) -> VermaElement:
     for word, coef in v.terms.items():
         for (l, k), xc in x.terms.items():
             for w2, c2 in _act_basis(l, k, word, c).items():
-                val = acc.get(w2, ZERO) + xc * coef * c2
-                if val == 0:
-                    acc.pop(w2, None)
-                else:
-                    acc[w2] = val
+                add_into(acc, w2, xc * coef * c2)
         if x.kappa != 0:
-            val = acc.get(word, ZERO) + x.kappa * c * coef
-            if val == 0:
-                acc.pop(word, None)
-            else:
-                acc[word] = val
+            add_into(acc, word, x.kappa * c * coef)
     return VermaElement(acc)
 
 
@@ -210,9 +170,11 @@ def singular_vectors(
     """Exact basis of the weight-N solutions of J^l_j v = 0 for
     0 <= l <= l_cap, 1 <= j <= j_cap (defaults l_cap = N+2, j_cap = N).
 
-    Only finitely many annihilation conditions can be imposed; at the
-    realized central charges the result is cross-checked against the
-    capless projection kernel.
+    Only these capped conditions are imposed, so the result is a basis
+    of singular vectors up to the caps: it contains every singular
+    vector of weight N, and may contain vectors that a condition past
+    the caps would exclude.  Nothing here compares it with the capless
+    projection kernel (``ideal_kernel``).
     """
     c = scalar(c)
     if l_cap is None:
@@ -224,20 +186,14 @@ def singular_vectors(
     if not words:
         return []
     conditions = [(l, j) for l in range(l_cap + 1) for j in range(1, j_cap + 1)]
-    row_index: dict[tuple, int] = {}
-    entries: dict[tuple[int, int], Fraction] = {}
-    for col, word in enumerate(words):
-        for (l, j) in conditions:
-            img = _act_basis(l, j, word, c)
-            for w2, v in img.items():
-                key = (l, j, w2)
-                i = row_index.setdefault(key, len(row_index))
-                entries[(i, col)] = entries.get((i, col), ZERO) + v
-    m = SparseMatrix(max(len(row_index), 1), len(words), entries)
-    out = []
-    for vec in linalg.kernel_basis(m):
-        out.append(VermaElement({words[i]: val for i, val in vec.entries.items()}))
-    return out
+    columns = [
+        {(l, j, w2): v for (l, j) in conditions for w2, v in _act_basis(l, j, word, c).items()}
+        for word in words
+    ]
+    return [
+        VermaElement({words[i]: v for i, v in rel.items()})
+        for rel in linalg.kernel_of_columns(columns)
+    ]
 
 
 def project_word(word: Word, alg: AlgebraDescriptor) -> State:
@@ -264,21 +220,10 @@ def ideal_kernel(n: int, weight_n: int, kind: str = "bg") -> list[VermaElement]:
     if not words:
         return []
     columns = [project_word(w, alg).terms for w in words]
-    keyset: set[Monomial] = set()
-    for col in columns:
-        keyset.update(col.keys())
-    keys = sorted(keyset)
-    index = {m: i for i, m in enumerate(keys)}
-    entries = {
-        (index[mono], j): v
-        for j, col in enumerate(columns)
-        for mono, v in col.items()
-    }
-    m = SparseMatrix(max(len(keys), 1), len(words), entries)
-    out = []
-    for vec in linalg.kernel_basis(m):
-        out.append(VermaElement({words[i]: val for i, val in vec.entries.items()}))
-    return out
+    return [
+        VermaElement({words[i]: v for i, v in rel.items()})
+        for rel in linalg.kernel_of_columns(columns)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +255,7 @@ def free_words(weight_n: int, g_max: int) -> list[FreeWord]:
             if free_letter_weight((b, t)) <= weight_n:
                 letters.append((b, t))
     letters.sort(reverse=True)
-    out: list[FreeWord] = []
-    stack: list[FreeLetter] = []
-
-    def dfs(pos: int, rem: int):
-        if rem == 0:
-            if stack:
-                out.append(tuple(stack))
-            return
-        for p in range(pos, len(letters)):
-            wl = free_letter_weight(letters[p])
-            if wl > rem:
-                continue
-            stack.append(letters[p])
-            dfs(p, rem - wl)
-            stack.pop()
-
-    dfs(0, weight_n)
-    return out
+    return words_of_weight(letters, [free_letter_weight(x) for x in letters], weight_n, min_len=1)
 
 
 def evaluate_free_word(word: FreeWord, alg: AlgebraDescriptor) -> State:
@@ -338,7 +266,7 @@ def evaluate_free_word(word: FreeWord, alg: AlgebraDescriptor) -> State:
 def free_word_text(word: FreeWord) -> str:
     bits = []
     for b, t in word:
-        bits.append(("d" * 0 + f"d^{t} " if t > 1 else ("d " if t == 1 else "")) + f"J^{b}")
+        bits.append((f"d^{t} " if t > 1 else ("d " if t == 1 else "")) + f"J^{b}")
     return ":" + " ".join(bits) + ":"
 
 
@@ -378,22 +306,10 @@ def decoupling_relation(l: int, n: int, g_max: int, kind: str = "bg") -> Decoupl
     target = realize_current(l, alg)
     words = free_words(l + 1, g_max)
     columns = [evaluate_free_word(w, alg).terms for w in words]
-    keyset: set[Monomial] = set(target.terms.keys())
-    for col in columns:
-        keyset.update(col.keys())
-    keys = sorted(keyset)
-    index = {m: i for i, m in enumerate(keys)}
-    entries = {
-        (index[mono], j): v
-        for j, col in enumerate(columns)
-        for mono, v in col.items()
-    }
-    mat = SparseMatrix(len(keys), len(words), entries)
-    rhs = SparseVector(len(keys), {index[mono]: v for mono, v in target.terms.items()})
-    sol = linalg.solve(mat, rhs)
+    sol = linalg.solve_in_span(columns, target.terms)
     if sol is None:
         return None
-    terms = [(words[i], c) for i, c in sorted(sol.entries.items())]
+    terms = [(words[i], c) for i, c in sorted(sol.items())]
     return DecouplingRelation(l, l + 1, terms)
 
 
@@ -431,8 +347,7 @@ def _raising_letters(weight_cap: int, k_cap: int) -> list[RaisingLetter]:
 def _span_dims_by_weight(vectors_by_weight: dict[int, list[State]]) -> dict[int, int]:
     dims = {}
     for w, vecs in sorted(vectors_by_weight.items()):
-        cols = [v.terms for v in vecs if v]
-        dims[w] = linalg.rank_of_columns(cols) if cols else 0
+        dims[w] = linalg.rank_of_columns([v.terms for v in vecs if v])
     return dims
 
 

@@ -38,7 +38,7 @@ from .fock import (
     basis,
     generator_state,
 )
-from .linalg import ONE, ZERO, SparseMatrix, SparseVector, format_scalar, scalar
+from .linalg import ONE, ZERO, SparseMatrix, SparseVector, add_into, format_scalar, scalar
 from .ope import circle, derive, iterated_wick
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ class DOp:
     def __add__(self, other: "DOp") -> "DOp":
         acc = dict(self.terms)
         for lk, c in other.terms.items():
-            acc[lk] = acc.get(lk, ZERO) + c
+            add_into(acc, lk, c)
         return DOp(acc, self.kappa + other.kappa)
 
     def __sub__(self, other: "DOp") -> "DOp":
@@ -130,9 +130,8 @@ def _compose_basis(l1: int, k1: int, l2: int, k2: int) -> dict[tuple[int, int], 
         coef = math.comb(l1, j) * _falling(b, j)
         if coef == 0:
             continue
-        lk = (l1 + l2 - j, k1 + k2)
-        out[lk] = out.get(lk, ZERO) + coef
-    return {lk: Fraction(v) for lk, v in out.items() if v != 0}
+        add_into(out, (l1 + l2 - j, k1 + k2), coef)
+    return {lk: Fraction(v) for lk, v in out.items()}
 
 
 def bracket_basis(l1: int, k1: int, l2: int, k2: int) -> DOp:
@@ -140,11 +139,7 @@ def bracket_basis(l1: int, k1: int, l2: int, k2: int) -> DOp:
     ba = _compose_basis(l2, k2, l1, k1)
     acc = dict(ab)
     for lk, c in ba.items():
-        v = acc.get(lk, ZERO) - c
-        if v == 0:
-            acc.pop(lk, None)
-        else:
-            acc[lk] = v
+        add_into(acc, lk, -c)
     return DOp(acc, cocycle(l1, k1, l2, k2))
 
 

@@ -114,6 +114,14 @@ def test_span_check_exit_codes(capsys, tmp_path):
     )
     assert rc == 4
     assert json.loads(out)["first_deficiency"]["weight"] == 2
+    # weight 0 is checked against the vacuum alone, so a weight-0
+    # generator is refused rather than reported deficient
+    gens.write_text("gamma[1]\nbeta[1]\n")
+    rc, _, err = run(
+        capsys, "span-check", "--action", "trivial", "--gens", str(gens),
+        "--max-weight", "2", "--max-len", "3",
+    )
+    assert rc == 2 and "positive weight" in err
 
 
 def test_commutant(capsys):

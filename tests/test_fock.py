@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import graded_dimensions
 from vertexfock.fock import (
@@ -19,13 +22,13 @@ from vertexfock.fock import (
     generator_state,
     gr_basis,
     gr_symbol,
-    mono_charge,
     mono_parity,
     state_from_json,
     state_to_json,
     state_to_text,
     vacuum,
     weight,
+    words_of_weight,
 )
 from vertexfock.ope import circle, derive
 from vertexfock.winfinity import realize_current
@@ -105,13 +108,6 @@ def test_basis_against_generating_function():
         for w in range(6):
             for d in range(5):
                 assert len(basis(alg, w, d)) == table.get((w, d), 0), (alg, w, d)
-
-
-def test_basis_charge_filter():
-    rows = ((1,),)
-    monos = basis(BG1, 2, 2, charge_matrix=rows)
-    assert all(mono_charge(m, 1) == (0,) for m in monos)
-    assert len(monos) == 2
 
 
 def test_gr_symbol():
@@ -200,3 +196,34 @@ def test_mixed_state_serialization_is_unchanged():
     t = Fraction(1, 3) * derive(generator_state(BETA), 2) + vacuum()
     assert state_to_json(t) == {"terms": [[[], "1"], [[["beta", 1, -3]], "2/3"]]}
     assert state_to_text(t) == "vac + 1/3 * D^2(beta[1])"
+
+
+@st.composite
+def word_problems(draw):
+    """(weights, total, max_len, min_len, repeats); weight 0 only with a
+    length bound, which the enumerator needs to stop."""
+    max_len = draw(st.none() | st.integers(0, 4))
+    low = 1 if max_len is None else 0
+    weights = draw(st.lists(st.integers(low, 3), max_size=5))
+    repeats = draw(st.none() | st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
+    return weights, draw(st.integers(0, 6)), max_len, draw(st.integers(0, 2)), repeats
+
+
+@settings(deadline=None)
+@given(word_problems())
+def test_words_of_weight_matches_brute_force(problem):
+    weights, total, max_len, min_len, repeats = problem
+    letters = [f"x{p}" for p in range(len(weights))]
+    # positive weights bound the length by the total
+    top = total if max_len is None else max_len
+    found = []
+    for length in range(min_len, top + 1):
+        for idx in itertools.combinations_with_replacement(range(len(letters)), length):
+            if sum(weights[p] for p in idx) != total:
+                continue
+            if repeats is not None and any(not repeats[p] and idx.count(p) > 1 for p in idx):
+                continue
+            found.append(idx)
+    # depth-first order: lexicographic in positions, a word before its extensions
+    want = [tuple(letters[p] for p in idx) for idx in sorted(found)]
+    assert words_of_weight(letters, weights, total, max_len, min_len, repeats) == want

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexfock.linalg import (
     SparseMatrix,
@@ -9,9 +12,12 @@ from vertexfock.linalg import (
     det,
     format_scalar,
     kernel_basis,
+    kernel_of_columns,
     parse_scalar,
     rank,
+    rank_of_columns,
     solve,
+    solve_in_span,
 )
 
 
@@ -98,3 +104,66 @@ def test_matrix_json_roundtrip():
     obj = m.to_json()
     assert obj == {"rows": 2, "cols": 3, "entries": [[0, 1, "1/2"], [1, 2, "-3"]]}
     assert SparseMatrix.from_json(obj) == m
+
+
+# columns are key -> value dicts over a few small keys
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+column_lists = st.lists(
+    st.dictionaries(st.sampled_from("abcde"), small_fractions, max_size=5), max_size=6
+)
+
+
+def combine(columns, coeffs) -> dict:
+    """sum_j coeffs[j] * columns[j], without zero entries."""
+    acc = {}
+    for j, c in coeffs.items():
+        for k, v in columns[j].items():
+            acc[k] = acc.get(k, 0) + c * v
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+@settings(deadline=None)
+@given(column_lists)
+def test_kernel_of_columns_properties(columns):
+    relations = kernel_of_columns(columns)
+    for rel in relations:
+        assert rel and combine(columns, rel) == {}
+    assert len(relations) == len(columns) - rank_of_columns(columns)
+    # the kernel does not depend on the row order
+    keys = sorted(set().union(*columns), reverse=True)
+    entries = {(i, j): c[k] for j, c in enumerate(columns) for i, k in enumerate(keys) if k in c}
+    m = SparseMatrix(max(len(keys), 1), len(columns), entries)
+    assert relations == [v.entries for v in kernel_basis(m)]
+
+
+@settings(deadline=None)
+@given(column_lists, st.lists(st.integers(-2, 2), max_size=6))
+def test_solve_in_span_reproduces_target(columns, coeffs):
+    target = combine(columns, dict(enumerate(coeffs[: len(columns)])))
+    sol = solve_in_span(columns, target)
+    assert sol is not None and combine(columns, sol) == target
+    # a key that no column has is out of the span
+    assert solve_in_span(columns, {**target, "z": Fraction(1)}) is None
+
+
+def leibniz(rows) -> int:
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_det_matches_leibniz(rows):
+    m = SparseMatrix(len(rows), len(rows), {
+        (i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)
+    })
+    assert det(m) == leibniz(rows)

@@ -9,25 +9,15 @@ from vertexfock.fock import (
     AlgebraDescriptor,
     State,
     basis,
-    basis_csv_rows,
     generator_state,
     state_to_text,
-    vacuum,
 )
-from vertexfock.ope import circle, ope_table
+from vertexfock.ope import ope_table
 from vertexfock.verma import VermaElement, decoupling_relation
 from vertexfock.winfinity import DOp
 
 BG1 = AlgebraDescriptor("bg", 1)
 BG2 = AlgebraDescriptor("bg", 2)
-
-
-def test_basis_csv_rows():
-    monos = basis(BG1, 1, 1)
-    rows = basis_csv_rows(BG1, monos)
-    assert rows == [[1, 1, "1", "beta[1]"], [1, 1, "-1", "D(gamma[1])"]]
-    rows = basis_csv_rows(BG1, monos, charge_matrix=((2,),))
-    assert rows[0][2] == "2"
 
 
 def test_state_text_reparses():
