@@ -50,7 +50,6 @@ from .invariants import (
 from .linalg import (
     Scalar,
     SparseMatrix,
-    SparseVector,
     det,
     format_scalar,
     kernel_basis,

@@ -6,8 +6,8 @@ verification mismatch (winf-verify, verify-identities, and decouple
 when the found relation does not re-verify), 2 usage error (including
 arithmetic on hostile input, such as a zero denominator or an
 expression nested too deeply to evaluate), 3 not found (e.g. no
-decoupling relation), 4 deficiency (span-check).  Caps are guarded by
-a configurable hard ceiling.
+decoupling relation), 4 deficiency (span-check).  Caps, --rank and
+--n included, are guarded by a configurable hard ceiling.
 
 Action mini-language for group actions:
 
@@ -26,7 +26,7 @@ import json
 import sys
 
 from . import linalg
-from .exprlang import ExprSyntaxError, evaluate, parse
+from .exprlang import evaluate, parse
 from .fock import (
     AlgebraDescriptor,
     state_to_json,
@@ -95,6 +95,7 @@ def _emit(args, obj, text_fn=None, csv_rows=None, csv_header=None) -> None:
 
 
 def _alg(args) -> AlgebraDescriptor:
+    _check_caps(args, args.rank)
     return AlgebraDescriptor(args.algebra, args.rank)
 
 
@@ -144,15 +145,6 @@ def parse_action_spec(spec: str, rank: int):
     raise UsageError(f"unknown action spec {spec!r}")
 
 
-def _parse_expr(text: str, alg: AlgebraDescriptor):
-    try:
-        return evaluate(parse(text), alg)
-    except ExprSyntaxError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -160,8 +152,8 @@ def _parse_expr(text: str, alg: AlgebraDescriptor):
 
 def cmd_ope(args) -> int:
     alg = _alg(args)
-    a = _parse_expr(args.a, alg)
-    b = _parse_expr(args.b, alg)
+    a = evaluate(parse(args.a), alg)
+    b = evaluate(parse(args.b), alg)
     table = ope_table(a, b)
     rows = [[n + 1, state_to_text(s)] for n, s in table.poles]
     _emit(
@@ -176,7 +168,7 @@ def cmd_ope(args) -> int:
 
 def cmd_eval(args) -> int:
     alg = _alg(args)
-    s = _parse_expr(args.expr, alg)
+    s = evaluate(parse(args.expr), alg)
     _emit(args, state_to_json(s), text_fn=lambda: state_to_text(s))
     return EXIT_OK
 
@@ -190,7 +182,7 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_winf_verify(args) -> int:
-    _check_caps(args, args.max_weight, args.max_degree, args.lmax, args.kmax)
+    _check_caps(args, args.n, args.max_weight, args.max_degree, args.lmax, args.kmax)
     alg = AlgebraDescriptor(args.kind, args.n)
     ks = range(-args.kmax, args.kmax + 1)
     pairs = [
@@ -233,9 +225,7 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_express_map(args) -> int:
-    cs = [parse_scalar(x) for x in args.c.split(",")]
-    ds = [parse_scalar(x) for x in args.d.split(",")]
-    t = express_diagonal_map(args.w, args.m, cs, ds)
+    t = express_diagonal_map(args.w, args.m, args.c.split(","), args.d.split(","))
     obj = {"t": [format_scalar(x) for x in t]}
 
     def text():
@@ -265,7 +255,7 @@ def cmd_singular(args) -> int:
 
 
 def cmd_ideal_kernel(args) -> int:
-    _check_caps(args, args.weight)
+    _check_caps(args, args.n, args.weight)
     found = ideal_kernel(args.n, args.weight)
     obj = {"n": args.n, "weight": args.weight, "dimension": len(found),
            "vectors": [v.to_json() for v in found]}
@@ -274,7 +264,7 @@ def cmd_ideal_kernel(args) -> int:
 
 
 def cmd_decouple(args) -> int:
-    _check_caps(args, args.l)
+    _check_caps(args, args.n, args.l)
     rel = decoupling_relation(args.l, args.n, args.g)
     if rel is None:
         _emit(args, {"target": f"J^{args.l}", "found": False},
@@ -323,7 +313,7 @@ def cmd_span_check(args) -> int:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
-                gens.append(_parse_expr(line, alg))
+                gens.append(evaluate(parse(line), alg))
     report = span_check(gens, action, alg, args.max_weight, args.max_len)
     _emit(args, report.to_json(), text_fn=lambda: json.dumps(report.to_json(), indent=2))
     return EXIT_OK if report.ok else EXIT_DEFICIENT
@@ -464,14 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _glue_rational_values(argv: list[str]) -> list[str]:
+    """Attach a value such as -1/2 or -1,2/3 to the --c or --d before it
+    (--c -1/2 -> --c=-1/2): argparse reads a token that starts with '-'
+    as an option unless it is a plain negative number."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--c", "--d") and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_rational_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
-    except (UsageError, ExprSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import add_into, format_scalar, parse_scalar
+from .linalg import Combination, Scalar, add_into, format_scalar, scalar
 
 # species codes, in canonical order
 BETA, GAMMA, B, C = 0, 1, 2, 3
@@ -139,42 +139,22 @@ def canonicalize(factors) -> tuple[int, Monomial] | None:
     return sign, tuple(arr)
 
 
-def _coeff(x):
-    """Exact coefficient, integer-first: an int stays an int, and so
-    does an integral Fraction (as its numerator); any other Fraction
-    stays a Fraction.  Strings parse; floats are rejected.
-
-    This is the one place that decides a coefficient's representation.
-    The free-field structure constants are integers, and int arithmetic
-    is several times faster than Fraction arithmetic, so a state stays
-    integral until a genuine denominator (1/k!, a cocycle value) enters.
-    """
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        x = parse_scalar(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"not an exact scalar: {x!r}")
-
-
-class State:
+class State(Combination):
     """Finite rational combination of canonical monomials.
 
-    Immutable by convention: never mutate ``terms`` after construction.
-    Supports +, -, and scalar multiplication.  Coefficients are exact
-    rationals: ints wherever they are integral (see ``_coeff``),
-    Fractions otherwise.
+    The arithmetic comes from ``Combination``; the constructor also
+    puts every monomial into canonical order, combining duplicates and
+    dropping repeated fermionic modes.  Coefficients are exact
+    rationals: ints wherever they are integral (see
+    ``linalg.scalar``), Fractions otherwise.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        clean: dict[Monomial, Fraction] = {}
-        for m, c in terms.items():
-            c = _coeff(c)
+        clean: dict[Monomial, Scalar] = {}
+        for m, c in (terms or {}).items():
+            c = scalar(c)
             if c == 0:
                 continue
             r = canonicalize(m)
@@ -182,42 +162,10 @@ class State:
                 continue
             sg, mono = r
             add_into(clean, mono, sg * c)
-        self.terms: dict[Monomial, Fraction] = clean
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "State":
-        """Internal fast path: terms must already be canonical and
-        zero-free."""
-        s = object.__new__(cls)
-        s.terms = terms
-        return s
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, State) and self.terms == other.terms
+        self.terms: dict[Monomial, Scalar] = clean
 
     def __hash__(self):
-        return hash(frozenset((m, Fraction(c)) for m, c in self.terms.items()))
-
-    def __add__(self, other: "State") -> "State":
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            add_into(acc, m, c)
-        return State._raw(acc)
-
-    def __sub__(self, other: "State") -> "State":
-        return self + (-1) * other
-
-    def __neg__(self) -> "State":
-        return (-1) * self
-
-    def __rmul__(self, c) -> "State":
-        c = _coeff(c)
-        if c == 0:
-            return State._raw({})
-        return State._raw({m: c * v for m, v in self.terms.items()})
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -228,9 +176,6 @@ class State:
             word = " ".join(f"{SPECIES_NAMES[sp]}{idx}({mode})" for sp, idx, mode in m) or "|0>"
             bits.append(f"{format_scalar(c)}*{word}")
         return "State(" + " + ".join(bits) + ")"
-
-
-ZERO_STATE = State()
 
 
 def vacuum() -> State:
@@ -265,7 +210,7 @@ def _apply_annihilation(g: GeneratorMode, mono: Monomial) -> dict[Monomial, int]
 
 def apply_mode(g: GeneratorMode, s: State) -> State:
     """Apply a single generator mode operator to a state, exactly."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Scalar] = {}
     creating = g[2] < 0
     for mono, c in s.terms.items():
         if creating:
@@ -505,7 +450,7 @@ def state_to_json(s: State) -> dict:
 
 
 def state_from_json(obj: dict) -> State:
-    return State({mono_from_json(m): parse_scalar(c) for m, c in obj["terms"]})
+    return State({mono_from_json(m): c for m, c in obj["terms"]})
 
 
 def mono_to_text(mono: Monomial) -> str:

@@ -45,7 +45,7 @@ from .fock import (
     weight as state_weight,
     words_of_weight,
 )
-from .linalg import ONE, ZERO, SparseMatrix, add_into, scalar
+from .linalg import Scalar, SparseMatrix, add_into, scalar
 from .ope import circle, derive, iterated_wick, wick
 
 VECTOR_SPECIES = (BETA, B)
@@ -66,7 +66,7 @@ class TorusAction:
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        mat = SparseMatrix.from_rows([[Fraction(x) for x in r] for r in rows])
+        mat = SparseMatrix.from_rows(rows)
         if rows and linalg.rank(mat) < len(rows):
             warnings.warn("charge matrix is not of full rank: the torus does not act faithfully")
 
@@ -106,7 +106,7 @@ class LieAlgebraAction:
     brackets is not required.
     """
 
-    matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    matrices: tuple[tuple[tuple[Scalar, ...], ...], ...]
 
     def __post_init__(self):
         mats = tuple(tuple(tuple(scalar(x) for x in row) for row in m) for m in self.matrices)
@@ -133,9 +133,9 @@ GroupAction = TorusAction | FiniteAbelianAction | LieAlgebraAction
 # ---------------------------------------------------------------------------
 
 
-def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Fraction]:
+def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Scalar]:
     """Mode-wise derivation of a single matrix on a monomial."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     for pos, (sp, idx, mode) in enumerate(mono):
         for j in range(1, rank_n + 1):
             coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
@@ -157,7 +157,7 @@ def extend_action(X, alg: AlgebraDescriptor):
     mats = tuple(tuple(scalar(x) for x in row) for row in X)
 
     def op(s: State) -> State:
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for mono, c in s.terms.items():
             for mono2, v in _derive_mono(mats, mono, alg.rank).items():
                 add_into(acc, mono2, c * v)
@@ -179,7 +179,7 @@ def _gr_derive_mono(X, mono: GrMonomial, rank_n: int) -> dict[GrMonomial, Fracti
             if r is None:
                 continue
             sg, mono2 = r
-            v = out.get(mono2, ZERO) + sg * coef
+            v = out.get(mono2, 0) + sg * coef
             if v == 0:
                 out.pop(mono2, None)
             else:
@@ -232,7 +232,7 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
         if all(sum(X[i][i] * q[i] for i in range(rank_n)) == 0 for X in diag):
             survivors.append(m)
     if not rest:
-        return [{m: ONE} for m in survivors]
+        return [{m: 1} for m in survivors]
 
     comp = _index_components(rest, rank_n)
     comps = sorted(set(comp))
@@ -266,7 +266,7 @@ def invariant_basis(
     monos = basis(alg, weight, degree)
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         return [
-            State({m: ONE}) for m in monos if action.is_invariant_charge(mono_charge(m, alg.rank))
+            State({m: 1}) for m in monos if action.is_invariant_charge(mono_charge(m, alg.rank))
         ]
     combos = _lie_kernel(monos, _derive_mono, action.matrices, alg.rank)
     return [State(c) for c in combos]
@@ -422,7 +422,7 @@ def span_check(
     first_def = None
     for w in range(weight_cap + 1):
         if w == 0:
-            vecs = [State({(): ONE})]
+            vecs = [State({(): 1})]
         else:
             vecs = [s for s in _word_states(generators, gen_weights, alg, w, max_word_length) if s]
         w_window = window
@@ -477,16 +477,16 @@ def heisenberg_current(xi, charge_rows, alg: AlgebraDescriptor) -> State:
         if coef == 0:
             continue
         out = out + coef * wick(
-            State({((GAMMA, i, -1),): ONE}), State({((BETA, i, -1),): ONE})
+            State({((GAMMA, i, -1),): 1}), State({((BETA, i, -1),): 1})
         )
     return out
 
 
-def heisenberg_pairing(xi, eta, charge_rows) -> Fraction:
+def heisenberg_pairing(xi, eta, charge_rows) -> Scalar:
     """-Tr(rho(xi) rho(eta)) for the diagonal torus action."""
     m = len(charge_rows)
     n = len(charge_rows[0])
-    total = ZERO
+    total = 0
     for i in range(n):
         a = sum(scalar(xi[t]) * charge_rows[t][i] for t in range(m))
         b = sum(scalar(eta[t]) * charge_rows[t][i] for t in range(m))
@@ -504,7 +504,7 @@ def validate_heisenberg(charge_rows, alg: AlgebraDescriptor) -> bool:
             jx = heisenberg_current(xi, charge_rows, alg)
             je = heisenberg_current(eta, charge_rows, alg)
             want = heisenberg_pairing(xi, eta, charge_rows)
-            if circle(jx, 1, je) != want * State({(): ONE}):
+            if circle(jx, 1, je) != want * State({(): 1}):
                 return False
             if circle(jx, 0, je):
                 return False
@@ -529,7 +529,7 @@ def commutant_basis(
     modes = [(cur, k) for cur in currents for k in range(0, weight + state_weight(cur))]
     columns = []
     for m in monos:
-        s = State({m: ONE})
+        s = State({m: 1})
         columns.append({
             (t, m2): v for t, (cur, k) in enumerate(modes) for m2, v in circle(cur, k, s).terms.items()
         })

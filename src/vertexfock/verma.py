@@ -26,11 +26,10 @@ length-and-mode-bounded ordered span must agree weight by weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .fock import AlgebraDescriptor, State, vacuum, words_of_weight
-from .linalg import ONE, add_into, format_scalar, scalar
+from .linalg import Combination, Scalar, add_into, format_scalar, scalar
 from .ope import circle, derive, iterated_wick
 from .winfinity import bracket_basis, field_mode, realize_current
 
@@ -48,34 +47,10 @@ def word_weight(word: Word) -> int:
     return sum(k for _, k in word)
 
 
-class VermaElement:
+class VermaElement(Combination):
     """Finite rational combination of PBW words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms: dict[Word, Fraction] = {w: scalar(c) for w, c in terms.items() if c != 0}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, VermaElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            add_into(acc, w, c)
-        return VermaElement(acc)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = scalar(c)
-        return VermaElement({w: c * v for w, v in self.terms.items()})
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -107,10 +82,10 @@ def vacuum_module_basis(weight_n: int) -> list[Word]:
     return words_of_weight(letters, [k for _, k in letters], weight_n)
 
 
-_ACT_MEMO: dict[tuple[int, int, Word, Fraction], dict[Word, Fraction]] = {}
+_ACT_MEMO: dict[tuple[int, int, Word, Scalar], dict[Word, Scalar]] = {}
 
 
-def _act_basis(l: int, k: int, word: Word, c: Fraction) -> dict[Word, Fraction]:
+def _act_basis(l: int, k: int, word: Word, c: Scalar) -> dict[Word, Scalar]:
     """J^l_k applied to a PBW word, straightened back into PBW form.
 
     Creation letters (l+k < 0) insert in order; everything else
@@ -121,16 +96,16 @@ def _act_basis(l: int, k: int, word: Word, c: Fraction) -> dict[Word, Fraction]:
     if hit is not None:
         return hit
     if not word:
-        res = {} if l + k >= 0 else {((l, -k),): ONE}
+        res = {} if l + k >= 0 else {((l, -k),): 1}
         _ACT_MEMO[key] = res
         return res
     lead = word[0]
     if l + k < 0 and letter_key((l, -k)) >= letter_key(lead):
-        res = {((l, -k),) + word: ONE}
+        res = {((l, -k),) + word: 1}
         _ACT_MEMO[key] = res
         return res
     rest = word[1:]
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     # g (h w') = h (g w') + [g, h] w'
     inner = _act_basis(l, k, rest, c)
     l1, k1 = lead
@@ -151,7 +126,7 @@ def act(x, v: VermaElement, c) -> VermaElement:
     """Induced action of a Lie algebra element (DOp) on the vacuum module
     of central charge c."""
     c = scalar(c)
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, Scalar] = {}
     for word, coef in v.terms.items():
         for (l, k), xc in x.terms.items():
             for w2, c2 in _act_basis(l, k, word, c).items():
@@ -277,7 +252,7 @@ class DecouplingRelation:
 
     target: int
     weight: int
-    terms: list[tuple[FreeWord, Fraction]]
+    terms: list[tuple[FreeWord, Scalar]]
 
     def to_json(self) -> dict:
         return {

@@ -38,7 +38,7 @@ from .fock import (
     basis,
     generator_state,
 )
-from .linalg import ONE, ZERO, SparseMatrix, SparseVector, add_into, format_scalar, scalar
+from .linalg import Scalar, SparseMatrix, add_into, exact_terms, format_scalar, scalar
 from .ope import circle, derive, iterated_wick
 
 # ---------------------------------------------------------------------------
@@ -53,10 +53,10 @@ def _falling(a: int, p: int) -> int:
     return out
 
 
-def cocycle(l1: int, k1: int, l2: int, k2: int) -> Fraction:
+def cocycle(l1: int, k1: int, l2: int, k2: int) -> Scalar:
     """Exact value of the 2-cocycle on basis elements J^{l1}_{k1}, J^{l2}_{k2}."""
     if k1 + k2 != 0:
-        return ZERO
+        return 0
     num = _falling(l1 + k1, l2 + 1) * _falling(l2 + k2, l1)
     return Fraction(math.factorial(l1) * math.factorial(l2) * num,
                     math.factorial(l1 + l2 + 1))
@@ -66,11 +66,11 @@ def cocycle(l1: int, k1: int, l2: int, k2: int) -> Fraction:
 class DOp:
     """Finite combination of basis operators J^l_k plus a central term."""
 
-    terms: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    kappa: Fraction = ZERO
+    terms: dict[tuple[int, int], Scalar] = field(default_factory=dict)
+    kappa: Scalar = 0
 
     def __post_init__(self):
-        self.terms = {lk: scalar(c) for lk, c in self.terms.items() if c != 0}
+        self.terms = exact_terms(self.terms)
         self.kappa = scalar(self.kappa)
         for l, _ in self.terms:
             if l < 0:
@@ -78,7 +78,7 @@ class DOp:
 
     @staticmethod
     def basis_element(l: int, k: int) -> "DOp":
-        return DOp({(l, k): ONE})
+        return DOp({(l, k): 1})
 
     def __add__(self, other: "DOp") -> "DOp":
         acc = dict(self.terms)
@@ -93,13 +93,6 @@ class DOp:
         c = scalar(c)
         return DOp({lk: c * v for lk, v in self.terms.items()}, c * self.kappa)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DOp)
-            and self.terms == other.terms
-            and self.kappa == other.kappa
-        )
-
     def __bool__(self) -> bool:
         return bool(self.terms) or self.kappa != 0
 
@@ -111,7 +104,7 @@ class DOp:
         }
 
 
-def _compose_basis(l1: int, k1: int, l2: int, k2: int) -> dict[tuple[int, int], Fraction]:
+def _compose_basis(l1: int, k1: int, l2: int, k2: int) -> dict[tuple[int, int], int]:
     """J^{l1}_{k1} J^{l2}_{k2} as an operator composition, in the J basis.
 
     Composition uses d^l t^b = sum_j C(l,j) b(b-1)...(b-j+1) t^{b-j} d^{l-j}.
@@ -124,14 +117,14 @@ def _compose_basis(l1: int, k1: int, l2: int, k2: int) -> dict[tuple[int, int], 
     all structural statements (Jacobi, gradings, singular-vector
     weights, decoupling) are unaffected.
     """
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     b = l2 + k2
     for j in range(l1 + 1):
         coef = math.comb(l1, j) * _falling(b, j)
         if coef == 0:
             continue
         add_into(out, (l1 + l2 - j, k1 + k2), coef)
-    return {lk: Fraction(v) for lk, v in out.items()}
+    return out
 
 
 def bracket_basis(l1: int, k1: int, l2: int, k2: int) -> DOp:
@@ -266,7 +259,7 @@ def verify_rep(
 # ---------------------------------------------------------------------------
 
 
-def action_coeffs(w: int, k: int, l: int) -> tuple[Fraction, Fraction]:
+def action_coeffs(w: int, k: int, l: int) -> tuple[Scalar, Scalar]:
     """Closed-form coefficients of J^{w+k}(k) on the degree-1 symbols:
     beta_l -> lam * beta_{l+w}, gamma_l -> mu * gamma_{l+w}, with
 
@@ -275,7 +268,7 @@ def action_coeffs(w: int, k: int, l: int) -> tuple[Fraction, Fraction]:
     """
     if w < 1 or k < 0 or l < 0:
         raise ValueError("need w >= 1, k >= 0, l >= 0")
-    lam = ZERO if l - k < 0 else Fraction(-math.factorial(l), math.factorial(l - k))
+    lam = 0 if l - k < 0 else Fraction(-math.factorial(l), math.factorial(l - k))
     mu = Fraction((-1) ** (w + k) * math.factorial(w + k + l), math.factorial(l + w))
     return lam, mu
 
@@ -287,7 +280,7 @@ def action_block_matrix(w: int, m: int) -> SparseMatrix:
     m+1..2m+1 the beta coefficients."""
     if w < 1 or m < 0:
         raise ValueError("need w >= 1, m >= 0")
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], Scalar] = {}
     for i in range(m + 1):
         for k in range(2 * m + 2):
             lam, mu = action_coeffs(w, k, i)
@@ -302,13 +295,13 @@ def rising_product_matrix(r: int, m: int) -> SparseMatrix:
     """(m+1) x (m+1) matrix with entry (i, j) = (r+i+1)(r+i+2)...(r+i+j)
     (and 1 for j = 0); row-reduces out of the factorial-ratio matrix and
     is invertible for all r, m >= 1."""
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
     for i in range(m + 1):
         val = 1
         for j in range(m + 1):
             if j > 0:
                 val *= r + i + j
-            entries[(i, j)] = Fraction(val)
+            entries[(i, j)] = val
     return SparseMatrix(m + 1, m + 1, entries)
 
 
@@ -324,18 +317,15 @@ def factorial_ratio_matrix(w: int, m: int) -> SparseMatrix:
     return SparseMatrix(m + 1, m + 1, entries)
 
 
-def express_diagonal_map(w: int, m: int, cs, ds) -> list[Fraction]:
+def express_diagonal_map(w: int, m: int, cs, ds) -> list[Scalar]:
     """Coefficients t_0..t_{2m+1} with sum_k t_k J^{w+k}(k) acting on the
     degree-1 symbols with index <= m as gamma_i -> c_i gamma_{i+w},
     beta_i -> d_i beta_{i+w}.  The solve is always unique; a singular
     matrix here is a bug, not a data condition."""
-    cs = [scalar(x) for x in cs]
-    ds = [scalar(x) for x in ds]
     if len(cs) != m + 1 or len(ds) != m + 1:
         raise ValueError(f"need m+1 = {m + 1} gamma and beta coefficients")
     mat = action_block_matrix(w, m)
-    rhs = SparseVector.from_list(cs + ds)
-    sol = linalg.solve(mat, rhs)
+    sol = linalg.solve(mat, dict(enumerate([*cs, *ds])))
     if sol is None or linalg.rank(mat) != 2 * m + 2:
         raise ArithmeticError(f"action matrix unexpectedly singular at w={w}, m={m}")
-    return sol.to_list()
+    return [sol.get(k, 0) for k in range(2 * m + 2)]

@@ -145,6 +145,21 @@ def test_usage_errors(capsys):
     rc, _, err = run(capsys, "span-check", "--action", "sl2", "--gens", "/dev/null",
                      "--max-weight", "1", "--max-len", "1", "--rank", "1")
     assert rc == 2
+    # --rank and --n are caps like any other
+    rc, out, err = run(capsys, "inv-dims", "--action", "trivial", "--rank", "40",
+                       "--max-weight", "4", "--max-degree", "4")
+    assert rc == 2 and out == "" and "ceiling" in err
+    rc, out, err = run(capsys, "winf-verify", "--n", "30", "--lmax", "0", "--kmax", "0")
+    assert rc == 2 and out == "" and "ceiling" in err
+
+
+def test_negative_rational_values_parse_space_separated(capsys):
+    rc, out, _ = run(capsys, "singular", "--c", "-1/2", "--weight", "2")
+    assert rc == 0 and json.loads(out)["central_charge"] == "-1/2"
+    assert run(capsys, "singular", "--c=-1/2", "--weight", "2")[1] == out
+    rc, out, _ = run(capsys, "express-map", "--w", "2", "--m", "1", "--c", "1/2,3", "--d", "-1,2/3")
+    assert rc == 0
+    assert run(capsys, "express-map", "--w", "2", "--m", "1", "--c=1/2,3", "--d=-1,2/3")[1] == out
 
 
 def test_eval_zero_denominator_is_usage_error(capsys):

@@ -31,7 +31,8 @@ from vertexfock.fock import (
     words_of_weight,
 )
 from vertexfock.ope import circle, derive
-from vertexfock.winfinity import realize_current
+from vertexfock.verma import VermaElement, act, ideal_kernel
+from vertexfock.winfinity import DOp, bracket_basis, d_bracket, realize_current
 
 BG1 = AlgebraDescriptor("bg", 1)
 BG2 = AlgebraDescriptor("bg", 2)
@@ -172,6 +173,32 @@ def test_integral_coefficients_are_ints():
     assert _all_int(State({m: "6/3"}))
     half = Fraction(1, 2) * s
     assert half.terms == {m: Fraction(5, 2)} and type(half.terms[m]) is Fraction
+
+
+def _int_first(terms: dict) -> bool:
+    """Every integral coefficient is an int; only non-integral values
+    are Fractions."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in terms.values())
+
+
+def test_integral_coefficients_are_ints_beyond_states():
+    v = VermaElement({((0, 1),): Fraction(2), (): "6/3", ((1, 2),): Fraction(1, 2)})
+    assert v.terms == {((0, 1),): 2, (): 2, ((1, 2),): Fraction(1, 2)} and _int_first(v.terms)
+    u = VermaElement({((0, 1),): Fraction(2), (): "6/3"})
+    for w in (u + u, u - u, -u, Fraction(3) * u, act(DOp.basis_element(0, 1), u, Fraction(-1))):
+        assert all(type(c) is int for c in w.terms.values())
+    for rel in ideal_kernel(1, 4):
+        assert _int_first(rel.terms)
+    x = DOp({(2, -1): Fraction(1), (1, 3): "-4/2"}, kappa=Fraction(6, 3))
+    assert x.terms == {(2, -1): 1, (1, 3): -2} and _int_first(x.terms) and type(x.kappa) is int
+    for l1 in range(3):
+        for k1 in range(-2, 3):
+            for l2 in range(3):
+                for k2 in range(-2, 3):
+                    br = bracket_basis(l1, k1, l2, k2)
+                    assert _int_first(br.terms) and _int_first({0: br.kappa} if br.kappa else {})
+    assert _int_first(d_bracket(x, DOp.basis_element(0, -1)).terms)
 
 
 def test_mixed_state_serialization_is_unchanged():
