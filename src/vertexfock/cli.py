@@ -7,7 +7,9 @@ when the found relation does not re-verify), 2 usage error (including
 arithmetic on hostile input, such as a zero denominator or an
 expression nested too deeply to evaluate), 3 not found (e.g. no
 decoupling relation), 4 deficiency (span-check).  Caps, --rank and
---n included, are guarded by a configurable hard ceiling.
+--n included, are guarded by a configurable hard ceiling, and so are
+the D^k powers, J[l] levels and CP indices |n| of every expression
+the CLI evaluates.
 
 Action mini-language for group actions:
 
@@ -26,7 +28,7 @@ import json
 import sys
 
 from . import linalg
-from .exprlang import evaluate, parse
+from .exprlang import evaluate, parse, size_parameters
 from .fock import (
     AlgebraDescriptor,
     state_to_json,
@@ -107,6 +109,14 @@ def _check_caps(args, *values) -> None:
             )
 
 
+def _parse_expr(args, text: str):
+    """Parse an expression whose D^k powers, J[l] levels and CP indices
+    are all within the ceiling."""
+    tree = parse(text)
+    _check_caps(args, *size_parameters(tree))
+    return tree
+
+
 def parse_action_spec(spec: str, rank: int):
     spec = spec.strip()
     if spec == "trivial":
@@ -152,8 +162,8 @@ def parse_action_spec(spec: str, rank: int):
 
 def cmd_ope(args) -> int:
     alg = _alg(args)
-    a = evaluate(parse(args.a), alg)
-    b = evaluate(parse(args.b), alg)
+    ta, tb = _parse_expr(args, args.a), _parse_expr(args, args.b)
+    a, b = evaluate(ta, alg), evaluate(tb, alg)
     table = ope_table(a, b)
     rows = [[n + 1, state_to_text(s)] for n, s in table.poles]
     _emit(
@@ -168,7 +178,7 @@ def cmd_ope(args) -> int:
 
 def cmd_eval(args) -> int:
     alg = _alg(args)
-    s = evaluate(parse(args.expr), alg)
+    s = evaluate(_parse_expr(args, args.expr), alg)
     _emit(args, state_to_json(s), text_fn=lambda: state_to_text(s))
     return EXIT_OK
 
@@ -313,7 +323,7 @@ def cmd_span_check(args) -> int:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
-                gens.append(evaluate(parse(line), alg))
+                gens.append(evaluate(_parse_expr(args, line), alg))
     report = span_check(gens, action, alg, args.max_weight, args.max_len)
     _emit(args, report.to_json(), text_fn=lambda: json.dumps(report.to_json(), indent=2))
     return EXIT_OK if report.ok else EXIT_DEFICIENT

@@ -299,6 +299,28 @@ def to_text(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def size_parameters(e: Expr):
+    """Yield every D^k power, J[l] level and CP index |n| in the tree:
+    the numbers that set the cost of evaluating it (J[l] takes D^l)."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Deriv):
+            yield e.power
+            stack.append(e.arg)
+        elif isinstance(e, JGen):
+            yield e.level
+        elif isinstance(e, CircleProd):
+            yield abs(e.n)
+            stack += (e.left, e.right)
+        elif isinstance(e, NormalOrder):
+            stack += e.args
+        elif isinstance(e, Scaled):
+            stack.append(e.arg)
+        elif isinstance(e, Sum):
+            stack += (part for _, part in e.parts)
+
+
 def evaluate(e: Expr, alg: AlgebraDescriptor) -> State:
     if isinstance(e, Vac):
         return vacuum()

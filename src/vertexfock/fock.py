@@ -94,7 +94,12 @@ def mode_weight(g: GeneratorMode) -> int:
 
 
 def mono_weight(mono: Monomial) -> int:
-    return sum(mode_weight(g) for g in mono)
+    # the sum of mode_weight over the factors, inlined: it sits on the
+    # circle-product recursion's hot path
+    w = -len(mono)
+    for sp, _, m in mono:
+        w += SPECIES_WEIGHT[sp] - m
+    return w
 
 
 def mono_degree(mono: Monomial) -> int:

@@ -65,7 +65,8 @@ def exact_terms(terms) -> dict:
 class Combination:
     """Finite exact linear combination: ``terms`` maps each key to a
     nonzero scalar.  Immutable by convention: never mutate ``terms``
-    after construction.  Supports +, -, negation and ``scalar * x``."""
+    after construction.  Supports +, -, negation and ``scalar * x``,
+    whose results are integer-first like the inputs (see ``scalar``)."""
 
     __slots__ = ("terms",)
 
@@ -90,7 +91,8 @@ class Combination:
         acc = dict(self.terms)
         for k, c in other.terms.items():
             add_into(acc, k, c)
-        return self._raw(acc)
+        # a sum of Fractions may be integral
+        return self._raw({k: scalar(v) for k, v in acc.items()})
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -102,7 +104,7 @@ class Combination:
         c = scalar(c)
         if c == 0:
             return self._raw({})
-        return self._raw({k: c * v for k, v in self.terms.items()})
+        return self._raw({k: scalar(c * v) for k, v in self.terms.items()})
 
 
 @dataclass
@@ -180,8 +182,9 @@ def _rref(rows: list[dict[int, Scalar]], ncols: int) -> list[tuple[int, int, Sca
     order, the first not-yet-pivotal row (in original order) with a
     nonzero entry becomes the pivot.  Returns (row, col, value) per
     pivot, the value being the entry before its row was normalized.
-    Normalization divides by the pivot as a Fraction, since int / int
-    would be a float.
+    Normalization negates a row with pivot -1, so integer rows stay
+    integer, and otherwise divides by the pivot as a Fraction, since
+    int / int would be a float.
     """
     pivots: list[tuple[int, int, Scalar]] = []
     used = [False] * len(rows)
@@ -196,7 +199,9 @@ def _rref(rows: list[dict[int, Scalar]], ncols: int) -> list[tuple[int, int, Sca
         used[prow] = True
         pv = rows[prow][col]
         pivots.append((prow, col, pv))
-        if pv != 1:
+        if pv == -1:
+            rows[prow] = {j: -v for j, v in rows[prow].items()}
+        elif pv != 1:
             d = Fraction(pv)
             rows[prow] = {j: v / d for j, v in rows[prow].items()}
         prpairs = list(rows[prow].items())

@@ -21,9 +21,17 @@ first argument loses one mode per step.
 n = -1 is the Wick product, n = -2 against the vacuum is the
 derivative; n >= 0 are the OPE pole coefficients.
 
-Products of monomials are memoized; the cache is semantically
-invisible (idempotent inserts of immutable values), so concurrent
-evaluation of independent products is safe.
+Both inner steps work on canonical words directly: a creation mode is
+inserted into its place in one pass (the other factors are already in
+order), and u(j) b visits only the factors of b that contract with u.
+
+What is memoized: every product ma o_n mb of monomials with a nonempty
+first word, keyed by (ma, n, mb), with its integer structure constants
+({monomial: int}) as the value, in the module dict ``_MEMO``.  Vacuum
+products 1 o_n mb are not memoized: they are returned directly.  The
+cache is semantically invisible (idempotent inserts of values that are
+never mutated), so concurrent evaluation of independent products is
+safe; ``clear_cache`` empties it.
 """
 
 from __future__ import annotations
@@ -33,10 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import (
-    Monomial,
+    CONTRACTION,
+    SPECIES_DUAL,
     SPECIES_PARITY,
+    GeneratorMode,
+    Monomial,
     State,
-    _apply_annihilation,
     canonicalize,
     mono_parity,
     mono_weight,
@@ -55,15 +65,62 @@ def clear_cache() -> None:
     _MEMO.clear()
 
 
+def _insert_creation(g: GeneratorMode, mono: Monomial) -> tuple[int, Monomial] | None:
+    """canonicalize((g,) + mono) for a canonical mono, in one pass.
+
+    g moves right past every factor that sorts before it; the sign
+    counts the odd factors it passes when g is odd.  None if g is a
+    fermionic mode already present.
+    """
+    sp, idx, mode = g
+    odd = SPECIES_PARITY[sp]
+    sign = 1
+    for pos, h in enumerate(mono):
+        hsp, hidx, hmode = h
+        if hsp > sp or (hsp == sp and (hidx > idx or (hidx == idx and hmode <= mode))):
+            if odd and h == g:
+                return None
+            return sign, mono[:pos] + (g,) + mono[pos:]
+        if odd and SPECIES_PARITY[hsp]:
+            sign = -sign
+    return sign, mono + (g,)
+
+
+def _contraction_partners(sp: int, idx: int, mono: Monomial) -> list[tuple[int, Monomial, int]]:
+    """Every nonzero u(j) mono, u = (sp, idx), as (j, word, coefficient)
+    by ascending j.
+
+    The partners are the factors of the dual species with the same
+    index; canonical order lists them by descending mode, so by
+    ascending j = -mode - 1.  A repeated boson contracts once per copy,
+    and every copy leaves the same word.  Agrees with
+    ``_apply_annihilation((sp, idx, j), mono)`` for every j >= 0.
+    """
+    dual = SPECIES_DUAL[sp]
+    odd = SPECIES_PARITY[sp]
+    pairing = CONTRACTION[(sp, dual)]
+    out: list[tuple[int, Monomial, int]] = []
+    sign = 1
+    for pos, h in enumerate(mono):
+        hsp = h[0]
+        if hsp == dual and h[1] == idx:
+            if pos and h == mono[pos - 1]:
+                j, word, c = out[-1]
+                out[-1] = (j, word, c + pairing)
+            else:
+                out.append((-h[2] - 1, mono[:pos] + mono[pos + 1:], sign * pairing))
+        if odd and SPECIES_PARITY[hsp]:
+            sign = -sign
+    return out
+
+
 def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
+    if not ma:
+        return {mb: 1} if n == -1 else {}
     key = (ma, n, mb)
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    if not ma:
-        res = {mb: 1} if n == -1 else {}
-        _MEMO[key] = res
-        return res
     sp, idx, mode = ma[0]
     m = -mode - 1
     ap = ma[1:]
@@ -78,7 +135,7 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
         coef = math.comb(k + m, m)
         g = (sp, idx, -(k + m) - 1)
         for mono2, c2 in inner.items():
-            r = canonicalize((g,) + mono2)
+            r = _insert_creation(g, mono2)
             if r is None:
                 continue
             sg, mono3 = r
@@ -88,18 +145,10 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
     sign = (-1) ** m
     if SPECIES_PARITY[sp] and mono_parity(ap):
         sign = -sign
-    js = sorted({-h[2] - 1 for h in mb if h[2] < 0})
-    for j in js:
-        if j < 0:
-            continue
-        hit_b = _apply_annihilation((sp, idx, j), mb)
-        if not hit_b:
-            continue
-        coef = sign * math.comb(j + m, m)
-        for mono2, sg2 in hit_b.items():
-            inner = _circle_mono(ap, n - j - m - 1, mono2)
-            for mono3, c3 in inner.items():
-                add_into(acc, mono3, coef * sg2 * c3)
+    for j, mono2, c2 in _contraction_partners(sp, idx, mb):
+        coef = sign * math.comb(j + m, m) * c2
+        for mono3, c3 in _circle_mono(ap, n - j - m - 1, mono2).items():
+            add_into(acc, mono3, coef * c3)
 
     _MEMO[key] = acc
     return acc

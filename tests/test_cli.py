@@ -133,7 +133,7 @@ def test_commutant(capsys):
     assert [e["dimension"] for e in obj["weights"]] == [1, 0, 1]
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "eval", "bb[1]", "--algebra", "bg")
     assert rc == 2 and "species" in err
     rc, _, err = run(capsys, "eval", "CP(vac, , vac)")
@@ -151,6 +151,20 @@ def test_usage_errors(capsys):
     assert rc == 2 and out == "" and "ceiling" in err
     rc, out, err = run(capsys, "winf-verify", "--n", "30", "--lmax", "0", "--kmax", "0")
     assert rc == 2 and out == "" and "ceiling" in err
+    # so are the D^k powers, J[l] levels and CP indices of expressions
+    for expr in ("D^200000(beta[1])", "CP(beta[1], 13, gamma[1])", "CP(beta[1], -13, gamma[1])",
+                 "J[13]", "beta[1] + 2 * NO(gamma[1], D(D^13(beta[1])))"):
+        rc, out, err = run(capsys, "eval", expr)
+        assert rc == 2 and out == "" and "ceiling" in err, expr
+    rc, out, err = run(capsys, "ope", "beta[1]", "D^13(gamma[1])")
+    assert rc == 2 and out == "" and "ceiling" in err
+    gens = tmp_path / "gens.txt"
+    gens.write_text("J[0]\nJ[13]\n")
+    rc, out, err = run(capsys, "span-check", "--action", "torus:1", "--gens", str(gens),
+                       "--max-weight", "2", "--max-len", "2")
+    assert rc == 2 and out == "" and "ceiling" in err
+    rc, out, _ = run(capsys, "eval", "CP(D^13(beta[1]), -13, gamma[1])", "--ceiling", "13")
+    assert rc == 0 and json.loads(out)["terms"]
 
 
 def test_negative_rational_values_parse_space_separated(capsys):

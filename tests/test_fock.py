@@ -199,6 +199,13 @@ def test_integral_coefficients_are_ints_beyond_states():
                     br = bracket_basis(l1, k1, l2, k2)
                     assert _int_first(br.terms) and _int_first({0: br.kappa} if br.kappa else {})
     assert _int_first(d_bracket(x, DOp.basis_element(0, -1)).terms)
+    # sums and multiples of Fractions that come out integral are ints
+    v = VermaElement({(): Fraction(1, 2)})
+    assert (v + v).terms == {(): 1} and type((v + v).terms[()]) is int
+    s = State({((BETA, 1, -1),): 1})
+    t = Fraction(1, 2) * (2 * s)
+    assert t == s and _int_first(t.terms)
+    assert _int_first((Fraction(1, 2) * s + Fraction(1, 2) * s).terms)
 
 
 def test_mixed_state_serialization_is_unchanged():

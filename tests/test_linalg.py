@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vertexfock.linalg import (
     SparseMatrix,
+    _rref,
     det,
     format_scalar,
     kernel_basis,
@@ -106,6 +107,14 @@ def test_zero_given_as_text_is_dropped():
     assert m.to_json()["entries"] == [[0, 1, "1/2"]]
     assert DOp({(1, 0): "0/3", (0, 1): "4/2"}).terms == {(0, 1): 2}
     assert VermaElement({(): "0", ((0, 1),): 1}).terms == {((0, 1),): 1}
+
+
+def test_minus_one_pivot_row_stays_int():
+    rows = [{0: -1, 1: 3, 2: -2}, {0: 2, 1: -5, 2: 1}]
+    pivots = _rref(rows, 3)
+    assert pivots == [(0, 0, -1), (1, 1, 1)]
+    assert rows == [{0: 1, 2: -7}, {1: 1, 2: -3}]
+    assert all(type(v) is int for row in rows for v in row.values())
 
 
 def test_matrix_json_roundtrip():

@@ -1,9 +1,14 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import circle_oracle
+from vertexfock import ope
 from vertexfock.fock import (
     B,
     BETA,
@@ -11,13 +16,18 @@ from vertexfock.fock import (
     GAMMA,
     AlgebraDescriptor,
     State,
+    _apply_annihilation,
     basis,
+    canonicalize,
     degree,
     generator_state,
+    mono_parity,
     vacuum,
     weight,
 )
 from vertexfock.ope import (
+    _contraction_partners,
+    _insert_creation,
     check_identities,
     circle,
     derive,
@@ -26,7 +36,7 @@ from vertexfock.ope import (
     ope_table,
     wick,
 )
-from vertexfock.verify import random_homogeneous_state
+from vertexfock.verify import identity_suite, random_homogeneous_state
 
 BG1 = AlgebraDescriptor("bg", 1)
 BG2 = AlgebraDescriptor("bg", 2)
@@ -215,3 +225,94 @@ def test_filtration_degree_bounds():
             if r:
                 cap = da + db if n < 0 else da + db - 1
                 assert max(len(m) for m in r.terms) <= cap
+
+
+@pytest.mark.parametrize("alg", [BG2, BC2, MIX1], ids=lambda a: f"{a.kind}{a.rank}")
+def test_insertion_and_partner_walk_match_fock(alg):
+    """Exhaustive on canonical words of weight <= 4 and degree <= 4:
+    the recursion's one-pass insertion is canonicalize((g,) + word), and
+    its partner walk lists every nonzero _apply_annihilation by
+    ascending j."""
+    words = [m for w in range(5) for d in range(5) for m in basis(alg, w, d)]
+    gens = [(sp, idx) for sp in alg.species for idx in range(1, alg.rank + 1)]
+    repeats = 0
+    for word in words:
+        for sp, idx in gens:
+            for k in range(1, 7):
+                g = (sp, idx, -k)
+                got = _insert_creation(g, word)
+                assert got == canonicalize((g,) + word), (g, word)
+                repeats += got is None
+            want = [(j, w2, c) for j in range(8)
+                    for w2, c in _apply_annihilation((sp, idx, j), word).items()]
+            assert _contraction_partners(sp, idx, word) == want, (sp, idx, word)
+    assert repeats > 0 if alg.kind != "bg" else repeats == 0
+
+
+_SLICES = {
+    alg: [
+        pool
+        for w in range(4)
+        for d in range(3)
+        for par in (0, 1)
+        if (pool := [m for m in basis(alg, w, d) if mono_parity(m) == par])
+    ]
+    for alg in (BG2, BC2, MIX1)
+}
+
+
+@st.composite
+def identity_inputs(draw):
+    """An algebra, three parity-homogeneous states of weight <= 3 and
+    degree <= 2 (one bidegree each), and n in 1..3."""
+    alg = draw(st.sampled_from(list(_SLICES)))
+
+    def state():
+        pool = draw(st.sampled_from(_SLICES[alg]))
+        monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+        return State({m: draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for m in monos})
+
+    return alg, state(), state(), state(), draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(identity_inputs())
+def test_identities_hold_on_generated_triples(inputs):
+    alg, a, b, c, n = inputs
+    rep = check_identities(a, b, c, n)
+    assert rep.ok, (alg.kind, n, rep.mismatch_names())
+
+
+def test_memo_holds_no_vacuum_products():
+    ope.clear_cache()
+    report = identity_suite(MIX1, 4, 3, 2, seed=1)
+    assert report["mismatches"] == []
+    assert ope._MEMO and all(ma for ma, _, _ in ope._MEMO)
+
+
+def _imported_modules(path: Path, package: str) -> set[str]:
+    """Every module an import statement of the file names, with
+    relative imports resolved against the package and each imported
+    name counted as a possible submodule."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = package + ("." + base if base else "")
+            out.add(base)
+            out.update(f"{base}.{a.name}" for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("path", [
+    Path(__file__).parent / "oracles.py",
+    Path(__file__).parent.parent / "src" / "vertexfock" / "fock.py",
+], ids=lambda p: p.name)
+def test_oracle_side_imports_nothing_from_the_engine(path):
+    """The mode oracle (and the Fock layer it stands on) must stay
+    independent of the circle-product engine it cross-checks."""
+    mods = _imported_modules(path, "vertexfock")
+    assert not {m for m in mods if m == "vertexfock.ope" or m.startswith("vertexfock.ope.")}
