@@ -5,11 +5,12 @@ deterministic given the flags.  Exit codes: 0 success/found, 1
 verification mismatch (winf-verify, verify-identities, and decouple
 when the found relation does not re-verify), 2 usage error (including
 arithmetic on hostile input, such as a zero denominator or an
-expression nested too deeply to evaluate), 3 not found (e.g. no
-decoupling relation), 4 deficiency (span-check).  Caps, --rank and
---n included, are guarded by a configurable hard ceiling, and so are
-the D^k powers, J[l] levels and CP indices |n| of every expression
-the CLI evaluates.
+expression nested too deeply to evaluate, and a --gens file that
+cannot be read or an --out file that cannot be written), 3 not found
+(e.g. no decoupling relation), 4 deficiency (span-check).  Caps,
+--rank and --n included, are guarded by a configurable hard ceiling,
+and so are the D^k powers, J[l] levels and CP indices |n| of every
+expression the CLI evaluates.
 
 Action mini-language for group actions:
 
@@ -490,6 +491,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RecursionError:
         print("error: input nested too deeply to evaluate", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

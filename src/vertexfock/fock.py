@@ -348,10 +348,6 @@ def gr_symbol_weight(s: GrSymbol) -> int:
     return SPECIES_WEIGHT[sp] + k
 
 
-def gr_mono_weight(mono: GrMonomial) -> int:
-    return sum(gr_symbol_weight(s) for s in mono)
-
-
 def gr_canonicalize(symbols) -> tuple[int, GrMonomial] | None:
     arr = list(symbols)
     sign = 1

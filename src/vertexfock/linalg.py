@@ -5,9 +5,15 @@ ranks of matrices with exact rational entries, stored integer-first
 (see ``scalar``).  There is no floating point anywhere: all results are
 exact, and elimination uses a fixed pivoting order (leftmost column,
 earliest surviving row) so that kernel bases and particular solutions
-are reproducible across runs.  Vectors are ``{index: scalar}`` dicts
-without zeros; ``Combination`` is the base of the package's other
-sparse combinations (Fock states, vacuum-module elements).
+are reproducible across runs.  Elimination runs on integer rows kept
+primitive (each divided by the gcd of its entries) and makes a
+``Fraction`` only when it divides each pivot row by its pivot at the
+end: int arithmetic is several times faster than Fraction arithmetic,
+and the rows it holds are nonzero multiples of the rows Gauss-Jordan
+over the rationals would hold, so the answers are the same.  Vectors
+are ``{index: scalar}`` dicts without zeros; ``Combination`` is the
+base of the package's other sparse combinations (Fock states,
+vacuum-module elements).
 
 Scalars serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1);
 matrices serialize as ``{"rows": r, "cols": c, "entries": [[i, j, "p/q"], ...]}``.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = int | Fraction
 
@@ -175,49 +182,84 @@ def _row_dicts(m: SparseMatrix) -> list[dict[int, Scalar]]:
     return rows
 
 
-def _rref(rows: list[dict[int, Scalar]], ncols: int) -> list[tuple[int, int, Scalar]]:
+def _rref(
+    rows: list[dict[int, Scalar]], ncols: int, scales: list | None = None
+) -> list[tuple[int, int]]:
     """In-place reduced row echelon form.
 
     Pivot selection is deterministic: for each column in ascending
     order, the first not-yet-pivotal row (in original order) with a
-    nonzero entry becomes the pivot.  Returns (row, col, value) per
-    pivot, the value being the entry before its row was normalized.
-    Normalization negates a row with pivot -1, so integer rows stay
-    integer, and otherwise divides by the pivot as a Fraction, since
-    int / int would be a float.
+    nonzero entry becomes the pivot.  Returns (row, col) per pivot.
+
+    The elimination is fraction-free.  Each row is first scaled to
+    primitive integers: cleared of denominators and divided by its
+    content, the gcd of its entries.  A pivot row p is negated if its
+    pivot is negative; then each row with entry f in the pivot column
+    becomes (pv/g) row - (f/g) p, where pv > 0 is the pivot and
+    g = gcd(pv, f), and is again divided by its content.  Rows with no
+    entry in the pivot column are not touched.  Every row thus stays a
+    nonzero multiple of the row that Gauss-Jordan over the rationals
+    would hold, so the pivots and the result are the same.  Only at the
+    end is each pivot row divided by its pivot, giving ints where the
+    quotient is integral and Fractions elsewhere.
+
+    When ``scales`` is a list, every factor num/den that multiplied a
+    row is appended to it as (num, den), so that the determinant of
+    the result is that of the input times the product of num/den.
     """
-    pivots: list[tuple[int, int, Scalar]] = []
+    for r, row in enumerate(rows):
+        den = lcm(*[v.denominator for v in row.values()])
+        row = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+        c = gcd(*row.values()) or 1
+        if c != 1:
+            row = {j: v // c for j, v in row.items()}
+        if scales is not None and den != c:
+            scales.append((den, c))
+        rows[r] = row
+    pivots: list[tuple[int, int]] = []
     used = [False] * len(rows)
     for col in range(ncols):
-        prow = -1
-        for r in range(len(rows)):
-            if not used[r] and rows[r].get(col, 0) != 0:
-                prow = r
-                break
+        hits = [r for r, row in enumerate(rows) if col in row]
+        prow = next((r for r in hits if not used[r]), -1)
         if prow < 0:
             continue
         used[prow] = True
+        pivots.append((prow, col))
         pv = rows[prow][col]
-        pivots.append((prow, col, pv))
-        if pv == -1:
+        if pv < 0:
+            pv = -pv
             rows[prow] = {j: -v for j, v in rows[prow].items()}
-        elif pv != 1:
-            d = Fraction(pv)
-            rows[prow] = {j: v / d for j, v in rows[prow].items()}
+            if scales is not None:
+                scales.append((-1, 1))
         prpairs = list(rows[prow].items())
-        for r in range(len(rows)):
+        for r in hits:
             if r == prow:
                 continue
-            f = rows[r].get(col, 0)
-            if f == 0:
-                continue
             row = rows[r]
+            f = row[col]
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
             for j, v in prpairs:
-                nv = row.get(j, 0) - f * v
-                if nv == 0:
-                    row.pop(j, None)
-                else:
+                nv = row.get(j, 0) - b * v
+                if nv:
                     row[j] = nv
+                else:
+                    del row[j]
+            c = gcd(*row.values()) or 1
+            if c != 1:
+                row = {j: v // c for j, v in row.items()}
+            if scales is not None and a != c:
+                scales.append((a, c))
+            rows[r] = row
+    for prow, col in pivots:
+        row = rows[prow]
+        pv = row[col]
+        if pv != 1:
+            rows[prow] = {j: scalar(Fraction(v, pv)) for j, v in row.items()}
+            if scales is not None:
+                scales.append((1, pv))
     return pivots
 
 
@@ -234,7 +276,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Scalar]]:
     """
     rows = _row_dicts(m)
     pivots = _rref(rows, m.cols)
-    pivot_cols = {col: prow for prow, col, _ in pivots}
+    pivot_cols = {col: prow for prow, col in pivots}
     basis: list[dict[int, Scalar]] = []
     for free in range(m.cols):
         if free in pivot_cols:
@@ -243,7 +285,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Scalar]]:
         for col, prow in pivot_cols.items():
             v = rows[prow].get(free, 0)
             if v != 0:
-                vec[col] = scalar(-v)
+                vec[col] = -v
         basis.append(vec)
     return basis
 
@@ -263,37 +305,38 @@ def solve(m: SparseMatrix, b: dict[int, Scalar]) -> dict[int, Scalar] | None:
             rows[i][aug] = v
     pivots = _rref(rows, m.cols + 1)
     x: dict[int, Scalar] = {}
-    for prow, col, _ in pivots:
+    for prow, col in pivots:
         if col == aug:
             return None
         v = rows[prow].get(aug, 0)
         if v != 0:
-            x[col] = scalar(v)
+            x[col] = v
     return x
 
 
 def det(m: SparseMatrix) -> Scalar:
     """Exact determinant of a square matrix.
 
-    Reduction to RREF only normalizes pivot rows and adds multiples of
-    rows to others, so the determinant is the product of the pivot
-    values, signed by the permutation the pivot rows form.
+    A full-rank RREF is a permutation matrix, whose determinant is the
+    sign of the permutation the pivot rows form; ``_rref`` reports the
+    factors by which it scaled rows, and the determinant is that sign
+    divided by their product.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    pivots = _rref(_row_dicts(m), m.cols)
+    scales: list[tuple[int, int]] = []
+    pivots = _rref(_row_dicts(m), m.cols, scales)
     if len(pivots) < m.rows:
         return 0
-    d = 1
-    perm = []
-    for prow, _, pv in pivots:
-        d *= pv
-        perm.append(prow)
+    perm = [prow for prow, _ in pivots]
+    d = Fraction(1)
     for i in range(len(perm)):
         while perm[i] != i:
             j = perm[i]
             perm[i], perm[j] = perm[j], perm[i]
             d = -d
+    for num, den in scales:
+        d = d * den / num
     return scalar(d)
 
 

@@ -43,10 +43,6 @@ def letter_key(letter: Letter) -> tuple[int, int]:
     return (k, l)
 
 
-def word_weight(word: Word) -> int:
-    return sum(k for _, k in word)
-
-
 class VermaElement(Combination):
     """Finite rational combination of PBW words."""
 
@@ -148,8 +144,9 @@ def singular_vectors(
     Only these capped conditions are imposed, so the result is a basis
     of singular vectors up to the caps: it contains every singular
     vector of weight N, and may contain vectors that a condition past
-    the caps would exclude.  Nothing here compares it with the capless
-    projection kernel (``ideal_kernel``).
+    the caps would exclude.  This function does not compare it with the
+    capless projection kernel (``ideal_kernel``); the tests check at
+    c = -1, N = 4 that the span lies in ``ideal_kernel(1, 4)``.
     """
     c = scalar(c)
     if l_cap is None:

@@ -167,6 +167,18 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["terms"]
 
 
+def test_file_errors_are_usage_errors(capsys, tmp_path):
+    # exit 1 means a verification mismatch, so an unreadable --gens or an
+    # unwritable --out must not escape as a traceback
+    span = ("span-check", "--action", "torus:1", "--max-weight", "3", "--max-len", "3")
+    for gens in (tmp_path / "missing.txt", tmp_path):
+        rc, out, err = run(capsys, *span, "--gens", str(gens))
+        assert rc == 2 and out == "" and err.startswith("error: "), gens
+    for path in (tmp_path, tmp_path / "missing" / "out.json"):
+        rc, out, err = run(capsys, "eval", "vac", "--out", str(path))
+        assert rc == 2 and out == "" and err.startswith("error: "), path
+
+
 def test_negative_rational_values_parse_space_separated(capsys):
     rc, out, _ = run(capsys, "singular", "--c", "-1/2", "--weight", "2")
     assert rc == 0 and json.loads(out)["central_charge"] == "-1/2"

@@ -111,8 +111,7 @@ def test_zero_given_as_text_is_dropped():
 
 def test_minus_one_pivot_row_stays_int():
     rows = [{0: -1, 1: 3, 2: -2}, {0: 2, 1: -5, 2: 1}]
-    pivots = _rref(rows, 3)
-    assert pivots == [(0, 0, -1), (1, 1, 1)]
+    assert _rref(rows, 3) == [(0, 0), (1, 1)]
     assert rows == [{0: 1, 2: -7}, {1: 1, 2: -3}]
     assert all(type(v) is int for row in rows for v in row.values())
 
@@ -216,3 +215,67 @@ def test_int_input_gives_exact_results(columns, coeffs, square, n):
     m = SparseMatrix(n, n, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
     frac_m = SparseMatrix(n, n, {ij: Fraction(v) for ij, v in m.entries.items()})
     assert exact_and_same(det(m), det(frac_m))
+
+
+# sympy is a test-only oracle: the package itself is stdlib only
+exact_values = st.one_of(st.integers(-9, 9),
+                         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def exact_matrices(draw, n=None):
+    """Row lists of sparse int or mixed-denominator rational matrices,
+    n x n if n is given, else up to 12 x 6, tall ones included; with a
+    row that combines two others, the matrix is rank-deficient."""
+    nrows = n or draw(st.integers(1, 12))
+    ncols = n or draw(st.integers(1, 6))
+    values = draw(st.sampled_from([st.integers(-9, 9), exact_values]))
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    entries = draw(st.dictionaries(cells, values, max_size=nrows * ncols))
+    rows = [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(values), draw(values)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def integer_first(values) -> bool:
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(exact_matrices(), st.integers(1, 5).flatmap(exact_matrices)), st.data())
+def test_elimination_matches_sympy(rows, data):
+    sympy = pytest.importorskip("sympy")
+    m = SparseMatrix.from_rows(rows)
+    sm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
+    assert rank(m) == sm.rank()
+    want = [{j: from_sympy(x) for j, x in enumerate(v) if x != 0} for v in sm.nullspace()]
+    got = kernel_basis(m)
+    assert got == want and all(integer_first(v.values()) for v in got)
+    b = data.draw(st.dictionaries(st.integers(0, m.rows - 1), exact_values))
+    aug, pivot_cols = sm.row_join(sympy.Matrix([b.get(i, 0) for i in range(m.rows)])).rref()
+    got = solve(m, b)
+    if m.cols in pivot_cols:
+        assert got is None
+    else:
+        want = {j: from_sympy(aug[k, m.cols])
+                for k, j in enumerate(pivot_cols) if aug[k, m.cols] != 0}
+        assert got == want and integer_first(got.values())
+    if m.rows == m.cols:
+        d = det(m)
+        assert d == from_sympy(sm.det()) and integer_first([d])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(exact_matrices(n), exact_matrices(n))))
+def test_det_is_multiplicative(pair):
+    a, b = pair
+    n = len(a)
+    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    det_a, det_b, det_ab = (det(SparseMatrix.from_rows(x)) for x in (a, b, ab))
+    assert det_ab == det_a * det_b

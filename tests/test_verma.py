@@ -87,16 +87,22 @@ def test_singular_vectors():
 
 
 def test_singular_vector_lies_in_projection_kernel():
-    for sv in singular_vectors(Fraction(-1), 4):
+    svs = singular_vectors(Fraction(-1), 4)
+    for sv in svs:
         assert not project(sv, BG1)
+    # the capped singular span lies in the capless projection kernel
+    kernel = [v.terms for v in ideal_kernel(1, 4)]
+    assert rank_of_columns(kernel + [sv.terms for sv in svs]) == rank_of_columns(kernel)
 
 
 def test_ideal_kernel():
     k4 = ideal_kernel(1, 4)
     assert len(k4) == 1  # frozen regression value
     assert not project(k4[0], BG1)
-    for N in range(1, 5):
+    # W_{1+inf,-n} has its first relation at weight (n+1)^2
+    for N in range(1, 9):
         assert ideal_kernel(2, N) == []
+    assert len(ideal_kernel(2, 9)) == 1
 
 
 def test_free_words():
