@@ -3,14 +3,15 @@
 Subcommands wrap the library module by module; every emission is
 deterministic given the flags.  Exit codes: 0 success/found, 1
 verification mismatch (winf-verify, verify-identities, and decouple
-when the found relation does not re-verify), 2 usage error (including
-arithmetic on hostile input, such as a zero denominator or an
-expression nested too deeply to evaluate, and a --gens file that
-cannot be read or an --out file that cannot be written), 3 not found
-(e.g. no decoupling relation), 4 deficiency (span-check).  Caps,
---rank and --n included, are guarded by a configurable hard ceiling,
-and so are the D^k powers, J[l] levels and CP indices |n| of every
-expression the CLI evaluates.
+when the found relation does not re-verify), 2 usage error, 3 not
+found (e.g. no decoupling relation), 4 deficiency (span-check).
+Usage errors include a negative cap or --trials, arithmetic on hostile
+input (a zero denominator, an expression nested too deeply to
+evaluate), a --gens file that cannot be read, and an --out path that
+cannot be written; the --out path is checked before any computation.
+Caps, --rank and --n included, are guarded by a configurable hard
+ceiling, and so are the D^k powers, J[l] levels and CP indices |n| of
+every expression the CLI evaluates.
 
 Action mini-language for group actions:
 
@@ -26,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import linalg
@@ -104,10 +106,28 @@ def _alg(args) -> AlgebraDescriptor:
 
 def _check_caps(args, *values) -> None:
     for v in values:
-        if v is not None and v > args.ceiling:
+        if v is None:
+            continue
+        if v < 0:
+            raise UsageError(f"cap {v} is negative")
+        if v > args.ceiling:
             raise UsageError(
                 f"cap {v} exceeds the hard ceiling {args.ceiling} (raise --ceiling deliberately)"
             )
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written before any work is
+    done; the file itself is created only when the answer is emitted."""
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"--out {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK | os.X_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        raise UsageError(f"--out {path} is not writable")
 
 
 def _parse_expr(args, text: str):
@@ -186,6 +206,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify_identities(args) -> int:
     _check_caps(args, args.max_weight, args.max_degree)
+    if args.trials < 0:
+        raise UsageError(f"--trials {args.trials} is negative")
     alg = _alg(args)
     report = identity_suite(alg, args.trials, args.max_weight, args.max_degree, args.seed)
     _emit(args, report, text_fn=lambda: json.dumps(report, indent=2))
@@ -482,6 +504,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_rational_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .fock import AlgebraDescriptor, State, basis, mono_parity
+from .fock import AlgebraDescriptor, State, basis, mono_parity, state_to_text
 from .ope import check_identities
 
 
@@ -52,7 +52,8 @@ def identity_suite(
     """Run the four-identity check on random homogeneous triples.
 
     Returns {"trials": ..., "mismatches": [...]}; the mismatch list must
-    be empty.
+    be empty.  A mismatch names the failed identities and carries the
+    triple as expressions that ``vertexfock eval`` reads back.
     """
     rng = random.Random(seed)
     mismatches = []
@@ -65,6 +66,6 @@ def identity_suite(
         if not rep.ok:
             mismatches.append(
                 {"trial": t, "n": n, "failed": rep.mismatch_names(),
-                 "a": repr(a), "b": repr(b), "c": repr(c)}
+                 "a": state_to_text(a), "b": state_to_text(b), "c": state_to_text(c)}
             )
     return {"trials": trials, "algebra": f"{alg.kind}:{alg.rank}", "mismatches": mismatches}

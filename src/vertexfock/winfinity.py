@@ -14,11 +14,17 @@ weight k (= minus the conformal shift of J^l(k+l)).
 
 The realizations send J^l to sum_i :gamma^i d^l beta^i: (bosonic, the
 central element acting by -n) and to sum_i :c^i d^l b^i: (fermionic,
-central element +n).  The module also builds the matrices used to
-express an arbitrary diagonal mode-shift map as a combination of the
-operators J^{w+k}(k): the (2m+2) x (2m+2) block matrix of action
-coefficients and the rising-product matrix that certifies its
-invertibility.
+central element +n).  ``realize_current`` builds the current as a
+state; ``apply_current_mode`` applies its mode J^l(k) straight to a
+canonical word as the bilinear sum_i sum_m f_l(m) :u^i(k-m-l-1) v^i(m):
+in the generator modes, with the annihilator applied first, and agrees
+with the circle product of the realized current.  ``verify_rep``, the
+representation check, runs on it.
+
+The module also builds the matrices used to express an arbitrary
+diagonal mode-shift map as a combination of the operators J^{w+k}(k):
+the (2m+2) x (2m+2) block matrix of action coefficients and the
+rising-product matrix that certifies its invertibility.
 """
 
 from __future__ import annotations
@@ -34,12 +40,14 @@ from .fock import (
     C,
     GAMMA,
     AlgebraDescriptor,
+    Monomial,
     State,
     basis,
     generator_state,
+    state_to_text,
 )
 from .linalg import Scalar, SparseMatrix, add_into, exact_terms, format_scalar, scalar
-from .ope import circle, derive, iterated_wick
+from .ope import _contraction_partners, _insert_creation, derive, iterated_wick
 
 # ---------------------------------------------------------------------------
 # the Lie algebra
@@ -188,6 +196,66 @@ def default_central_value(alg: AlgebraDescriptor) -> Fraction:
     raise ValueError("no realized central value for kind " + alg.kind)
 
 
+def apply_current_mode(
+    l: int, k: int, word: Monomial, alg: AlgebraDescriptor
+) -> dict[Monomial, int]:
+    """J^l(k) word as {word: int}, for a canonical word: the same map as
+    ``circle(realize_current(l, alg), k, State({word: 1}))``, applied
+    straight to the word.
+
+    The field of the current is :u(z) d^l v(z):, (u, v) = (gamma, beta)
+    for kind bg and (c, b) for kind bc, so
+
+        J^l(k) = sum_i sum_m f_l(m) :u^i(k-m-l-1) v^i(m):,
+        f_l(m) = prod_{s=1..l} -(m+s).
+
+    Normal ordering applies the annihilator first: when v(m) is created
+    and u(p) annihilates, :u(p) v(m): = -v(m) u(p) for the fermions.
+    The sum splits into three parts, none of which visits a term that
+    vanishes on the word: v(m), m >= 0, contracting with a partner of v
+    in the word, then u(p) inserted or contracted; u(p), p >= 0,
+    contracting with a partner of u, then v(m) inserted; and both
+    created, k-l <= m <= -1, where f_l vanishes on -l..-1, so only
+    m <= -l-1 is visited.
+    """
+    if alg.kind not in ("bg", "bc"):
+        raise ValueError("currents are realized in the bg or bc system only")
+    u, v = (GAMMA, BETA) if alg.kind == "bg" else (C, B)
+    reorder = -1 if alg.kind == "bc" else 1
+    shift = k - l - 1  # u(p) v(m) with p + m = shift
+    out: dict[Monomial, int] = {}
+    for i in range(1, alg.rank + 1):
+        # v(m) annihilates: u(p) (v(m) word)
+        for m, w1, c1 in _contraction_partners(v, i, word):
+            c1 *= _falling(-m - 1, l)
+            p = shift - m
+            if p < 0:
+                r = _insert_creation((u, i, p), w1)
+                if r is not None:
+                    add_into(out, r[1], r[0] * c1)
+            else:
+                for j, w2, c2 in _contraction_partners(u, i, w1):
+                    if j == p:
+                        add_into(out, w2, c1 * c2)
+        # u(p) annihilates, v(m) is created: (+/-) v(m) (u(p) word)
+        for p, w1, c1 in _contraction_partners(u, i, word):
+            m = shift - p
+            if m >= 0:
+                continue
+            r = _insert_creation((v, i, m), w1)
+            if r is not None:
+                add_into(out, r[1], reorder * r[0] * _falling(-m - 1, l) * c1)
+        # both created: u(p) v(m) word
+        for m in range(k - l, -l):
+            r = _insert_creation((v, i, m), word)
+            if r is None:
+                continue
+            r2 = _insert_creation((u, i, shift - m), r[1])
+            if r2 is not None:
+                add_into(out, r2[1], r[0] * r2[0] * _falling(-m - 1, l))
+    return out
+
+
 def verify_rep(
     pairs,
     alg: AlgebraDescriptor,
@@ -200,54 +268,67 @@ def verify_rep(
     with the central element specialized.
 
     ``pairs`` is a sequence of (l1, k1, l2, k2), one per bracket
-    [J^{l1}_{k1}, J^{l2}_{k2}].  The basis is enumerated once, and the
-    image J^l(k) s of each basis state s under each mode it meets is
-    computed once, then shared by every pair and every bracket term
-    that uses it.  Returns an exact report {"checked": count,
+    [J^{l1}_{k1}, J^{l2}_{k2}].  Modes act through
+    ``apply_current_mode``, word by word, with integer coefficients;
+    the image of each word under each mode is computed once per call
+    (in a dict local to the call) and shared by every pair, every
+    bracket term and every basis state that meets it.  For each pair
+    and basis word s, J_a(J_b s) - J_b(J_a s) - central s - sum c J_m s
+    is summed into one dict, and the pair fails on s iff a coefficient
+    is nonzero.  Returns an exact report {"checked": count,
     "mismatches": [...]}, mismatches ordered by pair, then weight,
-    degree and basis order.
+    degree and basis order; each carries the basis state and the
+    difference as expressions that ``vertexfock eval`` reads back.
     """
     if kappa_value is None:
         kappa_value = default_central_value(alg)
-    # per pair: the two modes (l, field index), the central scalar, the
-    # bracket's modes with their coefficients, and the pair's mismatches
+    # images[mode][word] = J^l(k) word, mode = (l, field index)
+    images: dict[tuple[int, int], dict[Monomial, dict[Monomial, int]]] = {}
+    # per pair: the two modes, the central scalar, the bracket's image
+    # caches with their coefficients, and the pair's mismatches
     checks = []
     for l1, k1, l2, k2 in pairs:
         br = bracket_basis(l1, k1, l2, k2)
+        a, b = (l1, field_mode(l1, k1)), (l2, field_mode(l2, k2))
+        images.setdefault(a, {})
+        images.setdefault(b, {})
         checks.append((
-            (l1, field_mode(l1, k1)),
-            (l2, field_mode(l2, k2)),
-            br.kappa * kappa_value,
-            [((l, field_mode(l, k)), c) for (l, k), c in br.terms.items()],
+            a, b,
+            scalar(br.kappa * kappa_value),
+            [(images.setdefault((l, field_mode(l, k)), {}), c) for (l, k), c in br.terms.items()],
             [],
         ))
     checked = 0
     for w in range(max_weight + 1):
         for d in range(max_degree + 1):
             for mono in basis(alg, w, d):
-                s = State._raw({mono: 1})
-                images: dict[tuple[int, int], State] = {}
-
-                def image(mode):
-                    img = images.get(mode)
-                    if img is None:
-                        l, k = mode
-                        img = images[mode] = circle(realize_current(l, alg), k, s)
-                    return img
-
+                for mode, cache in images.items():
+                    if mono not in cache:
+                        cache[mono] = apply_current_mode(*mode, mono, alg)
                 for a, b, central, terms, found in checks:
-                    lhs = (circle(realize_current(a[0], alg), a[1], image(b))
-                           - circle(realize_current(b[0], alg), b[1], image(a)))
-                    rhs = central * s
-                    for mode, c in terms:
-                        rhs = rhs + c * image(mode)
-                    if lhs != rhs:
+                    acc = {mono: -central}
+                    get = acc.get
+                    # J_a (J_b s) - J_b (J_a s)
+                    for outer, inner, sign in ((a, b, 1), (b, a, -1)):
+                        cache = images[outer]
+                        for w1, c1 in images[inner][mono].items():
+                            img = cache.get(w1)
+                            if img is None:
+                                img = cache[w1] = apply_current_mode(*outer, w1, alg)
+                            c1 *= sign
+                            for w2, c2 in img.items():
+                                acc[w2] = get(w2, 0) + c1 * c2
+                    for cache, c in terms:
+                        for w1, c1 in cache[mono].items():
+                            acc[w1] = get(w1, 0) - c * c1
+                    if any(acc.values()):
                         found.append(
                             {
                                 "l1": a[0], "k1": sub_index(*a),
                                 "l2": b[0], "k2": sub_index(*b),
                                 "weight": w, "degree": d,
-                                "state": repr(s), "difference": repr(lhs - rhs),
+                                "state": state_to_text(State._raw({mono: 1})),
+                                "difference": state_to_text(State(acc)),
                             }
                         )
                 checked += len(checks)

@@ -179,6 +179,26 @@ def test_file_errors_are_usage_errors(capsys, tmp_path):
         assert rc == 2 and out == "" and err.startswith("error: "), path
 
 
+def test_negative_caps_and_trials_are_usage_errors(capsys):
+    # a negative range would check nothing and pass vacuously
+    for flag, value in (("--lmax", "-1"), ("--kmax", "-2"), ("--max-weight", "-3")):
+        rc, out, err = run(capsys, "winf-verify", "--n", "1", flag, value)
+        assert rc == 2 and out == "" and "negative" in err, flag
+    rc, out, err = run(capsys, "verify-identities", "--trials", "-5")
+    assert rc == 2 and out == "" and "negative" in err
+
+
+def test_unwritable_out_fails_before_computing(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular_vectors ran before --out was checked")
+
+    monkeypatch.setattr("vertexfock.cli.singular_vectors", refuse)
+    for path in ("/nonexistent/x.json", str(tmp_path)):
+        rc, out, err = run(capsys, "--out", path, "singular", "--c", "-1", "--weight", "6")
+        assert rc == 2 and out == "" and err.startswith("error: "), path
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_rational_values_parse_space_separated(capsys):
     rc, out, _ = run(capsys, "singular", "--c", "-1/2", "--weight", "2")
     assert rc == 0 and json.loads(out)["central_charge"] == "-1/2"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import circle_oracle
 from vertexfock import ope
+from vertexfock.exprlang import evaluate, parse
 from vertexfock.fock import (
     B,
     BETA,
@@ -26,6 +27,7 @@ from vertexfock.fock import (
     weight,
 )
 from vertexfock.ope import (
+    IdentityReport,
     _contraction_partners,
     _insert_creation,
     check_identities,
@@ -288,6 +290,19 @@ def test_memo_holds_no_vacuum_products():
     report = identity_suite(MIX1, 4, 3, 2, seed=1)
     assert report["mismatches"] == []
     assert ope._MEMO and all(ma for ma, _, _ in ope._MEMO)
+
+
+def test_identity_mismatch_reports_replay(monkeypatch):
+    # a mismatch carries its triple as expressions that evaluate back
+    monkeypatch.setattr("vertexfock.verify.check_identities",
+                        lambda a, b, c, n: IdentityReport(n, {"iterate": a}))
+    report = identity_suite(MIX1, 4, 3, 2, seed=1)
+    assert [m["trial"] for m in report["mismatches"]] == [0, 1, 2, 3]
+    rng = random.Random(1)
+    for m in report["mismatches"]:
+        triple = [random_homogeneous_state(rng, MIX1, 3, 2) for _ in range(3)]
+        assert rng.choice([1, 2, 3]) == m["n"]
+        assert [evaluate(parse(m[k]), MIX1) for k in "abc"] == triple
 
 
 def _imported_modules(path: Path, package: str) -> set[str]:

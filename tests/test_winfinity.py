@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, weight
+from vertexfock.exprlang import evaluate, parse
+from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, basis, weight
 from vertexfock.linalg import det, rank
 from vertexfock.ope import circle
 from vertexfock.winfinity import (
     DOp,
     action_block_matrix,
     action_coeffs,
+    apply_current_mode,
     cocycle,
     d_bracket,
     express_diagonal_map,
@@ -97,6 +99,32 @@ def test_mode_index_conversion():
             assert sub_index(l, field_mode(l, k)) == k
 
 
+def _assert_modes_agree_with_circle(alg, max_weight, max_degree) -> int:
+    images = 0
+    for w in range(max_weight + 1):
+        for d in range(max_degree + 1):
+            for mono in basis(alg, w, d):
+                s = State._raw({mono: 1})
+                for l in range(4):
+                    for k in range(-3, 4):
+                        want = circle(realize_current(l, alg), k, s).terms
+                        assert apply_current_mode(l, k, mono, alg) == want, (alg, mono, l, k)
+                        images += 1
+    return images
+
+
+def test_current_mode_agrees_with_circle_product():
+    # J^l(k) applied word by word against the circle product of the
+    # realized current, on every basis state; rank 3 interleaves indices
+    images = sum(
+        _assert_modes_agree_with_circle(AlgebraDescriptor(kind, n), 5, 4)
+        for kind in ("bg", "bc") for n in (1, 2)
+    )
+    assert images == 59500
+    for kind in ("bg", "bc"):
+        _assert_modes_agree_with_circle(AlgebraDescriptor(kind, 3), 1, 4)
+
+
 def test_verify_rep_heisenberg_pair():
     rep = verify_rep([(0, 1, 0, -1)], BG1, 2, 2)
     assert rep["mismatches"] == []
@@ -142,6 +170,16 @@ def test_verify_rep_wrong_central_value_fails_exactly_the_cocycle_pairs():
     # every state fails on a central pair, and the report is pair-major
     assert failed == [p for p in central for _ in range(n_states)]
     assert verify_rep(BATCH_PAIRS, BG1, 2, 2)["mismatches"] == []
+    # each report replays: the state and the difference evaluate back,
+    # and the difference is the exact defect: the realized central value
+    # is -1, so the commutator misses the claimed one by (-1 - 5) cocycle
+    states = [State({mono: 1}) for w in range(3) for d in range(3) for mono in basis(BG1, w, d)]
+    assert len(states) == n_states
+    for i, m in enumerate(rep["mismatches"]):
+        s = states[i % n_states]
+        assert evaluate(parse(m["state"]), BG1) == s
+        defect = (-6 * cocycle(m["l1"], m["k1"], m["l2"], m["k2"])) * s
+        assert evaluate(parse(m["difference"]), BG1) == defect
 
 
 def test_action_coeff_values():
