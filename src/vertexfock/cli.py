@@ -9,9 +9,13 @@ Usage errors include a negative cap or --trials, arithmetic on hostile
 input (a zero denominator, an expression nested too deeply to
 evaluate), a --gens file that cannot be read, and an --out path that
 cannot be written; the --out path is checked before any computation.
-Caps, --rank and --n included, are guarded by a configurable hard
-ceiling, and so are the D^k powers, J[l] levels and CP indices |n| of
-every expression the CLI evaluates.
+Caps, --rank, --n, --lcap, --jcap and --g included, are guarded by a
+configurable hard ceiling, and so are the D^k powers, J[l] levels and
+CP indices |n| of every expression the CLI evaluates.  What these build
+together is bounded too: every D^k, NO and CP inside an expression
+whose result could have weight above twice the ceiling is refused
+before it is computed (D^k adds k to the weight, NO adds the weights of
+its arguments, and CP(a, n, b) has weight wt a + wt b - n - 1).
 
 Action mini-language for group actions:
 
@@ -130,12 +134,13 @@ def _check_out(path: str) -> None:
         raise UsageError(f"--out {path} is not writable")
 
 
-def _parse_expr(args, text: str):
-    """Parse an expression whose D^k powers, J[l] levels and CP indices
-    are all within the ceiling."""
+def _evaluate(args, text: str, alg: AlgebraDescriptor):
+    """Evaluate an expression whose D^k powers, J[l] levels and CP
+    indices are all within the ceiling, refusing every D^k, NO and CP
+    whose result could have weight above twice the ceiling."""
     tree = parse(text)
     _check_caps(args, *size_parameters(tree))
-    return tree
+    return evaluate(tree, alg, max_weight=2 * args.ceiling)
 
 
 def parse_action_spec(spec: str, rank: int):
@@ -183,8 +188,7 @@ def parse_action_spec(spec: str, rank: int):
 
 def cmd_ope(args) -> int:
     alg = _alg(args)
-    ta, tb = _parse_expr(args, args.a), _parse_expr(args, args.b)
-    a, b = evaluate(ta, alg), evaluate(tb, alg)
+    a, b = _evaluate(args, args.a, alg), _evaluate(args, args.b, alg)
     table = ope_table(a, b)
     rows = [[n + 1, state_to_text(s)] for n, s in table.poles]
     _emit(
@@ -199,7 +203,7 @@ def cmd_ope(args) -> int:
 
 def cmd_eval(args) -> int:
     alg = _alg(args)
-    s = evaluate(_parse_expr(args, args.expr), alg)
+    s = _evaluate(args, args.expr, alg)
     _emit(args, state_to_json(s), text_fn=lambda: state_to_text(s))
     return EXIT_OK
 
@@ -272,7 +276,7 @@ def cmd_express_map(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    _check_caps(args, args.weight)
+    _check_caps(args, args.weight, args.lcap, args.jcap)
     c = parse_scalar(args.c)
     found = singular_vectors(c, args.weight, args.lcap, args.jcap)
     obj = {
@@ -297,7 +301,7 @@ def cmd_ideal_kernel(args) -> int:
 
 
 def cmd_decouple(args) -> int:
-    _check_caps(args, args.n, args.l)
+    _check_caps(args, args.n, args.l, args.g)
     rel = decoupling_relation(args.l, args.n, args.g)
     if rel is None:
         _emit(args, {"target": f"J^{args.l}", "found": False},
@@ -346,7 +350,7 @@ def cmd_span_check(args) -> int:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
-                gens.append(evaluate(_parse_expr(args, line), alg))
+                gens.append(_evaluate(args, line, alg))
     report = span_check(gens, action, alg, args.max_weight, args.max_len)
     _emit(args, report.to_json(), text_fn=lambda: json.dumps(report.to_json(), indent=2))
     return EXIT_OK if report.ok else EXIT_DEFICIENT

@@ -23,7 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import AlgebraDescriptor, B, BETA, C, GAMMA, State, generator_state, vacuum
+from .fock import (
+    AlgebraDescriptor,
+    B,
+    BETA,
+    C,
+    GAMMA,
+    State,
+    generator_state,
+    mono_weight,
+    vacuum,
+)
 from .linalg import format_scalar
 from .ope import circle, derive, iterated_wick
 from .winfinity import realize_current
@@ -321,7 +331,27 @@ def size_parameters(e: Expr):
             stack += (part for _, part in e.parts)
 
 
-def evaluate(e: Expr, alg: AlgebraDescriptor) -> State:
+def _top_weight(s: State) -> int | None:
+    """The largest weight of a term of s; None for the zero state."""
+    return max(map(mono_weight, s.terms), default=None)
+
+
+def _check_weight(what: str, weights, shift: int, max_weight: int | None) -> None:
+    """Refuse a product whose result would have a term of weight above
+    max_weight: its weight is at most sum(weights) + shift.  A zero
+    factor gives a zero result, so nothing is refused then."""
+    if max_weight is None or None in weights:
+        return
+    w = sum(weights) + shift
+    if w > max_weight:
+        raise ValueError(f"{what} would have weight {w}, above the bound {max_weight}")
+
+
+def evaluate(e: Expr, alg: AlgebraDescriptor, max_weight: int | None = None) -> State:
+    """The state of an expression.  With max_weight set, every D^k, NO
+    and CP whose result could have weight above it is refused
+    (ValueError) before it is computed: D^k adds k to the weight, NO
+    adds the weights, and CP(a, n, b) has weight wt a + wt b - n - 1."""
     if isinstance(e, Vac):
         return vacuum()
     if isinstance(e, Gen):
@@ -332,16 +362,22 @@ def evaluate(e: Expr, alg: AlgebraDescriptor) -> State:
             raise ValueError("J[l] is only defined in the bg or bc algebra")
         return realize_current(e.level, alg)
     if isinstance(e, Deriv):
-        return derive(evaluate(e.arg, alg), e.power)
+        a = evaluate(e.arg, alg, max_weight)
+        _check_weight(f"D^{e.power}", [_top_weight(a)], e.power, max_weight)
+        return derive(a, e.power)
     if isinstance(e, NormalOrder):
-        return iterated_wick([evaluate(a, alg) for a in e.args])
+        args = [evaluate(x, alg, max_weight) for x in e.args]
+        _check_weight("NO", [_top_weight(a) for a in args], 0, max_weight)
+        return iterated_wick(args)
     if isinstance(e, CircleProd):
-        return circle(evaluate(e.left, alg), e.n, evaluate(e.right, alg))
+        a, b = evaluate(e.left, alg, max_weight), evaluate(e.right, alg, max_weight)
+        _check_weight(f"CP(., {e.n}, .)", [_top_weight(a), _top_weight(b)], -e.n - 1, max_weight)
+        return circle(a, e.n, b)
     if isinstance(e, Scaled):
-        return e.coeff * evaluate(e.arg, alg)
+        return e.coeff * evaluate(e.arg, alg, max_weight)
     if isinstance(e, Sum):
         out = State()
         for sign, part in e.parts:
-            out = out + sign * evaluate(part, alg)
+            out = out + sign * evaluate(part, alg, max_weight)
         return out
     raise TypeError(f"not an expression node: {e!r}")

@@ -94,8 +94,7 @@ def mode_weight(g: GeneratorMode) -> int:
 
 
 def mono_weight(mono: Monomial) -> int:
-    # the sum of mode_weight over the factors, inlined: it sits on the
-    # circle-product recursion's hot path
+    # the sum of mode_weight over the factors, inlined
     w = -len(mono)
     for sp, _, m in mono:
         w += SPECIES_WEIGHT[sp] - m

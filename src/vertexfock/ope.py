@@ -2,36 +2,41 @@
 
 Under the state-field correspondence, a o_n b is the n-th Fourier mode
 of the field of a applied to b.  The engine never manipulates formal
-distributions; it works on states:
+distributions; it works on canonical words (monomials) and expands the
+product of two words by Wick's theorem for free fields.
 
-  * the vacuum is the unit, 1 o_n b = delta_{n,-1} b;
-  * otherwise the leading creation mode of a is peeled off,
-    a = u(-m-1) a', and the product is expanded by the iterate rule
+The word a = u_1(-m_1-1) ... u_r(-m_r-1) |0> has the field
+:d^(m_1) u_1(z) ... d^(m_r) u_r(z):, d^(m) = d^m / m!, whose factors
+split into a creation part sum_k binom(k+m, m) u(-k-m-1) z^k and an
+annihilation part (-1)^m sum_j binom(j+m, m) u(j) z^(-j-m-1).  The
+normal order puts every annihilation part to the right of every
+creation part, so ma o_n mb is computed in two stages.
 
-      (u(-m-1) a') o_n b
-        = sum_{k>=0} binom(k+m, m) u(-k-m-1) (a' o_{n+k} b)
-        + (-1)^{|u||a'|} (-1)^m
-          sum_{j>=0} binom(j+m, m) a' o_{n-j-m-1} (u(j) b).
+  * Contraction (independent of n, cached per (ma, mb)).  Walk the
+    factors of ma from right to left.  Each either stays a creator, or
+    contracts, through its annihilation mode u(j), with a factor of the
+    current word (a partner of the dual species and the same index);
+    the coefficient is (-1)^m binom(j+m, m) times the pairing, negated
+    when u is odd and passes an odd number of odd creators on its way
+    right, and the pole order q grows by j+m+1.  The result is a list
+    of (word, coefficient, q, creators).
+  * Creation (per n).  The power of z must be -n-1, so the creators
+    share K = q-n-1 >= 0 among them, k_i >= 0 with sum k_i = K, with
+    coefficient prod binom(k_i+m_i, m_i); each u(-k-m-1) is inserted
+    into its place in one pass, rightmost creator first.
 
-Both sums are finite: the first because weights are bounded below by
-zero (a' o_q b = 0 once q exceeds wt a' + wt b - 1), the second because
-u(j) eventually kills every mode of b.  Recursion terminates since the
-first argument loses one mode per step.
+Entries with K < 0 contribute nothing, so products past the locality
+bound vanish without work.  n = -1 is the Wick product, n = -2 against
+the vacuum is the derivative; n >= 0 are the OPE pole coefficients.
 
-n = -1 is the Wick product, n = -2 against the vacuum is the
-derivative; n >= 0 are the OPE pole coefficients.
-
-Both inner steps work on canonical words directly: a creation mode is
-inserted into its place in one pass (the other factors are already in
-order), and u(j) b visits only the factors of b that contract with u.
-
-What is memoized: every product ma o_n mb of monomials with a nonempty
-first word, keyed by (ma, n, mb), with its integer structure constants
-({monomial: int}) as the value, in the module dict ``_MEMO``.  Vacuum
-products 1 o_n mb are not memoized: they are returned directly.  The
-cache is semantically invisible (idempotent inserts of values that are
-never mutated), so concurrent evaluation of independent products is
-safe; ``clear_cache`` empties it.
+What is memoized, in two module dicts that ``clear_cache`` empties:
+``_CONTRACTIONS`` holds the contraction list of every pair (ma, mb) with
+a nonempty first word, and ``_MEMO`` every product ma o_n mb with a
+nonempty first word, keyed by (ma, n, mb), with its integer structure
+constants ({monomial: int}) as the value.  Vacuum products 1 o_n mb
+are returned directly and memoized in neither.  The caches are
+semantically invisible (idempotent inserts of values that are never
+mutated), so concurrent evaluation of independent products is safe.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .fock import (
     State,
     canonicalize,
     mono_parity,
-    mono_weight,
     parity,
     state_to_json,
     state_to_text,
@@ -59,10 +63,14 @@ from .linalg import add_into
 
 # structure constants of monomial products are integers
 _MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
+# (ma, mb) -> [(word, coefficient, pole order q, creators, rightmost first)]
+Contraction = tuple[Monomial, int, int, tuple[GeneratorMode, ...]]
+_CONTRACTIONS: dict[tuple[Monomial, Monomial], list[Contraction]] = {}
 
 
 def clear_cache() -> None:
     _MEMO.clear()
+    _CONTRACTIONS.clear()
 
 
 def _insert_creation(g: GeneratorMode, mono: Monomial) -> tuple[int, Monomial] | None:
@@ -114,6 +122,33 @@ def _contraction_partners(sp: int, idx: int, mono: Monomial) -> list[tuple[int, 
     return out
 
 
+def _contractions(ma: Monomial, mb: Monomial) -> list[Contraction]:
+    """Stage 1 of ma o_n mb (see the module docstring), for every n."""
+    key = (ma, mb)
+    hit = _CONTRACTIONS.get(key)
+    if hit is not None:
+        return hit
+    # (word, q, creators) -> coefficient; the odd creators of a partial
+    # term are those the next (leftward) factor has to pass
+    layer: dict[tuple[Monomial, int, tuple[GeneratorMode, ...]], int] = {(mb, 0, ()): 1}
+    for g in reversed(ma):
+        sp, idx, mode = g
+        m = -mode - 1
+        odd = SPECIES_PARITY[sp]
+        nxt: dict[tuple[Monomial, int, tuple[GeneratorMode, ...]], int] = {}
+        for (word, q, creators), c in layer.items():
+            add_into(nxt, (word, q, creators + (g,)), c)
+            sign = -c if m & 1 else c
+            if odd and mono_parity(creators):
+                sign = -sign
+            for j, word2, c2 in _contraction_partners(sp, idx, word):
+                add_into(nxt, (word2, q + j + m + 1, creators), sign * math.comb(j + m, m) * c2)
+        layer = nxt
+    out = [(word, c, q, creators) for (word, q, creators), c in layer.items()]
+    _CONTRACTIONS[key] = out
+    return out
+
+
 def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
     if not ma:
         return {mb: 1} if n == -1 else {}
@@ -121,35 +156,33 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    sp, idx, mode = ma[0]
-    m = -mode - 1
-    ap = ma[1:]
-    wa, wb = mono_weight(ap), mono_weight(mb)
     acc: dict[Monomial, int] = {}
-
-    # normally ordered part: creation modes of the peeled generator
-    for k in range(0, wa + wb - n):
-        inner = _circle_mono(ap, n + k, mb)
-        if not inner:
+    for word, coef, q, creators in _contractions(ma, mb):
+        rest = q - n - 1
+        if rest < 0:
             continue
-        coef = math.comb(k + m, m)
-        g = (sp, idx, -(k + m) - 1)
-        for mono2, c2 in inner.items():
-            r = _insert_creation(g, mono2)
-            if r is None:
-                continue
-            sg, mono3 = r
-            add_into(acc, mono3, sg * coef * c2)
-
-    # contraction part: annihilation modes of the peeled generator
-    sign = (-1) ** m
-    if SPECIES_PARITY[sp] and mono_parity(ap):
-        sign = -sign
-    for j, mono2, c2 in _contraction_partners(sp, idx, mb):
-        coef = sign * math.comb(j + m, m) * c2
-        for mono3, c3 in _circle_mono(ap, n - j - m - 1, mono2).items():
-            add_into(acc, mono3, coef * c3)
-
+        if not creators:
+            if not rest:
+                add_into(acc, word, coef)
+            continue
+        # stage 2: (creation modes still to share out, word) -> coefficient;
+        # the leftmost creator takes whatever is left
+        layer = {(rest, word): coef}
+        for sp, idx, mode in creators[:-1]:
+            m = -mode - 1
+            nxt: dict[tuple[int, Monomial], int] = {}
+            for (rest, w), c in layer.items():
+                for k in range(rest + 1):
+                    r = _insert_creation((sp, idx, mode - k), w)
+                    if r is not None:
+                        add_into(nxt, (rest - k, r[1]), r[0] * math.comb(k + m, m) * c)
+            layer = nxt
+        sp, idx, mode = creators[-1]
+        m = -mode - 1
+        for (rest, w), c in layer.items():
+            r = _insert_creation((sp, idx, mode - rest), w)
+            if r is not None:
+                add_into(acc, r[1], r[0] * math.comb(rest + m, m) * c)
     _MEMO[key] = acc
     return acc
 

@@ -1,6 +1,6 @@
 """Independent oracles used by the test suite.
 
-Nothing here goes through the iterate recursion of the engine under
+Nothing here goes through the Wick expansion of the engine under
 test.  The circle-product oracle evaluates the field of a monomial by
 the definitional creation/annihilation split of the normal order,
 mode by mode; the dimension oracle expands the bigraded product

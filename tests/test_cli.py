@@ -188,6 +188,38 @@ def test_negative_caps_and_trials_are_usage_errors(capsys):
     assert rc == 2 and out == "" and "negative" in err
 
 
+def test_condition_caps_are_bounded(capsys, monkeypatch):
+    # a negative --lcap or --jcap imposes no condition, so every word
+    # would pass as singular; --g is a cap like them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation ran on a refused cap")
+
+    monkeypatch.setattr("vertexfock.cli.singular_vectors", refuse)
+    monkeypatch.setattr("vertexfock.cli.decoupling_relation", refuse)
+    for flag, value in (("--lcap", "-1"), ("--jcap", "-2"), ("--lcap", "13"), ("--jcap", "13")):
+        rc, out, err = run(capsys, "singular", "--c", "-1", "--weight", "4", flag, value)
+        assert rc == 2 and out == "" and err.startswith("error: cap"), (flag, value)
+    for value in ("-1", "13"):
+        rc, out, err = run(capsys, "decouple", "--n", "1", "--l", "3", "--g", value)
+        assert rc == 2 and out == "" and err.startswith("error: cap"), value
+
+
+def test_eval_refuses_products_above_twice_the_ceiling(capsys):
+    # every index is within the ceiling, but each CP(., -12, J[3]) adds
+    # at least 15 to the weight; the refusal comes before the product
+    nested = "CP(CP(CP(CP(J[3], -12, J[3]), -12, J[3]), -12, J[3]), -12, J[3])"
+    rc, out, err = run(capsys, "eval", nested, "--rank", "2")
+    assert rc == 2 and out == "" and "weight 34, above the bound 24" in err
+    for expr in ("NO(J[12], J[12])", "D^12(D^12(D^2(beta[1])))"):
+        rc, out, err = run(capsys, "eval", expr)
+        assert rc == 2 and out == "" and "above the bound 24" in err, expr
+    rc, out, err = run(capsys, "ope", "CP(J[12], -12, J[0])", "J[0]")
+    assert rc == 2 and out == "" and "above the bound 24" in err
+    # weight 24 itself is allowed
+    rc, out, _ = run(capsys, "eval", "CP(D^12(beta[1]), -12, gamma[1])")
+    assert rc == 0 and json.loads(out)["terms"]
+
+
 def test_unwritable_out_fails_before_computing(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("singular_vectors ran before --out was checked")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import circle_oracle
 from vertexfock import ope
 from vertexfock.exprlang import evaluate, parse
@@ -23,6 +24,7 @@ from vertexfock.fock import (
     degree,
     generator_state,
     mono_parity,
+    mono_weight,
     vacuum,
     weight,
 )
@@ -180,6 +182,36 @@ def test_engine_matches_mode_oracle():
             assert circle(a, n, b) == circle_oracle(a, n, b), (ma, n, mb)
 
 
+@pytest.mark.parametrize("alg", [BG2, BC2, MIX1], ids=lambda a: f"{a.kind}{a.rank}")
+def test_engine_matches_mode_oracle_exhaustively(alg, monkeypatch):
+    """Every pair of canonical words, the left one of weight <= 3 and
+    degree <= 3 and the right one of weight <= 1 and degree <= 2, at
+    every n from -3 to the locality bound: contractions of two factors
+    at once, repeated bosons and fermions passing odd creators all
+    occur."""
+    memo = {}
+    field_mode_apply = oracles._field_mode_apply
+
+    def cached(factors, n, x):
+        key = (factors, n, x)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = field_mode_apply(factors, n, x)
+        return hit
+
+    # the oracle recomputes its inner products for every n; States are
+    # never mutated, so sharing them is safe
+    monkeypatch.setattr(oracles, "_field_mode_apply", cached)
+    lefts = [m for w in range(4) for d in range(4) for m in basis(alg, w, d)]
+    rights = [m for w in range(2) for d in range(3) for m in basis(alg, w, d)]
+    for ma in lefts:
+        a = State({ma: 1})
+        for mb in rights:
+            b = State({mb: 1})
+            for n in range(-3, mono_weight(ma) + mono_weight(mb) + 2):
+                assert circle(a, n, b) == circle_oracle(a, n, b), (ma, n, mb)
+
+
 def test_translation_properties():
     rng = random.Random(23)
     pool = []
@@ -232,9 +264,9 @@ def test_filtration_degree_bounds():
 @pytest.mark.parametrize("alg", [BG2, BC2, MIX1], ids=lambda a: f"{a.kind}{a.rank}")
 def test_insertion_and_partner_walk_match_fock(alg):
     """Exhaustive on canonical words of weight <= 4 and degree <= 4:
-    the recursion's one-pass insertion is canonicalize((g,) + word), and
-    its partner walk lists every nonzero _apply_annihilation by
-    ascending j."""
+    the one-pass creation insertion is canonicalize((g,) + word), and
+    the contraction partner walk lists every nonzero _apply_annihilation
+    by ascending j."""
     words = [m for w in range(5) for d in range(5) for m in basis(alg, w, d)]
     gens = [(sp, idx) for sp in alg.species for idx in range(1, alg.rank + 1)]
     repeats = 0
@@ -290,6 +322,15 @@ def test_memo_holds_no_vacuum_products():
     report = identity_suite(MIX1, 4, 3, 2, seed=1)
     assert report["mismatches"] == []
     assert ope._MEMO and all(ma for ma, _, _ in ope._MEMO)
+    assert ope._CONTRACTIONS and all(ma for ma, _ in ope._CONTRACTIONS)
+
+
+def test_clear_cache_empties_both_caches():
+    j = current(BG2)
+    assert circle(j, 1, j) == Fraction(-2) * vacuum()
+    assert ope._MEMO and ope._CONTRACTIONS
+    ope.clear_cache()
+    assert not ope._MEMO and not ope._CONTRACTIONS
 
 
 def test_identity_mismatch_reports_replay(monkeypatch):
