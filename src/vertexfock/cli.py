@@ -5,7 +5,8 @@ deterministic given the flags.  Exit codes: 0 success/found, 1
 verification mismatch (winf-verify, verify-identities, and decouple
 when the found relation does not re-verify), 2 usage error, 3 not
 found (e.g. no decoupling relation), 4 deficiency (span-check).
-Usage errors include a negative cap or --trials, arithmetic on hostile
+Usage errors include a negative cap or --trials, a --jcap below 1 at
+positive --weight (it would impose no condition), arithmetic on hostile
 input (a zero denominator, an expression nested too deeply to
 evaluate), a --gens file that cannot be read, and an --out path that
 cannot be written; the --out path is checked before any computation.

@@ -328,6 +328,25 @@ def basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[Monomial]:
     )
 
 
+def basis_by_degree(alg: AlgebraDescriptor, weight: int, degree_cap: int) -> list[list[Monomial]]:
+    """``[basis(alg, weight, d) for d in 0..degree_cap]`` from one walk.
+
+    The words of one length come out of the depth-first walk in the
+    same lexicographic order as from ``basis``, so each bucket equals
+    the per-degree list, order included.
+    """
+    out: list[list[Monomial]] = [[] for _ in range(degree_cap + 1)]
+    if weight < 0 or degree_cap < 0:
+        return out
+    alphabet = _mode_alphabet(alg, weight)
+    for word in words_of_weight(
+        alphabet, [mode_weight(g) for g in alphabet], weight, max_len=degree_cap,
+        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet],
+    ):
+        out[len(word)].append(word)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # symbols of the associated graded algebra
 #
@@ -390,13 +409,25 @@ def gr_symbol(s: State) -> dict[GrMonomial, Fraction]:
 
 
 def gr_basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[GrMonomial]:
-    """Monomials in the graded symbols of the given weight and degree.
+    """Monomials in the graded symbols of the given weight and degree."""
+    if degree < 0:
+        return []
+    return gr_basis_by_degree(alg, weight, degree)[degree]
+
+
+def gr_basis_by_degree(
+    alg: AlgebraDescriptor, weight: int, degree_cap: int
+) -> list[list[GrMonomial]]:
+    """Symbol monomials of the given weight, bucketed by degree
+    0..degree_cap, each bucket in lexicographic order.
 
     An independent enumeration (over symbol indices k >= 0 rather than
-    modes), used to cross-check state-side dimension counts.
+    modes, with its own walk rather than ``words_of_weight``), used to
+    cross-check state-side dimension counts.
     """
-    if weight < 0 or degree < 0:
-        return []
+    out: list[list[GrMonomial]] = [[] for _ in range(degree_cap + 1)]
+    if weight < 0 or degree_cap < 0:
+        return out
     alphabet: list[GrSymbol] = []
     for sp in alg.species:
         delta = SPECIES_WEIGHT[sp]
@@ -405,29 +436,28 @@ def gr_basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[GrMonomia
                 alphabet.append((sp, idx, k))
     alphabet.sort()
     weights = [gr_symbol_weight(s) for s in alphabet]
-    suffix_max = [0] * (len(alphabet) + 1)
-    for i in range(len(alphabet) - 1, -1, -1):
+    n = len(alphabet)
+    suffix_max = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         suffix_max[i] = max(suffix_max[i + 1], weights[i])
-    out: list[GrMonomial] = []
+    # a fermionic symbol squares to zero, so the walk moves past it
+    nxt = [p + 1 if SPECIES_PARITY[g[0]] else p for p, g in enumerate(alphabet)]
     stack: list[GrSymbol] = []
 
     def dfs(pos: int, rem_w: int, rem_d: int):
+        if rem_w == 0:
+            out[len(stack)].append(tuple(stack))
         if rem_d == 0:
-            if rem_w == 0:
-                out.append(tuple(stack))
             return
-        for p in range(pos, len(alphabet)):
+        for p in range(pos, n):
             w = weights[p]
-            if w > rem_w:
+            if w > rem_w or rem_w - w > (rem_d - 1) * suffix_max[p]:
                 continue
-            if rem_w - w > (rem_d - 1) * suffix_max[p]:
-                continue
-            g = alphabet[p]
-            stack.append(g)
-            dfs(p + 1 if SPECIES_PARITY[g[0]] else p, rem_w - w, rem_d - 1)
+            stack.append(alphabet[p])
+            dfs(nxt[p], rem_w - w, rem_d - 1)
             stack.pop()
 
-    dfs(0, weight, degree)
+    dfs(0, weight, degree_cap)
     return out
 
 

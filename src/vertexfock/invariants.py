@@ -14,6 +14,16 @@ space:
 
 Dimension tables are computed twice, on states and on the graded
 symbols, through separate code paths; the two must agree entrywise.
+Each side enumerates a weight once, every degree up to the cap from
+one walk (``fock.basis_by_degree`` for words of modes, its own
+``fock.gr_basis_by_degree`` for symbols), and holds one weight's lists
+at a time.  For tori and finite abelian groups an entry is a count of
+the words whose charge vector is invariant; each side tests a charge
+vector once per table, in a dict local to the call, and builds no
+states.  For Lie-algebra actions an entry is the size of an exact
+joint kernel per bidegree.  The command line runs as ``vertexfock
+inv-dims`` or ``python -m vertexfock inv-dims``.
+
 Strong-generation checks compare the exact span of normally ordered
 words in a generator list against the invariant dimensions, weight by
 weight.  Commutants are joint kernels of all non-negative modes of a
@@ -37,8 +47,9 @@ from .fock import (
     SPECIES_CHARGE,
     State,
     basis,
+    basis_by_degree,
     canonicalize,
-    gr_basis,
+    gr_basis_by_degree,
     gr_canonicalize,
     mono_charge,
     mono_degree,
@@ -225,25 +236,28 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
     diag = [X for X in mats if _is_diagonal(X)]
     rest = [X for X in mats if not _is_diagonal(X)]
 
-    # exactly diagonal operators act diagonally on monomials
+    # exactly diagonal operators act diagonally on monomials, so the
+    # test depends on the charge vector alone
+    survives: dict[tuple[int, ...], bool] = {}
     survivors = []
     for m in monos:
         q = mono_charge(m, rank_n)
-        if all(sum(X[i][i] * q[i] for i in range(rank_n)) == 0 for X in diag):
-            survivors.append(m)
+        ok = survives.get(q)
+        if ok is None:
+            ok = survives[q] = all(
+                sum(X[i][i] * q[i] for i in range(rank_n)) == 0 for X in diag
+            )
+        if ok:
+            survivors.append((m, q))
     if not rest:
-        return [{m: 1} for m in survivors]
+        return [{m: 1} for m, _ in survivors]
 
     comp = _index_components(rest, rank_n)
     comps = sorted(set(comp))
-
-    def class_of(mono):
-        q = mono_charge(mono, rank_n)
-        return tuple(sum(q[i] for i in range(rank_n) if comp[i] == c) for c in comps)
-
     classes: dict[tuple, list] = {}
-    for m in survivors:
-        classes.setdefault(class_of(m), []).append(m)
+    for m, q in survivors:
+        cls = tuple(sum(q[i] for i in range(rank_n) if comp[i] == c) for c in comps)
+        classes.setdefault(cls, []).append(m)
 
     out = []
     for cls in sorted(classes):
@@ -291,14 +305,39 @@ class DimTable:
         return isinstance(other, DimTable) and self.entries == other.entries
 
 
+def _invariant_dims(
+    action: GroupAction, alg: AlgebraDescriptor, weight: int, degree_cap: int, seen: dict
+) -> list[int]:
+    """State-side invariant dimension of each degree 0..degree_cap at one
+    weight: ``len(invariant_basis(action, alg, weight, d))``, from one
+    enumeration and without building states.  ``seen`` maps a charge
+    vector to its invariance, so each vector is tested once per caller."""
+    by_degree = basis_by_degree(alg, weight, degree_cap)
+    if not isinstance(action, (TorusAction, FiniteAbelianAction)):
+        return [len(_lie_kernel(monos, _derive_mono, action.matrices, alg.rank))
+                for monos in by_degree]
+    dims = []
+    for monos in by_degree:
+        count = 0
+        for m in monos:
+            q = mono_charge(m, alg.rank)
+            ok = seen.get(q)
+            if ok is None:
+                ok = seen[q] = action.is_invariant_charge(q)
+            count += ok
+        dims.append(count)
+    return dims
+
+
 def dim_table(
     action: GroupAction, alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
 ) -> DimTable:
     """State-side invariant dimensions per bidegree."""
+    seen: dict[tuple[int, ...], bool] = {}
     entries = {}
     for w in range(weight_cap + 1):
-        for d in range(degree_cap + 1):
-            entries[(w, d)] = len(invariant_basis(action, alg, w, d))
+        for d, dim in enumerate(_invariant_dims(action, alg, w, degree_cap, seen)):
+            entries[(w, d)] = dim
     return DimTable(entries, weight_cap, degree_cap)
 
 
@@ -308,18 +347,21 @@ def gr_dim_table(
     """Symbol-side invariant dimensions per bidegree, by an independent
     enumeration and an independent derivation; must equal the
     state-side table entrywise."""
+    seen: dict[tuple[int, ...], bool] = {}
     entries = {}
     for w in range(weight_cap + 1):
-        for d in range(degree_cap + 1):
-            monos = gr_basis(alg, w, d)
+        for d, monos in enumerate(gr_basis_by_degree(alg, w, degree_cap)):
             if isinstance(action, (TorusAction, FiniteAbelianAction)):
                 count = 0
                 for m in monos:
                     q = [0] * alg.rank
                     for sp, idx, _ in m:
                         q[idx - 1] += SPECIES_CHARGE[sp]
-                    if action.is_invariant_charge(q):
-                        count += 1
+                    q = tuple(q)
+                    ok = seen.get(q)
+                    if ok is None:
+                        ok = seen[q] = action.is_invariant_charge(q)
+                    count += ok
                 entries[(w, d)] = count
             else:
                 combos = _lie_kernel(monos, _gr_derive_mono, action.matrices, alg.rank)
@@ -418,6 +460,7 @@ def span_check(
     if 0 in gen_weights:
         raise ValueError("span-check generators must have positive weight")
     window = degree_window if degree_window is not None else 2 * weight_cap
+    seen: dict[tuple[int, ...], bool] = {}
     dims: dict[int, tuple[int, int]] = {}
     first_def = None
     for w in range(weight_cap + 1):
@@ -431,7 +474,7 @@ def span_check(
                 w_window = max(w_window, mono_degree(m))
         have_cols = [s.terms for s in vecs]
         dim_have = linalg.rank_of_columns(have_cols)
-        inv_by_degree = [len(invariant_basis(action, alg, w, d)) for d in range(w_window + 1)]
+        inv_by_degree = _invariant_dims(action, alg, w, w_window, seen)
         dim_need = sum(inv_by_degree)
         dims[w] = (dim_have, dim_need)
         if dim_have < dim_need and first_def is None:
@@ -523,9 +566,7 @@ def commutant_basis(
     Modes k with weight(current) + weight - k - 1 < 0 vanish
     identically and are skipped.
     """
-    monos = []
-    for d in range(degree_cap + 1):
-        monos.extend(basis(alg, weight, d))
+    monos = [m for ms in basis_by_degree(alg, weight, degree_cap) for m in ms]
     modes = [(cur, k) for cur in currents for k in range(0, weight + state_weight(cur))]
     columns = []
     for m in monos:

@@ -140,6 +140,8 @@ def singular_vectors(
 ) -> list[VermaElement]:
     """Exact basis of the weight-N solutions of J^l_j v = 0 for
     0 <= l <= l_cap, 1 <= j <= j_cap (defaults l_cap = N+2, j_cap = N).
+    At N > 0, j_cap < 1 would impose no condition at all and raises
+    ValueError.
 
     Only these capped conditions are imposed, so the result is a basis
     of singular vectors up to the caps: it contains every singular
@@ -153,6 +155,10 @@ def singular_vectors(
         l_cap = weight_n + 2
     if j_cap is None:
         j_cap = weight_n
+    if weight_n > 0 and j_cap < 1:
+        raise ValueError(
+            f"j_cap {j_cap} imposes no condition at weight {weight_n}; it must be >= 1"
+        )
     j_cap = min(j_cap, weight_n) if weight_n > 0 else j_cap
     words = vacuum_module_basis(weight_n)
     if not words:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vertexfock.cli import main
+from vertexfock.verma import singular_vectors
 
 
 def run(capsys, *argv):
@@ -202,6 +207,30 @@ def test_condition_caps_are_bounded(capsys, monkeypatch):
     for value in ("-1", "13"):
         rc, out, err = run(capsys, "decouple", "--n", "1", "--l", "3", "--g", value)
         assert rc == 2 and out == "" and err.startswith("error: cap"), value
+
+
+def test_singular_jcap_zero_is_refused(capsys):
+    # j ranges over 1..j_cap, so --jcap 0 would pass every word as singular
+    rc, out, err = run(capsys, "singular", "--c", "-1", "--weight", "4", "--jcap", "0")
+    assert rc == 2 and out == "" and "j_cap 0 imposes no condition" in err
+    with pytest.raises(ValueError):
+        singular_vectors(-1, 4, j_cap=0)
+    # at weight 0 the vacuum is singular whatever the caps
+    rc, out, _ = run(capsys, "singular", "--c", "-1", "--weight", "0", "--jcap", "0")
+    assert rc == 0 and json.loads(out)["vectors"] == [[[[], "1"]]]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["inv-dims", "--action", "trivial", "--max-weight", "2", "--max-degree", "2"]
+    rc, want, _ = run(capsys, *argv)
+    assert rc == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-m", "vertexfock", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 def test_eval_refuses_products_above_twice_the_ceiling(capsys):

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexfock.exprlang import ExprSyntaxError, evaluate, parse, to_text
-from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, vacuum
+from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, state_to_text, vacuum
 from vertexfock.ope import circle
+from vertexfock.verify import random_homogeneous_state
 from vertexfock.winfinity import realize_current
 
 BG1 = AlgebraDescriptor("bg", 1)
@@ -55,6 +59,16 @@ def test_roundtrip_canonical_forms():
         e = parse(text)
         assert to_text(e) == text  # print . parse = identity on canonical text
         assert parse(to_text(e)) == e  # parse . print = identity on trees
+
+
+ROUND_TRIP_ALGEBRAS = [AlgebraDescriptor(k, r) for k in ("bg", "bc", "bcbg") for r in (1, 2)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(ROUND_TRIP_ALGEBRAS))
+def test_state_text_evaluates_back(seed, alg):
+    s = random_homogeneous_state(random.Random(seed), alg, 5, 4, max_terms=3)
+    assert evaluate(parse(state_to_text(s)), alg) == s
 
 
 def test_print_parse_idempotent():

@@ -13,14 +13,17 @@ from vertexfock.fock import (
     C,
     GAMMA,
     SPECIES_PARITY,
+    SPECIES_WEIGHT,
     AlgebraDescriptor,
     State,
     apply_mode,
     basis,
+    basis_by_degree,
     charge,
     degree,
     generator_state,
     gr_basis,
+    gr_basis_by_degree,
     gr_symbol,
     mono_parity,
     state_from_json,
@@ -261,3 +264,40 @@ def test_words_of_weight_matches_brute_force(problem):
     # depth-first order: lexicographic in positions, a word before its extensions
     want = [tuple(letters[p] for p in idx) for idx in sorted(found)]
     assert words_of_weight(letters, weights, total, max_len, min_len, repeats) == want
+
+
+ENUMERATED = [AlgebraDescriptor(kind, rank) for kind in ("bg", "bc", "bcbg") for rank in (1, 2)]
+
+
+def test_basis_by_degree_is_basis_per_degree():
+    for alg in ENUMERATED:
+        for w in range(7):
+            want = [basis(alg, w, d) for d in range(7)]
+            for cap in range(7):
+                assert basis_by_degree(alg, w, cap) == want[:cap + 1], (alg, w, cap)
+    assert basis_by_degree(BG1, -1, 2) == [[], [], []]
+    assert basis_by_degree(BG1, 2, -1) == []
+
+
+def test_gr_basis_by_degree_matches_brute_force():
+    for alg in ENUMERATED:
+        for w in range(5):
+            symbols = sorted(
+                (sp, idx, k)
+                for sp in alg.species
+                for idx in range(1, alg.rank + 1)
+                for k in range(w + 1)
+                if SPECIES_WEIGHT[sp] + k <= w
+            )
+            want = [
+                [
+                    mono
+                    for mono in itertools.combinations_with_replacement(symbols, d)
+                    if sum(SPECIES_WEIGHT[sp] + k for sp, _, k in mono) == w
+                    and not any(a == b and SPECIES_PARITY[a[0]] for a, b in zip(mono, mono[1:]))
+                ]
+                for d in range(5)
+            ]
+            for cap in range(5):
+                assert gr_basis_by_degree(alg, w, cap) == want[:cap + 1], (alg, w, cap)
+            assert [gr_basis(alg, w, d) for d in range(5)] == want

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vertexfock import fock
 from vertexfock.fock import (
     B,
     BETA,
@@ -116,6 +117,32 @@ def test_dim_tables_match():
     rows = dim_table_csv_rows(dt, gt)
     assert all(r[4] for r in rows)
     assert rows[0] == [0, 0, 1, 1, True]
+
+
+def test_dim_table_counts_equal_invariant_bases():
+    bcbg2 = AlgebraDescriptor("bcbg", 2)
+    cases = [
+        (FiniteAbelianAction(((3, (1, 2)),)), bcbg2),
+        (TorusAction(((1, -1), (1, 1))), bcbg2),
+        (sl2_standard(), BG2),
+    ]
+    for act, alg in cases:
+        want = {(w, d): len(invariant_basis(act, alg, w, d)) for w in range(5) for d in range(5)}
+        assert dim_table(act, alg, 4, 4).entries == want, act
+        assert gr_dim_table(act, alg, 4, 4).entries == want, act
+
+
+def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
+    cases = [(TorusAction(((1, -1),)), BG2), (sl2_standard(), BG2)]
+    want = [dim_table(act, alg, 4, 4) for act, alg in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the state-side enumerator ran")
+
+    monkeypatch.setattr(fock, "words_of_weight", refuse)
+    assert [gr_dim_table(act, alg, 4, 4) for act, alg in cases] == want
+    with pytest.raises(AssertionError):
+        dim_table(*cases[0], 4, 4)
 
 
 def test_trivial_action_counts_everything():
