@@ -23,7 +23,8 @@ Action mini-language for group actions:
     trivial
     torus:1,-1;2,0            (charge-matrix rows, semicolon-separated)
     sl2                       (standard e, f, h; needs --rank 2)
-    finite:ord=4:chars=1,2    (character rows share the order)
+    finite:ord=4:chars=1,2    (character rows share the order; each key
+                               once, and no other key)
 """
 
 from __future__ import annotations
@@ -162,19 +163,18 @@ def parse_action_spec(spec: str, rank: int):
                 raise UsageError(f"charge row {r} does not match --rank {rank}")
         return TorusAction(tuple(rows))
     if spec.startswith("finite:"):
-        parts = spec.split(":")
-        order = None
-        chars = None
-        for p in parts[1:]:
-            if p.startswith("ord="):
-                order = int(p[len("ord="):])
-            elif p.startswith("chars="):
-                chars = [
-                    tuple(int(x) for x in row.split(","))
-                    for row in p[len("chars="):].split(";")
-                ]
-        if order is None or chars is None:
+        fields = {}
+        for part in spec.split(":")[1:]:
+            key, _, value = part.partition("=")
+            if key not in ("ord", "chars"):
+                raise UsageError(f"unknown finite-action key {key!r}: expected ord=K and chars=...")
+            if key in fields:
+                raise UsageError(f"finite-action key {key!r} given twice")
+            fields[key] = value
+        if len(fields) < 2:
             raise UsageError("finite action needs ord=K and chars=...")
+        order = int(fields["ord"])
+        chars = [tuple(int(x) for x in row.split(",")) for row in fields["chars"].split(";")]
         for r in chars:
             if len(r) != rank:
                 raise UsageError(f"character row {r} does not match --rank {rank}")

@@ -347,6 +347,56 @@ def basis_by_degree(alg: AlgebraDescriptor, weight: int, degree_cap: int) -> lis
     return out
 
 
+def charge_counts(
+    alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
+) -> dict[tuple[int, int, tuple[int, ...]], int]:
+    """The number of canonical monomials of each weight w <= weight_cap,
+    degree d <= degree_cap and charge vector q (``mono_charge``), as
+    ``{(w, d, q): count}`` without the zero counts; no monomial is
+    listed.
+
+    The counts are the coefficients of the charge-graded Hilbert series,
+    the product over the creation modes of 1/(1 - x^wt y t^q) for a
+    boson and 1 + x^wt y t^q for a fermion.  One pass over the mode
+    alphabet multiplies the factors in, truncated at the caps.  A
+    charge vector (each entry at most degree_cap in size) is packed into
+    one int, so that a mode adds its charge with one addition.
+    """
+    if weight_cap < 0 or degree_cap < 0:
+        return {}
+    base = 2 * degree_cap + 1
+    zero = sum(degree_cap * base**i for i in range(alg.rank))
+    # cells[w][d]: packed charge -> count
+    cells: list[list[dict[int, int]]] = [
+        [{} for _ in range(degree_cap + 1)] for _ in range(weight_cap + 1)
+    ]
+    cells[0][0][zero] = 1
+    for g in _mode_alphabet(alg, weight_cap):
+        sp, idx, _ = g
+        wt = mode_weight(g)
+        step = SPECIES_CHARGE[sp] * base ** (idx - 1)
+        # a boson may repeat, so its factor reads cells it has already
+        # multiplied (ascending degree); a fermion's reads cells it has
+        # not (descending degree)
+        degrees = range(degree_cap, 0, -1) if SPECIES_PARITY[sp] else range(1, degree_cap + 1)
+        for d in degrees:
+            for w in range(wt, weight_cap + 1):
+                src, dst = cells[w - wt][d - 1], cells[w][d]
+                for code, c in src.items():
+                    key = code + step
+                    dst[key] = dst.get(key, 0) + c
+    out = {}
+    for w, row in enumerate(cells):
+        for d, cell in enumerate(row):
+            for code, c in cell.items():
+                q = []
+                for _ in range(alg.rank):
+                    code, digit = divmod(code, base)
+                    q.append(digit - degree_cap)
+                out[(w, d, tuple(q))] = c
+    return out
+
+
 # ---------------------------------------------------------------------------
 # symbols of the associated graded algebra
 #
@@ -459,6 +509,49 @@ def gr_basis_by_degree(
 
     dfs(0, weight, degree_cap)
     return out
+
+
+def gr_charge_counts(
+    alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
+) -> dict[tuple[int, int, tuple[int, ...]], int]:
+    """The number of symbol monomials of each weight w <= weight_cap,
+    degree d <= degree_cap and charge vector q, as ``{(w, d, q): count}``
+    without the zero counts; no monomial is listed.
+
+    An independent count of the same numbers as ``fock.charge_counts``,
+    used to cross-check it: one index at a time, each symbol (sp, idx, k)
+    of that index is multiplied in by its possible multiplicities (0 or
+    1 for a fermion), giving a table over (weight, degree, charge of the
+    index); the tables of the indices are then multiplied together.
+    """
+    if weight_cap < 0 or degree_cap < 0:
+        return {}
+    tables = []
+    for idx in range(1, alg.rank + 1):
+        table = {(0, 0, 0): 1}
+        for sp in alg.species:
+            for k in range(0, weight_cap - SPECIES_WEIGHT[sp] + 1):
+                wt = gr_symbol_weight((sp, idx, k))
+                top = 1 if SPECIES_PARITY[sp] else degree_cap
+                grown: dict[tuple[int, int, int], int] = {}
+                for (w, d, q), c in table.items():
+                    for mult in range(top + 1):
+                        if w + mult * wt > weight_cap or d + mult > degree_cap:
+                            break
+                        key = (w + mult * wt, d + mult, q + mult * SPECIES_CHARGE[sp])
+                        grown[key] = grown.get(key, 0) + c
+                table = grown
+        tables.append(table)
+    counts: dict[tuple[int, int, tuple[int, ...]], int] = {(0, 0, ()): 1}
+    for table in tables:
+        product: dict[tuple[int, int, tuple[int, ...]], int] = {}
+        for (w, d, q), c in counts.items():
+            for (w2, d2, q2), c2 in table.items():
+                if w + w2 <= weight_cap and d + d2 <= degree_cap:
+                    key = (w + w2, d + d2, q + (q2,))
+                    product[key] = product.get(key, 0) + c * c2
+        counts = product
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,18 @@ space:
 
 Dimension tables are computed twice, on states and on the graded
 symbols, through separate code paths; the two must agree entrywise.
-Each side enumerates a weight once, every degree up to the cap from
-one walk (``fock.basis_by_degree`` for words of modes, its own
-``fock.gr_basis_by_degree`` for symbols), and holds one weight's lists
-at a time.  For tori and finite abelian groups an entry is a count of
-the words whose charge vector is invariant; each side tests a charge
-vector once per table, in a dict local to the call, and builds no
-states.  For Lie-algebra actions an entry is the size of an exact
-joint kernel per bidegree.  The command line runs as ``vertexfock
-inv-dims`` or ``python -m vertexfock inv-dims``.
+For tori and finite abelian groups an entry is a sum of coefficients
+of the charge-graded Hilbert series: each side counts its monomials by
+(weight, degree, charge vector) without listing them
+(``fock.charge_counts`` over modes, its own ``fock.gr_charge_counts``
+over symbols), tests each charge vector once, in a dict local to the
+call, and adds up the counts of the invariant ones.  For Lie-algebra
+actions each side enumerates a weight once, every degree up to the cap
+from one walk (``fock.basis_by_degree``, ``fock.gr_basis_by_degree``),
+and an entry is the size of an exact joint kernel per bidegree: the
+number of monomials of each preserved charge class minus the rank of
+their images.  The command line runs as ``vertexfock inv-dims`` or
+``python -m vertexfock inv-dims``.
 
 Strong-generation checks compare the exact span of normally ordered
 words in a generator list against the invariant dimensions, weight by
@@ -44,20 +47,21 @@ from .fock import (
     AlgebraDescriptor,
     GrMonomial,
     Monomial,
-    SPECIES_CHARGE,
+    SPECIES_PARITY,
     State,
     basis,
     basis_by_degree,
-    canonicalize,
+    charge_counts,
     gr_basis_by_degree,
     gr_canonicalize,
+    gr_charge_counts,
     mono_charge,
     mono_degree,
     weight as state_weight,
     words_of_weight,
 )
 from .linalg import Scalar, SparseMatrix, add_into, scalar
-from .ope import circle, derive, iterated_wick, wick
+from .ope import _insert_creation, circle, derive, iterated_wick, wick
 
 VECTOR_SPECIES = (BETA, B)
 
@@ -145,20 +149,29 @@ GroupAction = TorusAction | FiniteAbelianAction | LieAlgebraAction
 
 
 def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Scalar]:
-    """Mode-wise derivation of a single matrix on a monomial."""
+    """Mode-wise derivation of a single matrix on a monomial.
+
+    Only one factor changes per term, so it is taken out of the word
+    (passing the odd factors before it, if it is odd) and the new factor
+    is inserted in its place by ``ope._insert_creation``.
+    """
     out: dict[Monomial, Scalar] = {}
+    odd_before = 0
     for pos, (sp, idx, mode) in enumerate(mono):
+        odd = SPECIES_PARITY[sp]
+        rest = mono[:pos] + mono[pos + 1:]
         for j in range(1, rank_n + 1):
             coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
             if coef == 0:
                 continue
-            factors = list(mono)
-            factors[pos] = (sp, j, mode)
-            r = canonicalize(factors)
+            r = _insert_creation((sp, j, mode), rest)
             if r is None:
                 continue
             sg, mono2 = r
+            if odd and odd_before & 1:
+                sg = -sg
             add_into(out, mono2, sg * coef)
+        odd_before += odd
     return out
 
 
@@ -230,9 +243,12 @@ def _index_components(mats, n: int) -> list[int]:
     return [find(i) for i in range(n)]
 
 
-def _lie_kernel(monos, derive_fn, mats, rank_n):
-    """Joint kernel of the listed matrices on the span of the monomials,
-    computed per preserved charge class."""
+def _lie_blocks(monos, derive_fn, mats, rank_n):
+    """The monomials that pass the diagonal operators, one block per
+    preserved charge class, each with its columns: the images of its
+    monomials under the other operators.  Returns [(block, columns)].
+    The joint kernel of the listed matrices on the span of the monomials
+    is the union over the blocks of the relations among the columns."""
     diag = [X for X in mats if _is_diagonal(X)]
     rest = [X for X in mats if not _is_diagonal(X)]
 
@@ -250,7 +266,7 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
         if ok:
             survivors.append((m, q))
     if not rest:
-        return [{m: 1} for m, _ in survivors]
+        return [([m for m, _ in survivors], [{}] * len(survivors))]
 
     comp = _index_components(rest, rank_n)
     comps = sorted(set(comp))
@@ -259,7 +275,7 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
         cls = tuple(sum(q[i] for i in range(rank_n) if comp[i] == c) for c in comps)
         classes.setdefault(cls, []).append(m)
 
-    out = []
+    blocks = []
     for cls in sorted(classes):
         block = classes[cls]
         # image monomials may violate the diagonal conditions but stay
@@ -268,9 +284,27 @@ def _lie_kernel(monos, derive_fn, mats, rank_n):
             {(t, m2): v for t, X in enumerate(rest) for m2, v in derive_fn(X, m, rank_n).items()}
             for m in block
         ]
-        for rel in linalg.kernel_of_columns(columns):
-            out.append({block[i]: v for i, v in rel.items()})
-    return out
+        blocks.append((block, columns))
+    return blocks
+
+
+def _lie_kernel(monos, derive_fn, mats, rank_n):
+    """Basis of the joint kernel of the listed matrices on the span of
+    the monomials, block by block."""
+    return [
+        {block[i]: v for i, v in rel.items()}
+        for block, columns in _lie_blocks(monos, derive_fn, mats, rank_n)
+        for rel in linalg.kernel_of_columns(columns)
+    ]
+
+
+def _lie_dim(monos, derive_fn, mats, rank_n) -> int:
+    """Dimension of that joint kernel: per block, the number of
+    monomials minus the rank of their images."""
+    return sum(
+        len(block) - linalg.rank_of_columns(columns)
+        for block, columns in _lie_blocks(monos, derive_fn, mats, rank_n)
+    )
 
 
 def invariant_basis(
@@ -305,39 +339,45 @@ class DimTable:
         return isinstance(other, DimTable) and self.entries == other.entries
 
 
+def _invariant_counts(action, counts, seen: dict) -> dict[tuple[int, int], int]:
+    """State-side sum, per (weight, degree), of the ``fock.charge_counts``
+    counts whose charge vector is invariant.  ``seen`` maps a charge
+    vector to its invariance, so each vector is tested once per caller."""
+    dims: dict[tuple[int, int], int] = {}
+    for (w, d, q), c in counts.items():
+        ok = seen.get(q)
+        if ok is None:
+            ok = seen[q] = action.is_invariant_charge(q)
+        if ok:
+            dims[(w, d)] = dims.get((w, d), 0) + c
+    return dims
+
+
 def _invariant_dims(
     action: GroupAction, alg: AlgebraDescriptor, weight: int, degree_cap: int, seen: dict
 ) -> list[int]:
     """State-side invariant dimension of each degree 0..degree_cap at one
-    weight: ``len(invariant_basis(action, alg, weight, d))``, from one
-    enumeration and without building states.  ``seen`` maps a charge
-    vector to its invariance, so each vector is tested once per caller."""
-    by_degree = basis_by_degree(alg, weight, degree_cap)
-    if not isinstance(action, (TorusAction, FiniteAbelianAction)):
-        return [len(_lie_kernel(monos, _derive_mono, action.matrices, alg.rank))
-                for monos in by_degree]
-    dims = []
-    for monos in by_degree:
-        count = 0
-        for m in monos:
-            q = mono_charge(m, alg.rank)
-            ok = seen.get(q)
-            if ok is None:
-                ok = seen[q] = action.is_invariant_charge(q)
-            count += ok
-        dims.append(count)
-    return dims
+    weight: ``len(invariant_basis(action, alg, weight, d))``, without
+    building states or kernel vectors; see ``_invariant_counts`` for
+    ``seen``."""
+    if isinstance(action, (TorusAction, FiniteAbelianAction)):
+        dims = _invariant_counts(action, charge_counts(alg, weight, degree_cap), seen)
+        return [dims.get((weight, d), 0) for d in range(degree_cap + 1)]
+    return [_lie_dim(monos, _derive_mono, action.matrices, alg.rank)
+            for monos in basis_by_degree(alg, weight, degree_cap)]
 
 
 def dim_table(
     action: GroupAction, alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
 ) -> DimTable:
     """State-side invariant dimensions per bidegree."""
-    seen: dict[tuple[int, ...], bool] = {}
-    entries = {}
-    for w in range(weight_cap + 1):
-        for d, dim in enumerate(_invariant_dims(action, alg, w, degree_cap, seen)):
-            entries[(w, d)] = dim
+    if isinstance(action, (TorusAction, FiniteAbelianAction)):
+        dims = _invariant_counts(action, charge_counts(alg, weight_cap, degree_cap), {})
+        entries = {(w, d): dims.get((w, d), 0)
+                   for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
+    else:
+        entries = {(w, d): dim for w in range(weight_cap + 1)
+                   for d, dim in enumerate(_invariant_dims(action, alg, w, degree_cap, {}))}
     return DimTable(entries, weight_cap, degree_cap)
 
 
@@ -345,27 +385,21 @@ def gr_dim_table(
     action: GroupAction, alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
 ) -> DimTable:
     """Symbol-side invariant dimensions per bidegree, by an independent
-    enumeration and an independent derivation; must equal the
+    count or enumeration and an independent derivation; must equal the
     state-side table entrywise."""
-    seen: dict[tuple[int, ...], bool] = {}
-    entries = {}
-    for w in range(weight_cap + 1):
-        for d, monos in enumerate(gr_basis_by_degree(alg, w, degree_cap)):
-            if isinstance(action, (TorusAction, FiniteAbelianAction)):
-                count = 0
-                for m in monos:
-                    q = [0] * alg.rank
-                    for sp, idx, _ in m:
-                        q[idx - 1] += SPECIES_CHARGE[sp]
-                    q = tuple(q)
-                    ok = seen.get(q)
-                    if ok is None:
-                        ok = seen[q] = action.is_invariant_charge(q)
-                    count += ok
-                entries[(w, d)] = count
-            else:
-                combos = _lie_kernel(monos, _gr_derive_mono, action.matrices, alg.rank)
-                entries[(w, d)] = len(combos)
+    entries = {(w, d): 0 for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
+    if isinstance(action, (TorusAction, FiniteAbelianAction)):
+        seen: dict[tuple[int, ...], bool] = {}
+        for (w, d, q), c in gr_charge_counts(alg, weight_cap, degree_cap).items():
+            ok = seen.get(q)
+            if ok is None:
+                ok = seen[q] = action.is_invariant_charge(q)
+            if ok:
+                entries[(w, d)] += c
+    else:
+        for w in range(weight_cap + 1):
+            for d, monos in enumerate(gr_basis_by_degree(alg, w, degree_cap)):
+                entries[(w, d)] = _lie_dim(monos, _gr_derive_mono, action.matrices, alg.rank)
     return DimTable(entries, weight_cap, degree_cap)
 
 

@@ -9,8 +9,10 @@ are reproducible across runs.  Elimination runs on integer rows kept
 primitive (each divided by the gcd of its entries) and makes a
 ``Fraction`` only when it divides each pivot row by its pivot at the
 end: int arithmetic is several times faster than Fraction arithmetic,
-and the rows it holds are nonzero multiples of the rows Gauss-Jordan
-over the rationals would hold, so the answers are the same.  Vectors
+and the rows it holds are nonzero multiples of the rows elimination
+over the rationals would hold, so the answers are the same.  A rank
+takes the forward elimination alone; kernels, solves and determinants
+back-substitute to the reduced row echelon form.  Vectors
 are ``{index: scalar}`` dicts without zeros; ``Combination`` is the
 base of the package's other sparse combinations (Fock states,
 vacuum-module elements).
@@ -182,31 +184,64 @@ def _row_dicts(m: SparseMatrix) -> list[dict[int, Scalar]]:
     return rows
 
 
-def _rref(
+def _clear(rows, prow: int, col: int, targets, scales) -> None:
+    """Clear column col from each target row with pivot row prow, whose
+    pivot is positive.  A target row with entry f in col becomes
+    (pv/g) row - (f/g) pivot row, where pv is the pivot and
+    g = gcd(pv, f), and is divided by its content."""
+    pv = rows[prow][col]
+    prpairs = list(rows[prow].items())
+    for r in targets:
+        row = rows[r]
+        f = row[col]
+        g = gcd(pv, f)
+        a, b = pv // g, f // g
+        if a != 1:
+            row = {j: a * v for j, v in row.items()}
+        for j, v in prpairs:
+            nv = row.get(j, 0) - b * v
+            if nv:
+                row[j] = nv
+            else:
+                del row[j]
+        c = gcd(*row.values()) or 1
+        if c != 1:
+            row = {j: v // c for j, v in row.items()}
+        if scales is not None and a != c:
+            scales.append((a, c))
+        rows[r] = row
+
+
+def _echelon(
     rows: list[dict[int, Scalar]], ncols: int, scales: list | None = None
-) -> list[tuple[int, int]]:
-    """In-place reduced row echelon form.
+) -> tuple[list[tuple[int, int]], list[set[int]]]:
+    """In-place forward elimination to a row echelon form.
 
     Pivot selection is deterministic: for each column in ascending
     order, the first not-yet-pivotal row (in original order) with a
-    nonzero entry becomes the pivot.  Returns (row, col) per pivot.
+    nonzero entry becomes the pivot, and the column is cleared from
+    every other not-yet-pivotal row.  Returns (row, col) per pivot, and
+    ``where``: for each column, a superset of the rows that hold an
+    entry in it.
 
     The elimination is fraction-free.  Each row is first scaled to
     primitive integers: cleared of denominators and divided by its
-    content, the gcd of its entries.  A pivot row p is negated if its
-    pivot is negative; then each row with entry f in the pivot column
-    becomes (pv/g) row - (f/g) p, where pv > 0 is the pivot and
-    g = gcd(pv, f), and is again divided by its content.  Rows with no
-    entry in the pivot column are not touched.  Every row thus stays a
-    nonzero multiple of the row that Gauss-Jordan over the rationals
-    would hold, so the pivots and the result are the same.  Only at the
-    end is each pivot row divided by its pivot, giving ints where the
-    quotient is integral and Fractions elsewhere.
+    content, the gcd of its entries.  A pivot row is negated if its
+    pivot is negative, and each row is cleared with ``_clear``, which
+    keeps it primitive.  Every row thus stays a nonzero multiple of the
+    row that elimination over the rationals would hold, so the pivots
+    are the same.
+
+    ``where`` replaces a scan of every row per column.  It is built from
+    the input; a cleared row can fill in only where the pivot row has
+    entries, so after each pivot those columns get the cleared rows.  A
+    row whose entry cancels, or that becomes a pivot row, stays in the
+    set, so each lookup checks the row itself.
 
     When ``scales`` is a list, every factor num/den that multiplied a
-    row is appended to it as (num, den), so that the determinant of
-    the result is that of the input times the product of num/den.
+    row is appended to it as (num, den).
     """
+    where: list[set[int]] = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
         den = lcm(*[v.denominator for v in row.values()])
         row = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
@@ -216,43 +251,51 @@ def _rref(
         if scales is not None and den != c:
             scales.append((den, c))
         rows[r] = row
+        for j in row:
+            where[j].add(r)
     pivots: list[tuple[int, int]] = []
     used = [False] * len(rows)
     for col in range(ncols):
-        hits = [r for r, row in enumerate(rows) if col in row]
-        prow = next((r for r in hits if not used[r]), -1)
-        if prow < 0:
+        hits = [r for r in where[col] if not used[r] and col in rows[r]]
+        if not hits:
             continue
+        prow = min(hits)
         used[prow] = True
         pivots.append((prow, col))
-        pv = rows[prow][col]
-        if pv < 0:
-            pv = -pv
+        if rows[prow][col] < 0:
             rows[prow] = {j: -v for j, v in rows[prow].items()}
             if scales is not None:
                 scales.append((-1, 1))
-        prpairs = list(rows[prow].items())
-        for r in hits:
-            if r == prow:
-                continue
-            row = rows[r]
-            f = row[col]
-            g = gcd(pv, f)
-            a, b = pv // g, f // g
-            if a != 1:
-                row = {j: a * v for j, v in row.items()}
-            for j, v in prpairs:
-                nv = row.get(j, 0) - b * v
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-            c = gcd(*row.values()) or 1
-            if c != 1:
-                row = {j: v // c for j, v in row.items()}
-            if scales is not None and a != c:
-                scales.append((a, c))
-            rows[r] = row
+        hits.remove(prow)
+        _clear(rows, prow, col, hits, scales)
+        for j in rows[prow]:
+            where[j].update(hits)
+    return pivots, where
+
+
+def _rref(
+    rows: list[dict[int, Scalar]], ncols: int, scales: list | None = None
+) -> list[tuple[int, int]]:
+    """In-place reduced row echelon form; returns (row, col) per pivot.
+
+    ``_echelon`` eliminates forward.  Back-substitution then clears each
+    pivot column, last pivot first, from the pivot rows above it, with
+    the same fraction-free ``_clear``; rows that are not pivot rows are
+    empty by then.  A pivot row has no entry left of its pivot, so this
+    fills in no pivot column still to come, and ``where`` needs no
+    upkeep.  Only at the end is each pivot row divided by its
+    pivot, giving ints where the quotient is integral and Fractions
+    elsewhere.  The reduced form is unique, so the result is the one
+    Gauss-Jordan over the rationals gives.
+
+    When ``scales`` is a list, every factor num/den that multiplied a
+    row is appended to it as (num, den), so that the determinant of
+    the result is that of the input times the product of num/den.
+    """
+    pivots, where = _echelon(rows, ncols, scales)
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, col = pivots[k]
+        _clear(rows, prow, col, [r for r in where[col] if r != prow and col in rows[r]], scales)
     for prow, col in pivots:
         row = rows[prow]
         pv = row[col]
@@ -264,8 +307,9 @@ def _rref(
 
 
 def rank(m: SparseMatrix) -> int:
-    rows = _row_dicts(m)
-    return len(_rref(rows, m.cols))
+    """Rank by forward elimination alone: no back-substitution and no
+    division into Fractions."""
+    return len(_echelon(_row_dicts(m), m.cols)[0])
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict[int, Scalar]]:

@@ -172,6 +172,20 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["terms"]
 
 
+def test_finite_action_keys_are_checked(capsys):
+    caps = ("--max-weight", "2", "--max-degree", "2")
+    rc, out, _ = run(capsys, "inv-dims", "--action", "finite:ord=2:chars=1", *caps)
+    assert rc == 0 and json.loads(out)["equal"]
+    # a repeated key used to win silently, and an unknown one was ignored
+    for spec, word in (("finite:ord=2:chars=1:ord=3", "twice"),
+                       ("finite:chars=1:ord=2:chars=1", "twice"),
+                       ("finite:ord=2:chars=1:foo=1", "unknown"),
+                       ("finite:ord=2:chars=1:", "unknown"),
+                       ("finite:ord=2", "needs")):
+        rc, out, err = run(capsys, "inv-dims", "--action", spec, *caps)
+        assert rc == 2 and out == "" and word in err, spec
+
+
 def test_file_errors_are_usage_errors(capsys, tmp_path):
     # exit 1 means a verification mismatch, so an unreadable --gens or an
     # unwritable --out must not escape as a traceback

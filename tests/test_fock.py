@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,14 @@ from vertexfock.fock import (
     basis,
     basis_by_degree,
     charge,
+    charge_counts,
     degree,
     generator_state,
     gr_basis,
     gr_basis_by_degree,
+    gr_charge_counts,
     gr_symbol,
+    mono_charge,
     mono_parity,
     state_from_json,
     state_to_json,
@@ -112,6 +116,18 @@ def test_basis_against_generating_function():
         for w in range(6):
             for d in range(5):
                 assert len(basis(alg, w, d)) == table.get((w, d), 0), (alg, w, d)
+
+
+def test_charge_counters_against_listed_monomials():
+    for alg in (BG1, BG2, BC1, MIX1, AlgebraDescriptor("bcbg", 2), AlgebraDescriptor("bc", 3)):
+        want, gr_want = Counter(), Counter()
+        for w in range(5):
+            for d in range(5):
+                want.update((w, d, mono_charge(m, alg.rank)) for m in basis(alg, w, d))
+                gr_want.update((w, d, mono_charge(m, alg.rank)) for m in gr_basis(alg, w, d))
+        assert charge_counts(alg, 4, 4) == want, alg
+        assert gr_charge_counts(alg, 4, 4) == gr_want, alg
+    assert charge_counts(BG1, -1, 3) == gr_charge_counts(BG1, 2, -1) == {}
 
 
 def test_gr_symbol():

@@ -1,9 +1,12 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vertexfock import fock
+from vertexfock import fock, invariants
 from vertexfock.fock import (
     B,
     BETA,
@@ -12,6 +15,7 @@ from vertexfock.fock import (
     State,
     basis,
     generator_state,
+    mono_charge,
     vacuum,
     weight,
 )
@@ -51,6 +55,24 @@ def test_extend_action_examples():
     assert ope(generator_state(BETA, 2)) == generator_state(BETA, 1)
     assert ope(generator_state(BETA, 1)) == State()
     assert ope(generator_state(GAMMA, 1)) == (-1) * generator_state(GAMMA, 2)
+
+
+def test_extend_action_matches_resorting_the_word():
+    # the one-pass derivation against the definition: replace one factor,
+    # then let State re-sort the whole word with its fermionic sign
+    X = ((1, 2), (-1, 3))
+    for alg in (AlgebraDescriptor("bc", 2), AlgebraDescriptor("bcbg", 2)):
+        op = extend_action(X, alg)
+        for w in range(4):
+            for d in range(4):
+                for m in basis(alg, w, d):
+                    want = State()
+                    for pos, (sp, idx, mode) in enumerate(m):
+                        for j in (1, 2):
+                            coef = X[j - 1][idx - 1] if sp in (BETA, B) else -X[idx - 1][j - 1]
+                            word = m[:pos] + ((sp, j, mode),) + m[pos + 1:]
+                            want = want + coef * State({word: 1})
+                    assert op(State({m: 1})) == want, m
 
 
 def test_extend_action_preserves_bidegree():
@@ -125,6 +147,7 @@ def test_dim_table_counts_equal_invariant_bases():
         (FiniteAbelianAction(((3, (1, 2)),)), bcbg2),
         (TorusAction(((1, -1), (1, 1))), bcbg2),
         (sl2_standard(), BG2),
+        (sl2_standard(), bcbg2),
     ]
     for act, alg in cases:
         want = {(w, d): len(invariant_basis(act, alg, w, d)) for w in range(5) for d in range(5)}
@@ -136,13 +159,66 @@ def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
     cases = [(TorusAction(((1, -1),)), BG2), (sl2_standard(), BG2)]
     want = [dim_table(act, alg, 4, 4) for act, alg in cases]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the state-side enumerator ran")
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"the state-side {what} ran")
+        return refused
 
-    monkeypatch.setattr(fock, "words_of_weight", refuse)
+    monkeypatch.setattr(fock, "words_of_weight", refuse("walk"))
+    # the counter is refused where it is defined and where dim_table finds it
+    monkeypatch.setattr(fock, "charge_counts", refuse("counter"))
+    monkeypatch.setattr(invariants, "charge_counts", refuse("counter"))
     assert [gr_dim_table(act, alg, 4, 4) for act, alg in cases] == want
-    with pytest.raises(AssertionError):
+    # the refusals bite: the state side needs what the symbol side did without
+    with pytest.raises(AssertionError, match="counter"):
         dim_table(*cases[0], 4, 4)
+    with pytest.raises(AssertionError, match="walk"):
+        dim_table(*cases[1], 4, 4)
+
+
+ALGEBRAS = [AlgebraDescriptor(kind, rank) for kind in ("bg", "bc", "bcbg") for rank in (1, 2)]
+
+
+@st.composite
+def charge_actions(draw, rank):
+    """A torus (1-2 charge rows, entries -2..2), a finite abelian group
+    (characters of order 2-4) or the trivial action on rank indices."""
+    kind = draw(st.sampled_from(["torus", "finite", "trivial"]))
+    entries = st.integers(-2, 2)
+    if kind == "trivial":
+        return trivial_action()
+    if kind == "finite":
+        chars = draw(st.lists(st.tuples(st.integers(2, 4), st.tuples(*[entries] * rank)),
+                              min_size=1, max_size=2))
+        return FiniteAbelianAction(tuple(chars))
+    rows = draw(st.lists(st.tuples(*[entries] * rank), min_size=1, max_size=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a charge matrix of lower rank is allowed here
+        return TorusAction(tuple(rows))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(ALGEBRAS).flatmap(lambda alg: st.tuples(st.just(alg), charge_actions(alg.rank))),
+       st.integers(0, 4), st.integers(0, 4))
+def test_charge_counts_match_the_walks(alg_action, weight_cap, degree_cap):
+    alg, act = alg_action
+
+    def invariant_words(enumerate_words):
+        return {(w, d): sum(act.is_invariant_charge(mono_charge(m, alg.rank))
+                            for m in enumerate_words(alg, w, d))
+                for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
+
+    assert dim_table(act, alg, weight_cap, degree_cap).entries == invariant_words(fock.basis)
+    assert gr_dim_table(act, alg, weight_cap, degree_cap).entries == invariant_words(fock.gr_basis)
+
+
+def test_torus_tables_agree_beyond_the_reach_of_the_walks():
+    # the walks would list 14.5 million monomials per side here; the counters list none
+    alg = AlgebraDescriptor("bcbg", 2)
+    act = TorusAction(((1, -1),))
+    dt = dim_table(act, alg, 10, 10)
+    assert len(dt.entries) == 121 and dt[(0, 0)] == 1
+    assert dt == gr_dim_table(act, alg, 10, 10)
 
 
 def test_trivial_action_counts_everything():

@@ -239,6 +239,22 @@ def exact_matrices(draw, n=None):
     return rows
 
 
+@st.composite
+def tall_sparse_matrices(draw):
+    """Row lists of tall sparse matrices, up to 40 x 10 at density at
+    most 0.2, with up to five rows replaced by combinations of the two
+    rows above them: elimination fills rows in and cancels them out."""
+    nrows, ncols = draw(st.integers(11, 40)), draw(st.integers(1, 10))
+    values = draw(st.sampled_from([st.integers(-9, 9), exact_values]))
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    entries = draw(st.dictionaries(cells, values, max_size=nrows * ncols // 5))
+    rows = [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+    for i in draw(st.lists(st.integers(2, nrows - 1), max_size=5)):
+        a, b = draw(values), draw(values)
+        rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])]
+    return rows
+
+
 def from_sympy(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
@@ -248,7 +264,8 @@ def integer_first(values) -> bool:
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.one_of(exact_matrices(), st.integers(1, 5).flatmap(exact_matrices)), st.data())
+@given(st.one_of(exact_matrices(), st.integers(1, 5).flatmap(exact_matrices),
+                 tall_sparse_matrices()), st.data())
 def test_elimination_matches_sympy(rows, data):
     sympy = pytest.importorskip("sympy")
     m = SparseMatrix.from_rows(rows)
