@@ -4,7 +4,8 @@ Subcommands wrap the library module by module; every emission is
 deterministic given the flags.  Exit codes: 0 success/found, 1
 verification mismatch (winf-verify, verify-identities, and decouple
 when the found relation does not re-verify), 2 usage error, 3 not
-found (e.g. no decoupling relation), 4 deficiency (span-check).
+found (e.g. no decoupling relation), 4 deficiency (span-check), 141
+stdout closed by its reader, as by ``| head`` (128 + SIGPIPE; no error).
 Usage errors include a negative cap or --trials, a --jcap below 1 at
 positive --weight (it would impose no condition), arithmetic on hostile
 input (a zero denominator, an expression nested too deeply to
@@ -77,6 +78,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 EXIT_DEFICIENT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(ValueError):
@@ -521,6 +523,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply to evaluate", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # so that the flush at interpreter shutdown does not raise again
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -273,14 +273,14 @@ def _mode_alphabet(alg: AlgebraDescriptor, max_weight: int) -> list[GeneratorMod
     return out
 
 
-def words_of_weight(letters, weights, total, max_len=None, min_len=0, repeats=None) -> list[tuple]:
-    """Every multiset of letters of the given total weight with between
-    min_len and max_len letters, as a tuple in list order.
+def words_of_weight(letters, weights, total, max_len=None, repeats=None) -> list[tuple]:
+    """Every multiset of letters of the given total weight with at most
+    max_len letters, as a tuple in list order.
 
     A letter may repeat unless ``repeats[p]`` is false for its position
     p.  Words come depth first: lexicographic in the letter positions,
     a word before its extensions.  Weights are >= 0, and must be > 0
-    unless max_len is given.
+    unless max_len is given.  A total of 0 yields the empty word.
     """
     n = len(letters)
     # suffix maximum of the letter weights, for pruning by length
@@ -294,7 +294,7 @@ def words_of_weight(letters, weights, total, max_len=None, min_len=0, repeats=No
 
     def dfs(pos: int, rem: int):
         depth = len(stack)
-        if rem == 0 and depth >= min_len:
+        if rem == 0:
             out.append(tuple(stack))
         if depth == max_len:
             return
@@ -314,26 +314,20 @@ def words_of_weight(letters, weights, total, max_len=None, min_len=0, repeats=No
 
 
 def basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[Monomial]:
-    """All canonical monomials of the given weight and degree.
-
-    Deterministic (lexicographic in the canonical key).
-    """
-    if weight < 0 or degree < 0:
+    """All canonical monomials of the given weight and degree: that
+    bucket of ``basis_by_degree``."""
+    if degree < 0:
         return []
-    alphabet = _mode_alphabet(alg, weight)
-    # fermions may not repeat a mode; bosons may
-    return words_of_weight(
-        alphabet, [mode_weight(g) for g in alphabet], weight, max_len=degree, min_len=degree,
-        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet],
-    )
+    return basis_by_degree(alg, weight, degree)[degree]
 
 
 def basis_by_degree(alg: AlgebraDescriptor, weight: int, degree_cap: int) -> list[list[Monomial]]:
-    """``[basis(alg, weight, d) for d in 0..degree_cap]`` from one walk.
+    """The canonical monomials of the given weight, bucketed by degree
+    0..degree_cap, each bucket in lexicographic order of the canonical
+    key.
 
-    The words of one length come out of the depth-first walk in the
-    same lexicographic order as from ``basis``, so each bucket equals
-    the per-degree list, order included.
+    One depth-first walk over the creation modes (``words_of_weight``)
+    yields every degree; fermions may not repeat a mode, bosons may.
     """
     out: list[list[Monomial]] = [[] for _ in range(degree_cap + 1)]
     if weight < 0 or degree_cap < 0:

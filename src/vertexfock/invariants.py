@@ -47,7 +47,6 @@ from .fock import (
     AlgebraDescriptor,
     GrMonomial,
     Monomial,
-    SPECIES_PARITY,
     State,
     basis,
     basis_by_degree,
@@ -61,7 +60,7 @@ from .fock import (
     words_of_weight,
 )
 from .linalg import Scalar, SparseMatrix, add_into, scalar
-from .ope import _insert_creation, circle, derive, iterated_wick, wick
+from .ope import _replace_factor, circle, derive, iterated_wick, wick
 
 VECTOR_SPECIES = (BETA, B)
 
@@ -151,27 +150,20 @@ GroupAction = TorusAction | FiniteAbelianAction | LieAlgebraAction
 def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Scalar]:
     """Mode-wise derivation of a single matrix on a monomial.
 
-    Only one factor changes per term, so it is taken out of the word
-    (passing the odd factors before it, if it is odd) and the new factor
-    is inserted in its place by ``ope._insert_creation``.
+    Only one factor changes per term; ``ope._replace_factor`` puts the
+    new factor in its place.
     """
     out: dict[Monomial, Scalar] = {}
-    odd_before = 0
     for pos, (sp, idx, mode) in enumerate(mono):
-        odd = SPECIES_PARITY[sp]
-        rest = mono[:pos] + mono[pos + 1:]
         for j in range(1, rank_n + 1):
             coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
             if coef == 0:
                 continue
-            r = _insert_creation((sp, j, mode), rest)
+            r = _replace_factor(mono, pos, (sp, j, mode))
             if r is None:
                 continue
             sg, mono2 = r
-            if odd and odd_before & 1:
-                sg = -sg
             add_into(out, mono2, sg * coef)
-        odd_before += odd
     return out
 
 
@@ -456,15 +448,14 @@ class SpanCheckReport:
 
 def _word_states(generators, gen_weights, alg, target_weight, max_len):
     """Evaluate all weakly decreasing words of derivative letters
-    (generator index, derivative count) of the given total weight."""
+    (generator index, derivative count) of the given total weight > 0."""
     letters = []
     for gi, gw in enumerate(gen_weights):
         for t in range(0, target_weight - gw + 1):
             letters.append((gi, t))
     letters.sort(reverse=True)
     words = words_of_weight(
-        letters, [gen_weights[gi] + t for gi, t in letters], target_weight,
-        max_len=max_len, min_len=1,
+        letters, [gen_weights[gi] + t for gi, t in letters], target_weight, max_len=max_len,
     )
     return [iterated_wick([derive(generators[gi], t) for gi, t in word]) for word in words]
 
@@ -475,14 +466,13 @@ def span_check(
     alg: AlgebraDescriptor,
     weight_cap: int,
     max_word_length: int,
-    degree_window: int | None = None,
 ) -> SpanCheckReport:
     """Compare the exact span of normally ordered words in the
     generators (with derivatives, right-nested, length-capped) against
     the invariant dimensions at every weight up to the cap.
 
-    The invariant side is summed over degrees up to a window (default
-    2*weight_cap, widened to cover every monomial the words produce).
+    The invariant side is summed over degrees up to a window of
+    2*weight_cap, widened to cover every monomial the words produce.
     Reports the first deficient bidegree through the degree filtration.
     Generators must have positive weight: weight 0 is checked against
     the vacuum alone.
@@ -493,7 +483,7 @@ def span_check(
     gen_weights = [state_weight(g) for g in generators]
     if 0 in gen_weights:
         raise ValueError("span-check generators must have positive weight")
-    window = degree_window if degree_window is not None else 2 * weight_cap
+    window = 2 * weight_cap
     seen: dict[tuple[int, ...], bool] = {}
     dims: dict[int, tuple[int, int]] = {}
     first_def = None

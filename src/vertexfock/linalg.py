@@ -214,15 +214,14 @@ def _clear(rows, prow: int, col: int, targets, scales) -> None:
 
 def _echelon(
     rows: list[dict[int, Scalar]], ncols: int, scales: list | None = None
-) -> tuple[list[tuple[int, int]], list[set[int]]]:
-    """In-place forward elimination to a row echelon form.
+) -> list[tuple[int, int]]:
+    """In-place forward elimination; returns (row, col) per pivot.
 
     Pivot selection is deterministic: for each column in ascending
     order, the first not-yet-pivotal row (in original order) with a
     nonzero entry becomes the pivot, and the column is cleared from
-    every other not-yet-pivotal row.  Returns (row, col) per pivot, and
-    ``where``: for each column, a superset of the rows that hold an
-    entry in it.
+    every other not-yet-pivotal row.  Afterwards every row that is not
+    a pivot row is empty.
 
     The elimination is fraction-free.  Each row is first scaled to
     primitive integers: cleared of denominators and divided by its
@@ -232,16 +231,16 @@ def _echelon(
     row that elimination over the rationals would hold, so the pivots
     are the same.
 
-    ``where`` replaces a scan of every row per column.  It is built from
+    ``where`` holds, per column not yet visited, a superset of the rows
+    with an entry in it, so no column scans every row.  It is built from
     the input; a cleared row can fill in only where the pivot row has
-    entries, so after each pivot those columns get the cleared rows.  A
-    row whose entry cancels, or that becomes a pivot row, stays in the
-    set, so each lookup checks the row itself.
+    entries (none left of the pivot), so those columns get the cleared
+    rows.  Each lookup checks the row itself; a visited column is dropped.
 
     When ``scales`` is a list, every factor num/den that multiplied a
     row is appended to it as (num, den).
     """
-    where: list[set[int]] = [set() for _ in range(ncols)]
+    where: list[set[int] | None] = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
         den = lcm(*[v.denominator for v in row.values()])
         row = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
@@ -257,20 +256,20 @@ def _echelon(
     used = [False] * len(rows)
     for col in range(ncols):
         hits = [r for r in where[col] if not used[r] and col in rows[r]]
-        if not hits:
-            continue
-        prow = min(hits)
-        used[prow] = True
-        pivots.append((prow, col))
-        if rows[prow][col] < 0:
-            rows[prow] = {j: -v for j, v in rows[prow].items()}
-            if scales is not None:
-                scales.append((-1, 1))
-        hits.remove(prow)
-        _clear(rows, prow, col, hits, scales)
-        for j in rows[prow]:
-            where[j].update(hits)
-    return pivots, where
+        if hits:
+            prow = min(hits)
+            used[prow] = True
+            pivots.append((prow, col))
+            if rows[prow][col] < 0:
+                rows[prow] = {j: -v for j, v in rows[prow].items()}
+                if scales is not None:
+                    scales.append((-1, 1))
+            hits.remove(prow)
+            _clear(rows, prow, col, hits, scales)
+            for j in rows[prow]:
+                where[j].update(hits)
+        where[col] = None
+    return pivots
 
 
 def _rref(
@@ -279,23 +278,23 @@ def _rref(
     """In-place reduced row echelon form; returns (row, col) per pivot.
 
     ``_echelon`` eliminates forward.  Back-substitution then clears each
-    pivot column, last pivot first, from the pivot rows above it, with
-    the same fraction-free ``_clear``; rows that are not pivot rows are
-    empty by then.  A pivot row has no entry left of its pivot, so this
-    fills in no pivot column still to come, and ``where`` needs no
-    upkeep.  Only at the end is each pivot row divided by its
-    pivot, giving ints where the quotient is integral and Fractions
-    elsewhere.  The reduced form is unique, so the result is the one
-    Gauss-Jordan over the rationals gives.
+    pivot column, last pivot first, from the earlier pivot rows that
+    hold it, with the same fraction-free ``_clear``: the other rows are
+    empty, and a later pivot row has no entry left of its own pivot.
+    For the same reason no clear fills in a pivot column still to come.
+    Only at the end is each pivot row divided by its pivot, giving ints
+    where the quotient is integral and Fractions elsewhere.  The
+    reduced form is unique, so the result is the one Gauss-Jordan over
+    the rationals gives.
 
     When ``scales`` is a list, every factor num/den that multiplied a
     row is appended to it as (num, den), so that the determinant of
     the result is that of the input times the product of num/den.
     """
-    pivots, where = _echelon(rows, ncols, scales)
+    pivots = _echelon(rows, ncols, scales)
     for k in range(len(pivots) - 1, 0, -1):
         prow, col = pivots[k]
-        _clear(rows, prow, col, [r for r in where[col] if r != prow and col in rows[r]], scales)
+        _clear(rows, prow, col, [r for r, _ in pivots[:k] if col in rows[r]], scales)
     for prow, col in pivots:
         row = rows[prow]
         pv = row[col]
@@ -309,7 +308,7 @@ def _rref(
 def rank(m: SparseMatrix) -> int:
     """Rank by forward elimination alone: no back-substitution and no
     division into Fractions."""
-    return len(_echelon(_row_dicts(m), m.cols)[0])
+    return len(_echelon(_row_dicts(m), m.cols))
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict[int, Scalar]]:

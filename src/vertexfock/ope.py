@@ -52,7 +52,6 @@ from .fock import (
     GeneratorMode,
     Monomial,
     State,
-    canonicalize,
     mono_parity,
     parity,
     state_to_json,
@@ -92,6 +91,16 @@ def _insert_creation(g: GeneratorMode, mono: Monomial) -> tuple[int, Monomial] |
         if odd and SPECIES_PARITY[hsp]:
             sign = -sign
     return sign, mono + (g,)
+
+
+def _replace_factor(mono: Monomial, pos: int, g: GeneratorMode) -> tuple[int, Monomial] | None:
+    """canonicalize of mono with the factor at pos replaced by g, of the
+    same parity: the old factor moves to the front past the prefix (a
+    sign if both are odd) and g is inserted by ``_insert_creation``."""
+    r = _insert_creation(g, mono[:pos] + mono[pos + 1:])
+    if r is not None and SPECIES_PARITY[g[0]] and mono_parity(mono[:pos]):
+        return -r[0], r[1]
+    return r
 
 
 def _contraction_partners(sp: int, idx: int, mono: Monomial) -> list[tuple[int, Monomial, int]]:
@@ -225,9 +234,7 @@ def derive(a: State, times: int = 1) -> State:
         acc: dict[Monomial, Fraction] = {}
         for mono, c in out.terms.items():
             for pos, (sp, idx, mode) in enumerate(mono):
-                factors = list(mono)
-                factors[pos] = (sp, idx, mode - 1)
-                r = canonicalize(factors)
+                r = _replace_factor(mono, pos, (sp, idx, mode - 1))
                 if r is None:
                     continue
                 sg, mono2 = r

@@ -225,15 +225,17 @@ def free_words(weight_n: int, g_max: int) -> list[FreeWord]:
 
     Canonical (sorted) words suffice to span: reordering defects are
     derivatives of lower circle products, which the solver's redundancy
-    absorbs.
+    absorbs.  Every word has a letter: weight 0 gives none.
     """
+    if weight_n < 1:
+        return []
     letters: list[FreeLetter] = []
     for b in range(g_max + 1):
         for t in range(0, weight_n - b):
             if free_letter_weight((b, t)) <= weight_n:
                 letters.append((b, t))
     letters.sort(reverse=True)
-    return words_of_weight(letters, [free_letter_weight(x) for x in letters], weight_n, min_len=1)
+    return words_of_weight(letters, [free_letter_weight(x) for x in letters], weight_n)
 
 
 def evaluate_free_word(word: FreeWord, alg: AlgebraDescriptor) -> State:
@@ -370,14 +372,13 @@ def cyclic_span_check(
     symbol_cap: int,
     alg: AlgebraDescriptor,
     weight_cap: int,
-    margin: int = 3,
 ) -> SpanReport:
     """Compare three spanning sets of raising words applied to f, per
     added weight up to the cap:
 
       (i)   all words in letters J^l(k), 0 <= k < l (letter modes capped
-            at 2*symbol_cap+1+margin as a finite surrogate for the
-            unbounded set; lengths are bounded by the weight cap);
+            at 2*symbol_cap+4 as a finite surrogate for the unbounded
+            set; lengths are bounded by the weight cap);
       (ii)  words of length <= degree(f);
       (iii) words of length <= degree(f) with k <= 2*symbol_cap+1 and
             letters weakly decreasing (l descending, then k ascending).
@@ -387,7 +388,7 @@ def cyclic_span_check(
     from .fock import degree as state_degree
 
     d = state_degree(f) if f else 0
-    k_full = 2 * symbol_cap + 1 + margin
+    k_full = 2 * symbol_cap + 4
     k_ordered = 2 * symbol_cap + 1
     letters_full = _raising_letters(weight_cap, k_full)
     letters_ordered = _raising_letters(weight_cap, k_ordered)

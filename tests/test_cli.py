@@ -198,6 +198,21 @@ def test_file_errors_are_usage_errors(capsys, tmp_path):
         assert rc == 2 and out == "" and err.startswith("error: "), path
 
 
+def test_closed_stdout_is_not_a_usage_error(capsys, monkeypatch):
+    # a reader that went away (`| head`) is 128 + SIGPIPE, with no error line
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = main(["inv-dims", "--action", "torus:1", "--max-weight", "2", "--max-degree", "2"])
+    replaced = sys.stdout
+    replaced.close()
+    assert rc == 141
+    assert replaced.name == os.devnull
+    assert capsys.readouterr().err == ""
+
+
 def test_negative_caps_and_trials_are_usage_errors(capsys):
     # a negative range would check nothing and pass vacuously
     for flag, value in (("--lmax", "-1"), ("--kmax", "-2"), ("--max-weight", "-3")):

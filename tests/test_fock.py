@@ -30,6 +30,7 @@ from vertexfock.fock import (
     gr_symbol,
     mono_charge,
     mono_parity,
+    mode_sort_key,
     state_from_json,
     state_to_json,
     state_to_text,
@@ -253,24 +254,24 @@ def test_mixed_state_serialization_is_unchanged():
 
 @st.composite
 def word_problems(draw):
-    """(weights, total, max_len, min_len, repeats); weight 0 only with a
-    length bound, which the enumerator needs to stop."""
+    """(weights, total, max_len, repeats); weight 0 only with a length
+    bound, which the enumerator needs to stop."""
     max_len = draw(st.none() | st.integers(0, 4))
     low = 1 if max_len is None else 0
     weights = draw(st.lists(st.integers(low, 3), max_size=5))
     repeats = draw(st.none() | st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
-    return weights, draw(st.integers(0, 6)), max_len, draw(st.integers(0, 2)), repeats
+    return weights, draw(st.integers(0, 6)), max_len, repeats
 
 
 @settings(deadline=None)
 @given(word_problems())
 def test_words_of_weight_matches_brute_force(problem):
-    weights, total, max_len, min_len, repeats = problem
+    weights, total, max_len, repeats = problem
     letters = [f"x{p}" for p in range(len(weights))]
     # positive weights bound the length by the total
     top = total if max_len is None else max_len
     found = []
-    for length in range(min_len, top + 1):
+    for length in range(top + 1):
         for idx in itertools.combinations_with_replacement(range(len(letters)), length):
             if sum(weights[p] for p in idx) != total:
                 continue
@@ -279,20 +280,40 @@ def test_words_of_weight_matches_brute_force(problem):
             found.append(idx)
     # depth-first order: lexicographic in positions, a word before its extensions
     want = [tuple(letters[p] for p in idx) for idx in sorted(found)]
-    assert words_of_weight(letters, weights, total, max_len, min_len, repeats) == want
+    assert words_of_weight(letters, weights, total, max_len, repeats) == want
 
 
 ENUMERATED = [AlgebraDescriptor(kind, rank) for kind in ("bg", "bc", "bcbg") for rank in (1, 2)]
 
 
-def test_basis_by_degree_is_basis_per_degree():
+def test_basis_by_degree_matches_brute_force():
     for alg in ENUMERATED:
-        for w in range(7):
-            want = [basis(alg, w, d) for d in range(7)]
-            for cap in range(7):
+        # w, d <= 6 would be 36M candidate words for bcbg rank 2
+        top = 5 if alg == AlgebraDescriptor("bcbg", 2) else 7
+        for w in range(top):
+            modes = sorted(
+                ((sp, idx, -k)
+                 for sp in alg.species
+                 for idx in range(1, alg.rank + 1)
+                 for k in range(1, w + 2)
+                 if SPECIES_WEIGHT[sp] + k - 1 <= w),
+                key=mode_sort_key,
+            )
+            want = [
+                [
+                    mono
+                    for mono in itertools.combinations_with_replacement(modes, d)
+                    if sum(SPECIES_WEIGHT[sp] - m - 1 for sp, _, m in mono) == w
+                    and not any(a == b and SPECIES_PARITY[a[0]] for a, b in zip(mono, mono[1:]))
+                ]
+                for d in range(top)
+            ]
+            for cap in range(top):
                 assert basis_by_degree(alg, w, cap) == want[:cap + 1], (alg, w, cap)
+            assert [basis(alg, w, d) for d in range(top)] == want
     assert basis_by_degree(BG1, -1, 2) == [[], [], []]
     assert basis_by_degree(BG1, 2, -1) == []
+    assert basis(BG1, -1, 1) == basis(BG1, 2, -1) == []
 
 
 def test_gr_basis_by_degree_matches_brute_force():

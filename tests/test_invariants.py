@@ -36,7 +36,7 @@ from vertexfock.invariants import (
     trivial_action,
     validate_heisenberg,
 )
-from vertexfock.ope import circle, locality_bound, wick
+from vertexfock.ope import circle, derive, locality_bound, wick
 from vertexfock.winfinity import realize_current
 
 BG1 = AlgebraDescriptor("bg", 1)
@@ -58,8 +58,9 @@ def test_extend_action_examples():
 
 
 def test_extend_action_matches_resorting_the_word():
-    # the one-pass derivation against the definition: replace one factor,
-    # then let State re-sort the whole word with its fermionic sign
+    # the one-pass derivations (the matrix action and the translation
+    # operator) against their definitions: replace one factor, then let
+    # State re-sort the whole word with its fermionic sign
     X = ((1, 2), (-1, 3))
     for alg in (AlgebraDescriptor("bc", 2), AlgebraDescriptor("bcbg", 2)):
         op = extend_action(X, alg)
@@ -67,12 +68,16 @@ def test_extend_action_matches_resorting_the_word():
             for d in range(4):
                 for m in basis(alg, w, d):
                     want = State()
+                    want_derive = State()
                     for pos, (sp, idx, mode) in enumerate(m):
                         for j in (1, 2):
                             coef = X[j - 1][idx - 1] if sp in (BETA, B) else -X[idx - 1][j - 1]
                             word = m[:pos] + ((sp, j, mode),) + m[pos + 1:]
                             want = want + coef * State({word: 1})
+                        word = m[:pos] + ((sp, idx, mode - 1),) + m[pos + 1:]
+                        want_derive = want_derive + (-mode) * State({word: 1})
                     assert op(State({m: 1})) == want, m
+                    assert derive(State({m: 1})) == want_derive, m
 
 
 def test_extend_action_preserves_bidegree():

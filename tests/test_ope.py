@@ -372,3 +372,25 @@ def test_oracle_side_imports_nothing_from_the_engine(path):
     independent of the circle-product engine it cross-checks."""
     mods = _imported_modules(path, "vertexfock")
     assert not {m for m in mods if m == "vertexfock.ope" or m.startswith("vertexfock.ope.")}
+
+
+def _names_canonicalize(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "canonicalize" for a in node.names)
+    if isinstance(node, ast.Name):
+        return node.id == "canonicalize"
+    return isinstance(node, ast.Attribute) and node.attr == "canonicalize"
+
+
+def test_engine_never_resorts_a_whole_word():
+    """The engine edits canonical words in place (``_insert_creation``,
+    ``_replace_factor``); the whole-word sort ``fock.canonicalize`` is
+    left to fock.py, for the State constructor and the mode oracle."""
+    src = Path(__file__).parent.parent / "src" / "vertexfock"
+    users = sorted(
+        path.name
+        for path in src.glob("*.py")
+        if path.name != "fock.py"
+        and any(_names_canonicalize(node) for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert users == []

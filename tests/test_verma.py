@@ -111,6 +111,7 @@ def test_free_words():
     assert sorted(words) == sorted([((0, 1),), ((1, 0),), ((0, 0), (0, 0))])
     for w in free_words(5, 2):
         assert sum(b + 1 + t for b, t in w) == 5
+    assert free_words(0, 1) == []
 
 
 def test_decoupling():
