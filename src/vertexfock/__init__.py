@@ -39,6 +39,7 @@ from .invariants import (
     commutant_basis,
     dim_table,
     extend_action,
+    gl_standard,
     gr_dim_table,
     heisenberg_current,
     invariant_basis,

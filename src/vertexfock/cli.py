@@ -24,6 +24,7 @@ Action mini-language for group actions:
     trivial
     torus:1,-1;2,0            (charge-matrix rows, semicolon-separated)
     sl2                       (standard e, f, h; needs --rank 2)
+    gl:3                      (all elementary matrices E_ij; needs --rank 3)
     finite:ord=4:chars=1,2    (character rows share the order; each key
                                once, and no other key)
 """
@@ -50,6 +51,7 @@ from .invariants import (
     commutant_basis,
     dim_table,
     dim_table_csv_rows,
+    gl_standard,
     gr_dim_table,
     heisenberg_current,
     sl2_standard,
@@ -155,11 +157,13 @@ def parse_action_spec(spec: str, rank: int):
         if rank != 2:
             raise UsageError("sl2 acts on the rank-2 algebra; set --rank 2")
         return sl2_standard()
+    if spec.startswith("gl:"):
+        n = int(spec[len("gl:"):])
+        if n != rank:
+            raise UsageError(f"gl:{n} acts on the rank-{n} algebra; set --rank {n}")
+        return gl_standard(n)
     if spec.startswith("torus:"):
-        rows = []
-        for row in spec[len("torus:"):].split(";"):
-            entries = tuple(int(x) for x in row.split(",") if x.strip() != "")
-            rows.append(entries)
+        rows = [tuple(int(x) for x in row.split(",")) for row in spec[len("torus:"):].split(";")]
         for r in rows:
             if len(r) != rank:
                 raise UsageError(f"charge row {r} does not match --rank {rank}")
@@ -368,6 +372,8 @@ def cmd_commutant(args) -> int:
     for r in rows:
         if len(r) != alg.rank:
             raise UsageError(f"charge row {r} does not match --rank {alg.rank}")
+        if not any(r):
+            raise UsageError(f"charge row {r} is zero, so its current vanishes")
     if not validate_heisenberg(rows, alg):
         raise UsageError("charge matrix fails the current-normalization contract")
     m = len(rows)

@@ -273,7 +273,7 @@ def _mode_alphabet(alg: AlgebraDescriptor, max_weight: int) -> list[GeneratorMod
     return out
 
 
-def words_of_weight(letters, weights, total, max_len=None, repeats=None) -> list[tuple]:
+def words_of_weight(letters, weights, total, max_len=None, repeats=None, charges=None) -> list[tuple]:
     """Every multiset of letters of the given total weight with at most
     max_len letters, as a tuple in list order.
 
@@ -281,20 +281,29 @@ def words_of_weight(letters, weights, total, max_len=None, repeats=None) -> list
     p.  Words come depth first: lexicographic in the letter positions,
     a word before its extensions.  Weights are >= 0, and must be > 0
     unless max_len is given.  A total of 0 yields the empty word.
+
+    With integer ``charges``, only words whose letters' charges sum to
+    0 are kept; given max_len too, a branch is cut once the letters it
+    may still take can no longer bring its running sum back to 0.
     """
     n = len(letters)
-    # suffix maximum of the letter weights, for pruning by length
-    suffix_max = [0] * (n + 1)
+    charged = charges is not None
+    if not charged:
+        charges = [0] * n
+    # per suffix of the alphabet: the largest weight, for pruning by
+    # length, and the least and greatest charge, widened to 0
+    suffix_max, low, high = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     for p in range(n - 1, -1, -1):
         suffix_max[p] = max(suffix_max[p + 1], weights[p])
+        low[p], high[p] = min(low[p + 1], charges[p]), max(high[p + 1], charges[p])
     # where the next letter's search starts after taking position p
     nxt = [p if repeats is None or repeats[p] else p + 1 for p in range(n)]
     out: list[tuple] = []
     stack: list = []
 
-    def dfs(pos: int, rem: int):
+    def dfs(pos: int, rem: int, value: int):
         depth = len(stack)
-        if rem == 0:
+        if rem == 0 and value == 0:
             out.append(tuple(stack))
         if depth == max_len:
             return
@@ -302,14 +311,20 @@ def words_of_weight(letters, weights, total, max_len=None, repeats=None) -> list
             w = weights[p]
             if w > rem:
                 continue
-            if max_len is not None and rem - w > (max_len - depth - 1) * suffix_max[p]:
-                continue
+            if max_len is not None:
+                left = max_len - depth - 1
+                if rem - w > left * suffix_max[p]:
+                    continue
+                if charged and not (
+                    left * low[nxt[p]] <= -(value + charges[p]) <= left * high[nxt[p]]
+                ):
+                    continue
             stack.append(letters[p])
-            dfs(nxt[p], rem - w)
+            dfs(nxt[p], rem - w, value + charges[p])
             stack.pop()
 
     if total >= 0:
-        dfs(0, total)
+        dfs(0, total, 0)
     return out
 
 
@@ -321,21 +336,27 @@ def basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[Monomial]:
     return basis_by_degree(alg, weight, degree)[degree]
 
 
-def basis_by_degree(alg: AlgebraDescriptor, weight: int, degree_cap: int) -> list[list[Monomial]]:
+def basis_by_degree(
+    alg: AlgebraDescriptor, weight: int, degree_cap: int, functional=None
+) -> list[list[Monomial]]:
     """The canonical monomials of the given weight, bucketed by degree
     0..degree_cap, each bucket in lexicographic order of the canonical
     key.
 
     One depth-first walk over the creation modes (``words_of_weight``)
     yields every degree; fermions may not repeat a mode, bosons may.
+    An integer vector ``functional`` over the indices keeps only the
+    monomials with sum_i functional_i q_i = 0, q their ``mono_charge``.
     """
     out: list[list[Monomial]] = [[] for _ in range(degree_cap + 1)]
     if weight < 0 or degree_cap < 0:
         return out
     alphabet = _mode_alphabet(alg, weight)
+    charges = None if functional is None else [
+        SPECIES_CHARGE[sp] * functional[idx - 1] for sp, idx, _ in alphabet]
     for word in words_of_weight(
         alphabet, [mode_weight(g) for g in alphabet], weight, max_len=degree_cap,
-        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet],
+        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet], charges=charges,
     ):
         out[len(word)].append(word)
     return out
@@ -410,25 +431,6 @@ def gr_symbol_weight(s: GrSymbol) -> int:
     return SPECIES_WEIGHT[sp] + k
 
 
-def gr_canonicalize(symbols) -> tuple[int, GrMonomial] | None:
-    arr = list(symbols)
-    sign = 1
-    for i in range(1, len(arr)):
-        g = arr[i]
-        odd = SPECIES_PARITY[g[0]]
-        j = i - 1
-        while j >= 0 and arr[j] > g:
-            if odd and SPECIES_PARITY[arr[j][0]]:
-                sign = -sign
-            arr[j + 1] = arr[j]
-            j -= 1
-        arr[j + 1] = g
-    for a, b in zip(arr, arr[1:]):
-        if a == b and SPECIES_PARITY[a[0]]:
-            return None
-    return sign, tuple(arr)
-
-
 def gr_symbol(s: State) -> dict[GrMonomial, Fraction]:
     """Image of a degree-homogeneous state in its graded piece.
 
@@ -460,14 +462,15 @@ def gr_basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[GrMonomia
 
 
 def gr_basis_by_degree(
-    alg: AlgebraDescriptor, weight: int, degree_cap: int
+    alg: AlgebraDescriptor, weight: int, degree_cap: int, functional=None
 ) -> list[list[GrMonomial]]:
     """Symbol monomials of the given weight, bucketed by degree
     0..degree_cap, each bucket in lexicographic order.
 
     An independent enumeration (over symbol indices k >= 0 rather than
     modes, with its own walk rather than ``words_of_weight``), used to
-    cross-check state-side dimension counts.
+    cross-check state-side dimension counts.  ``functional`` keeps only
+    the monomials on which it vanishes, as in ``basis_by_degree``.
     """
     out: list[list[GrMonomial]] = [[] for _ in range(degree_cap + 1)]
     if weight < 0 or degree_cap < 0:
@@ -480,16 +483,20 @@ def gr_basis_by_degree(
                 alphabet.append((sp, idx, k))
     alphabet.sort()
     weights = [gr_symbol_weight(s) for s in alphabet]
+    values = [0 if functional is None else SPECIES_CHARGE[sp] * functional[idx - 1]
+              for sp, idx, _ in alphabet]
     n = len(alphabet)
-    suffix_max = [0] * (n + 1)
+    # per suffix: the largest weight, and the extreme values (or 0)
+    suffix_max, lowest, highest = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_max[i] = max(suffix_max[i + 1], weights[i])
+        lowest[i], highest[i] = min(lowest[i + 1], values[i]), max(highest[i + 1], values[i])
     # a fermionic symbol squares to zero, so the walk moves past it
     nxt = [p + 1 if SPECIES_PARITY[g[0]] else p for p, g in enumerate(alphabet)]
     stack: list[GrSymbol] = []
 
-    def dfs(pos: int, rem_w: int, rem_d: int):
-        if rem_w == 0:
+    def dfs(pos: int, rem_w: int, rem_d: int, total: int):
+        if rem_w == 0 and total == 0:
             out[len(stack)].append(tuple(stack))
         if rem_d == 0:
             return
@@ -497,11 +504,13 @@ def gr_basis_by_degree(
             w = weights[p]
             if w > rem_w or rem_w - w > (rem_d - 1) * suffix_max[p]:
                 continue
-            stack.append(alphabet[p])
-            dfs(nxt[p], rem_w - w, rem_d - 1)
-            stack.pop()
+            t, j = total + values[p], nxt[p]
+            if (rem_d - 1) * lowest[j] <= -t <= (rem_d - 1) * highest[j]:
+                stack.append(alphabet[p])
+                dfs(j, rem_w - w, rem_d - 1, t)
+                stack.pop()
 
-    dfs(0, weight, degree_cap)
+    dfs(0, weight, degree_cap, 0)
     return out
 
 

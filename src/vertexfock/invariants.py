@@ -21,21 +21,24 @@ of the charge-graded Hilbert series: each side counts its monomials by
 over symbols), tests each charge vector once, in a dict local to the
 call, and adds up the counts of the invariant ones.  For Lie-algebra
 actions each side enumerates a weight once, every degree up to the cap
-from one walk (``fock.basis_by_degree``, ``fock.gr_basis_by_degree``),
-and an entry is the size of an exact joint kernel per bidegree: the
-number of monomials of each preserved charge class minus the rank of
-their images.  The command line runs as ``vertexfock inv-dims`` or
-``python -m vertexfock inv-dims``.
+from one walk (``fock.basis_by_degree``, ``fock.gr_basis_by_degree``)
+that lists only the monomials the diagonal matrices kill, and an entry
+is the size of an exact joint kernel of the other matrices per
+bidegree: the number of monomials of each preserved charge class minus
+the rank of their images.  The command line runs as ``vertexfock
+inv-dims`` or ``python -m vertexfock inv-dims``.
 
 Strong-generation checks compare the exact span of normally ordered
 words in a generator list against the invariant dimensions, weight by
 weight.  Commutants are joint kernels of all non-negative modes of a
-list of currents.
+list of currents, zero modes first.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +47,7 @@ from .fock import (
     B,
     BETA,
     GAMMA,
+    SPECIES_PARITY,
     AlgebraDescriptor,
     GrMonomial,
     Monomial,
@@ -52,7 +56,6 @@ from .fock import (
     basis_by_degree,
     charge_counts,
     gr_basis_by_degree,
-    gr_canonicalize,
     gr_charge_counts,
     mono_charge,
     mono_degree,
@@ -139,6 +142,15 @@ def sl2_standard() -> LieAlgebraAction:
     return LieAlgebraAction((e, f, h))
 
 
+def gl_standard(n: int) -> LieAlgebraAction:
+    """The elementary matrices E_ij (i, j = 1..n, row by row) acting on
+    the rank-n index space."""
+    return LieAlgebraAction(tuple(
+        tuple(tuple(int((a, b) == (i, j)) for b in range(n)) for a in range(n))
+        for i in range(n) for j in range(n)
+    ))
+
+
 GroupAction = TorusAction | FiniteAbelianAction | LieAlgebraAction
 
 
@@ -183,23 +195,25 @@ def extend_action(X, alg: AlgebraDescriptor):
 
 
 def _gr_derive_mono(X, mono: GrMonomial, rank_n: int) -> dict[GrMonomial, Fraction]:
+    """Symbol-side derivation: each re-indexed symbol moves, within its
+    species, to its sorted place; a fermion changes sign once per symbol
+    it passes, and vanishes if it lands on an equal one."""
     out: dict[GrMonomial, Fraction] = {}
     for pos, (sp, idx, k) in enumerate(mono):
+        others = mono[:pos] + mono[pos + 1:]
+        odd = SPECIES_PARITY[sp]
         for j in range(1, rank_n + 1):
             coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
             if coef == 0:
                 continue
-            symbols = list(mono)
-            symbols[pos] = (sp, j, k)
-            r = gr_canonicalize(symbols)
-            if r is None:
-                continue
-            sg, mono2 = r
-            v = out.get(mono2, 0) + sg * coef
-            if v == 0:
-                out.pop(mono2, None)
-            else:
-                out[mono2] = v
+            new = (sp, j, k)
+            at = bisect_left(others, new)
+            if odd:
+                if at < len(others) and others[at] == new:
+                    continue
+                if (at - pos) & 1:
+                    coef = -coef
+            add_into(out, others[:at] + (new,) + others[at:], coef)
     return out
 
 
@@ -211,6 +225,27 @@ def _gr_derive_mono(X, mono: GrMonomial, rank_n: int) -> dict[GrMonomial, Fracti
 def _is_diagonal(X) -> bool:
     n = len(X)
     return all(X[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+
+
+def _split_diagonal(mats, rank_n: int, degree_cap: int):
+    """The matrices that are not diagonal, and an integer vector f (or
+    None) with sum_i f_i q_i = 0 iff every diagonal matrix X kills the
+    monomial of charge q and degree <= degree_cap.  X multiplies it by
+    sum_i X_ii q_i; each such diagonal, cleared of denominators, is one
+    digit of f in a base above any digit's size (sum_i |q_i| <= degree).
+    """
+    rows: list[list[int]] = []
+    for X in mats:
+        if _is_diagonal(X):
+            den = math.lcm(*(Fraction(X[i][i]).denominator for i in range(rank_n)))
+            row = [int(X[i][i] * den) for i in range(rank_n)]
+            if any(row) and row not in rows:
+                rows.append(row)
+    rest = [X for X in mats if not _is_diagonal(X)]
+    if not rows:
+        return rest, None
+    base = degree_cap * max(abs(x) for row in rows for x in row) + 1
+    return rest, [sum(row[i] * base**t for t, row in enumerate(rows)) for i in range(rank_n)]
 
 
 def _index_components(mats, n: int) -> list[int]:
@@ -235,35 +270,21 @@ def _index_components(mats, n: int) -> list[int]:
     return [find(i) for i in range(n)]
 
 
-def _lie_blocks(monos, derive_fn, mats, rank_n):
-    """The monomials that pass the diagonal operators, one block per
-    preserved charge class, each with its columns: the images of its
-    monomials under the other operators.  Returns [(block, columns)].
-    The joint kernel of the listed matrices on the span of the monomials
-    is the union over the blocks of the relations among the columns."""
-    diag = [X for X in mats if _is_diagonal(X)]
-    rest = [X for X in mats if not _is_diagonal(X)]
-
-    # exactly diagonal operators act diagonally on monomials, so the
-    # test depends on the charge vector alone
-    survives: dict[tuple[int, ...], bool] = {}
-    survivors = []
-    for m in monos:
-        q = mono_charge(m, rank_n)
-        ok = survives.get(q)
-        if ok is None:
-            ok = survives[q] = all(
-                sum(X[i][i] * q[i] for i in range(rank_n)) == 0 for X in diag
-            )
-        if ok:
-            survivors.append((m, q))
+def _lie_blocks(monos, derive_fn, rest, rank_n):
+    """The monomials (already killed by the diagonal matrices, see
+    ``_split_diagonal``), one block per charge class that the other
+    matrices ``rest`` preserve, each with its columns: the images of its
+    monomials under ``rest``.  Returns [(block, columns)].  The joint
+    kernel on the span of the monomials is the union over the blocks of
+    the relations among the columns."""
     if not rest:
-        return [([m for m, _ in survivors], [{}] * len(survivors))]
+        return [(monos, [{}] * len(monos))]
 
     comp = _index_components(rest, rank_n)
     comps = sorted(set(comp))
     classes: dict[tuple, list] = {}
-    for m, q in survivors:
+    for m in monos:
+        q = mono_charge(m, rank_n)
         cls = tuple(sum(q[i] for i in range(rank_n) if comp[i] == c) for c in comps)
         classes.setdefault(cls, []).append(m)
 
@@ -280,22 +301,21 @@ def _lie_blocks(monos, derive_fn, mats, rank_n):
     return blocks
 
 
-def _lie_kernel(monos, derive_fn, mats, rank_n):
-    """Basis of the joint kernel of the listed matrices on the span of
-    the monomials, block by block."""
+def _lie_kernel(monos, derive_fn, rest, rank_n):
+    """Basis of that joint kernel, block by block."""
     return [
         {block[i]: v for i, v in rel.items()}
-        for block, columns in _lie_blocks(monos, derive_fn, mats, rank_n)
+        for block, columns in _lie_blocks(monos, derive_fn, rest, rank_n)
         for rel in linalg.kernel_of_columns(columns)
     ]
 
 
-def _lie_dim(monos, derive_fn, mats, rank_n) -> int:
+def _lie_dim(monos, derive_fn, rest, rank_n) -> int:
     """Dimension of that joint kernel: per block, the number of
     monomials minus the rank of their images."""
     return sum(
         len(block) - linalg.rank_of_columns(columns)
-        for block, columns in _lie_blocks(monos, derive_fn, mats, rank_n)
+        for block, columns in _lie_blocks(monos, derive_fn, rest, rank_n)
     )
 
 
@@ -303,13 +323,16 @@ def invariant_basis(
     action: GroupAction, alg: AlgebraDescriptor, weight: int, degree: int
 ) -> list[State]:
     """Exact basis of the invariant subspace of one bidegree."""
-    monos = basis(alg, weight, degree)
+    if degree < 0:
+        return []
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         return [
-            State({m: 1}) for m in monos if action.is_invariant_charge(mono_charge(m, alg.rank))
+            State({m: 1}) for m in basis(alg, weight, degree)
+            if action.is_invariant_charge(mono_charge(m, alg.rank))
         ]
-    combos = _lie_kernel(monos, _derive_mono, action.matrices, alg.rank)
-    return [State(c) for c in combos]
+    rest, functional = _split_diagonal(action.matrices, alg.rank, degree)
+    monos = basis_by_degree(alg, weight, degree, functional)[degree]
+    return [State(c) for c in _lie_kernel(monos, _derive_mono, rest, alg.rank)]
 
 
 def trivial_action() -> TorusAction:
@@ -355,8 +378,9 @@ def _invariant_dims(
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         dims = _invariant_counts(action, charge_counts(alg, weight, degree_cap), seen)
         return [dims.get((weight, d), 0) for d in range(degree_cap + 1)]
-    return [_lie_dim(monos, _derive_mono, action.matrices, alg.rank)
-            for monos in basis_by_degree(alg, weight, degree_cap)]
+    rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
+    return [_lie_dim(monos, _derive_mono, rest, alg.rank)
+            for monos in basis_by_degree(alg, weight, degree_cap, functional)]
 
 
 def dim_table(
@@ -389,9 +413,10 @@ def gr_dim_table(
             if ok:
                 entries[(w, d)] += c
     else:
+        rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
         for w in range(weight_cap + 1):
-            for d, monos in enumerate(gr_basis_by_degree(alg, w, degree_cap)):
-                entries[(w, d)] = _lie_dim(monos, _gr_derive_mono, action.matrices, alg.rank)
+            for d, monos in enumerate(gr_basis_by_degree(alg, w, degree_cap, functional)):
+                entries[(w, d)] = _lie_dim(monos, _gr_derive_mono, rest, alg.rank)
     return DimTable(entries, weight_cap, degree_cap)
 
 
@@ -587,15 +612,29 @@ def commutant_basis(
     """Joint kernel, on the weight slice filtered by degree <= cap, of
     every non-negative mode of every current.
 
-    Modes k with weight(current) + weight - k - 1 < 0 vanish
-    identically and are skipped.
+    Modes k >= 1 with weight(current) + weight - k - 1 < 0 vanish
+    identically and are skipped.  A zero mode that sends every word in
+    play to a multiple of itself drops the words with a nonzero
+    multiple: only their own column meets their row, so no relation
+    uses them, and the RREF basis (fixed by the kernel and the column
+    order) is unchanged.  The other modes act on the rest only.
     """
     monos = [m for ms in basis_by_degree(alg, weight, degree_cap) for m in ms]
-    modes = [(cur, k) for cur in currents for k in range(0, weight + state_weight(cur))]
-    columns = []
-    for m in monos:
-        s = State({m: 1})
-        columns.append({
-            (t, m2): v for t, (cur, k) in enumerate(modes) for m2, v in circle(cur, k, s).terms.items()
-        })
-    return [State({monos[i]: v for i, v in rel.items()}) for rel in linalg.kernel_of_columns(columns)]
+    words = [State._raw({m: 1}) for m in monos]
+    columns: list[dict] = [{} for _ in monos]
+    live = range(len(monos))
+    for t, cur in enumerate(currents):
+        images = [circle(cur, 0, words[i]).terms for i in live]
+        if all(img.keys() <= {monos[i]} for i, img in zip(live, images)):
+            live = [i for i, img in zip(live, images) if not img]
+            continue
+        for i, img in zip(live, images):
+            columns[i].update(((t, 0, m2), v) for m2, v in img.items())
+    for t, cur in enumerate(currents):
+        for k in range(1, weight + state_weight(cur)):
+            for i in live:
+                columns[i].update(((t, k, m2), v) for m2, v in circle(cur, k, words[i]).terms.items())
+    return [
+        State({monos[live[j]]: v for j, v in rel.items()})
+        for rel in linalg.kernel_of_columns([columns[i] for i in live])
+    ]

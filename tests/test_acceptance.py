@@ -23,6 +23,7 @@ from vertexfock.invariants import (
     TorusAction,
     commutant_basis,
     dim_table,
+    gl_standard,
     gr_dim_table,
     heisenberg_current,
     sl2_standard,
@@ -219,8 +220,16 @@ def test_criterion_8_invariant_theory_shadow():
         dt = dim_table(act, alg, 6, 6)
         gt = gr_dim_table(act, alg, 6, 6)
         assert dt == gt, name
+    gl_cases = [
+        ("gl2 on S(C^2)", gl_standard(2), BG2, 7),
+        ("gl3 on the bc system of rank 3", gl_standard(3), AlgebraDescriptor("bc", 3), 7),
+        ("gl2 on the bcbg system of rank 2", gl_standard(2), AlgebraDescriptor("bcbg", 2), 5),
+    ]
+    for name, act, alg, cap in gl_cases:
+        assert dim_table(act, alg, cap, cap) == gr_dim_table(act, alg, cap, cap), name
     report(8, "state-side and symbol-side invariant dimension tables agree "
-              "entrywise at (w<=6, d<=6) for trivial, two torus, and sl2 actions")
+              "entrywise at (w<=6, d<=6) for trivial, two torus, and sl2 actions, "
+              "and for gl_n on bg:2 and bc:3 at (w, d <= 7) and on bcbg:2 at (w, d <= 5)")
 
 
 def test_criterion_9_strong_generation():

@@ -186,6 +186,25 @@ def test_finite_action_keys_are_checked(capsys):
         assert rc == 2 and out == "" and word in err, spec
 
 
+def test_gl_and_torus_specs(capsys):
+    caps = ("--max-weight", "2", "--max-degree", "2")
+    rc, out, _ = run(capsys, "inv-dims", "--action", "gl:2", "--rank", "2", *caps)
+    assert rc == 0 and json.loads(out)["equal"]
+    rc, out, err = run(capsys, "inv-dims", "--action", "gl:2", "--rank", "3", *caps)
+    assert rc == 2 and out == "" and "--rank 2" in err
+    # an empty charge entry used to be dropped, so torus:1,,1 read as torus:1,1
+    for spec in ("torus:1,,1", "torus:1,1;", "torus:,1,1"):
+        rc, out, _ = run(capsys, "inv-dims", "--action", spec, "--rank", "2", *caps)
+        assert rc == 2 and out == "", spec
+
+
+def test_commutant_zero_charge_row(capsys):
+    for charges, rank in (("0", "1"), ("1,0;0,0", "2")):
+        rc, out, err = run(capsys, "commutant", "--charges", charges, "--rank", rank,
+                           "--max-weight", "2", "--max-degree", "2")
+        assert rc == 2 and out == "" and "is zero" in err and "vanishes" in err, charges
+
+
 def test_file_errors_are_usage_errors(capsys, tmp_path):
     # exit 1 means a verification mismatch, so an unreadable --gens or an
     # unwritable --out must not escape as a traceback

@@ -254,19 +254,22 @@ def test_mixed_state_serialization_is_unchanged():
 
 @st.composite
 def word_problems(draw):
-    """(weights, total, max_len, repeats); weight 0 only with a length
-    bound, which the enumerator needs to stop."""
+    """(weights, total, max_len, repeats, charges); weight 0 only with a
+    length bound, which the enumerator needs to stop, and so are the
+    charges."""
     max_len = draw(st.none() | st.integers(0, 4))
     low = 1 if max_len is None else 0
     weights = draw(st.lists(st.integers(low, 3), max_size=5))
-    repeats = draw(st.none() | st.lists(st.booleans(), min_size=len(weights), max_size=len(weights)))
-    return weights, draw(st.integers(0, 6)), max_len, repeats
+    size = {"min_size": len(weights), "max_size": len(weights)}
+    repeats = draw(st.none() | st.lists(st.booleans(), **size))
+    charges = None if max_len is None else draw(st.none() | st.lists(st.integers(-2, 2), **size))
+    return weights, draw(st.integers(0, 6)), max_len, repeats, charges
 
 
 @settings(deadline=None)
 @given(word_problems())
 def test_words_of_weight_matches_brute_force(problem):
-    weights, total, max_len, repeats = problem
+    weights, total, max_len, repeats, charges = problem
     letters = [f"x{p}" for p in range(len(weights))]
     # positive weights bound the length by the total
     top = total if max_len is None else max_len
@@ -277,10 +280,12 @@ def test_words_of_weight_matches_brute_force(problem):
                 continue
             if repeats is not None and any(not repeats[p] and idx.count(p) > 1 for p in idx):
                 continue
+            if charges is not None and sum(charges[p] for p in idx) != 0:
+                continue
             found.append(idx)
     # depth-first order: lexicographic in positions, a word before its extensions
     want = [tuple(letters[p] for p in idx) for idx in sorted(found)]
-    assert words_of_weight(letters, weights, total, max_len, repeats) == want
+    assert words_of_weight(letters, weights, total, max_len, repeats, charges) == want
 
 
 ENUMERATED = [AlgebraDescriptor(kind, rank) for kind in ("bg", "bc", "bcbg") for rank in (1, 2)]

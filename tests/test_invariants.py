@@ -3,10 +3,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vertexfock import fock, invariants
+from vertexfock import fock, invariants, linalg
 from vertexfock.fock import (
     B,
     BETA,
@@ -26,6 +26,7 @@ from vertexfock.invariants import (
     dim_table,
     dim_table_csv_rows,
     extend_action,
+    gl_standard,
     gr_dim_table,
     heisenberg_current,
     heisenberg_pairing,
@@ -78,6 +79,22 @@ def test_extend_action_matches_resorting_the_word():
                         want_derive = want_derive + (-mode) * State({word: 1})
                     assert op(State({m: 1})) == want, m
                     assert derive(State({m: 1})) == want_derive, m
+
+
+def test_symbol_derivation_is_the_symbol_of_the_state_derivation():
+    # the symbol side re-sorts a re-indexed symbol in one pass of its
+    # own; the symbol map commutes with the derivation (the 1/k! scaling
+    # depends on the mode numbers only, which the derivation keeps)
+    X = ((1, Fraction(2, 3)), (-1, 3))
+    for alg in (AlgebraDescriptor("bc", 2), AlgebraDescriptor("bcbg", 2)):
+        op = extend_action(X, alg)
+        for w in range(4):
+            for d in range(1, 4):
+                for m in basis(alg, w, d):
+                    ((sym, c),) = fock.gr_symbol(State({m: 1})).items()
+                    img = op(State({m: 1}))
+                    want = {k: v / c for k, v in fock.gr_symbol(img).items()} if img else {}
+                    assert invariants._gr_derive_mono(X, sym, 2) == want, m
 
 
 def test_extend_action_preserves_bidegree():
@@ -233,6 +250,67 @@ def test_trivial_action_counts_everything():
             assert dt[(w, d)] == len(basis(BG1, w, d))
 
 
+@st.composite
+def diagonal_matrices(draw):
+    """1-3 diagonal matrices on 1-3 indices, with integer or rational
+    entries (zero matrices and repeats included)."""
+    rank = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+    diagonals = draw(st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=3))
+    return rank, [tuple(tuple(v[i] if i == j else 0 for j in range(rank)) for i in range(rank))
+                  for v in diagonals]
+
+
+@pytest.mark.parametrize("walk", [fock.basis_by_degree, fock.gr_basis_by_degree])
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(("bg", "bc", "bcbg")), diagonal_matrices(), st.integers(0, 4), st.integers(0, 3))
+# q = (-1, -2) (gamma^1 gamma^2 gamma^2) gives the digits -3 and 1: a
+# base of 3 would fold them to 0
+@example("bg", (2, [((1, 0), (0, 1)), ((1, 0), (0, -1))]), 0, 3)
+def test_pruned_walks_are_the_filtered_walks(walk, kind, rank_mats, w, cap):
+    rank, mats = rank_mats
+    alg = AlgebraDescriptor(kind, rank)
+    _, functional = invariants._split_diagonal(mats, rank, cap)
+
+    def killed(m):
+        q = mono_charge(m, rank)
+        return all(sum(X[i][i] * q[i] for i in range(rank)) == 0 for X in mats)
+
+    want = [[m for m in bucket if killed(m)] for bucket in walk(alg, w, cap)]
+    assert walk(alg, w, cap, functional) == want
+
+
+def test_sl2_tables_walk_only_the_h_weight_zero_words(monkeypatch):
+    act = sl2_standard()
+    want = dim_table(act, BG2, 7, 7)
+    for side, table in (("basis_by_degree", dim_table), ("gr_basis_by_degree", gr_dim_table)):
+        walk = getattr(invariants, side)
+        emitted = []
+
+        def counted(*args, walk=walk, emitted=emitted):
+            buckets = walk(*args)
+            emitted.append(sum(map(len, buckets)))
+            return buckets
+
+        monkeypatch.setattr(invariants, side, counted)
+        assert table(act, BG2, 7, 7) == want
+        # 21,604 words of weight and degree <= 7, of which 2,310 have h-weight 0
+        assert sum(emitted) == 2310, side
+
+
+def test_gl_tables_agree():
+    for n, alg, cap in ((2, BG2, 4), (2, AlgebraDescriptor("bc", 2), 4), (2, AlgebraDescriptor("bcbg", 2), 3)):
+        act = gl_standard(n)
+        assert len(act.matrices) == n * n
+        dt = dim_table(act, alg, cap, cap)
+        assert dt == gr_dim_table(act, alg, cap, cap)
+        for w in range(cap + 1):
+            for d in range(cap + 1):
+                assert dt[(w, d)] == len(invariant_basis(act, alg, w, d))
+    # the invariants of bg:2 at weight 1: the current :gamma^i beta^i:
+    assert dim_table(gl_standard(2), BG2, 2, 2)[(1, 2)] == 1
+
+
 def test_invariants_closed_under_circle_products():
     rng = random.Random(9)
     pool = []
@@ -310,6 +388,52 @@ def test_commutant_annihilation_and_wick_closure():
             if p:
                 for k in range(0, weight(p) + 1):
                     assert circle(j, k, p) == State()
+
+
+def _commutant_reference(currents, alg, w, degree_cap):
+    """Every non-negative mode on every word, then one exact kernel."""
+    monos = [m for ms in fock.basis_by_degree(alg, w, degree_cap) for m in ms]
+    columns = [
+        {(t, k, m2): v
+         for t, cur in enumerate(currents) for k in range(w + weight(cur))
+         for m2, v in circle(cur, k, State({m: 1})).terms.items()}
+        for m in monos
+    ]
+    return [State({monos[i]: v for i, v in rel.items()}) for rel in linalg.kernel_of_columns(columns)]
+
+
+def test_commutant_on_the_zero_mode_kernel_keeps_the_basis(monkeypatch):
+    heis = [heisenberg_current(u, ((1, 0), (0, 1)), BG2) for u in ((1, 0), (0, 1))]
+    skew = heisenberg_current((1,), ((1, -1),), BG2)
+    # :gamma^1 beta^2: has a zero mode that moves index 2 to index 1
+    hop = wick(generator_state(GAMMA, 1), generator_state(BETA, 2))
+    cases = [
+        ([heisenberg_current((1,), ((1,),), BG1)], BG1),
+        (heis, BG2),
+        ([skew], BG2),
+        ([hop], BG2),
+        ([hop, skew], BG2),
+        ([skew, hop, heis[0]], BG2),
+    ]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return circle(*args)
+
+    monkeypatch.setattr(invariants, "circle", counted)
+    for currents, alg in cases:
+        for w in range(5):
+            del calls[:]
+            got = commutant_basis(currents, alg, w, 5)
+            assert got == _commutant_reference(currents, alg, w, 5), (currents, w)
+            words = sum(map(len, fock.basis_by_degree(alg, w, 5)))
+            full = words * sum(w + weight(cur) for cur in currents)
+            if currents[0] is not hop and w > 1:
+                assert len(calls) < full, (currents, w)
+            if currents == [hop]:
+                # a zero mode that is not diagonal prunes nothing
+                assert len(calls) == full
 
 
 def test_nonfaithful_torus_warns():
