@@ -269,6 +269,7 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_express_map(args) -> int:
+    _check_caps(args, args.w, args.m)
     t = express_diagonal_map(args.w, args.m, args.c.split(","), args.d.split(","))
     obj = {"t": [format_scalar(x) for x in t]}
 

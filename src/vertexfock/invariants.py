@@ -23,9 +23,9 @@ call, and adds up the counts of the invariant ones.  For Lie-algebra
 actions each side enumerates a weight once, every degree up to the cap
 from one walk (``fock.basis_by_degree``, ``fock.gr_basis_by_degree``)
 that lists only the monomials the diagonal matrices kill, and an entry
-is the size of an exact joint kernel of the other matrices per
-bidegree: the number of monomials of each preserved charge class minus
-the rank of their images.  The command line runs as ``vertexfock
+is the size of an exact joint kernel of the other matrices, one exact
+system per bidegree: the number of those monomials minus the rank of
+their images.  The command line runs as ``vertexfock
 inv-dims`` or ``python -m vertexfock inv-dims``.
 
 Strong-generation checks compare the exact span of normally ordered
@@ -60,10 +60,9 @@ from .fock import (
     mono_charge,
     mono_degree,
     weight as state_weight,
-    words_of_weight,
 )
 from .linalg import Scalar, SparseMatrix, add_into, scalar
-from .ope import _replace_factor, circle, derive, iterated_wick, wick
+from .ope import _replace_factor, circle, derivative_words, wick, word_products
 
 VECTOR_SPECIES = (BETA, B)
 
@@ -248,75 +247,31 @@ def _split_diagonal(mats, rank_n: int, degree_cap: int):
     return rest, [sum(row[i] * base**t for t, row in enumerate(rows)) for i in range(rank_n)]
 
 
-def _index_components(mats, n: int) -> list[int]:
-    """Connected components of the support graph of the off-diagonal
-    entries; every listed operator preserves the per-component total
-    charge."""
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for X in mats:
-        for i in range(n):
-            for j in range(n):
-                if i != j and X[i][j] != 0:
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        parent[ra] = rb
-    return [find(i) for i in range(n)]
-
-
-def _lie_blocks(monos, derive_fn, rest, rank_n):
-    """The monomials (already killed by the diagonal matrices, see
-    ``_split_diagonal``), one block per charge class that the other
-    matrices ``rest`` preserve, each with its columns: the images of its
-    monomials under ``rest``.  Returns [(block, columns)].  The joint
-    kernel on the span of the monomials is the union over the blocks of
-    the relations among the columns."""
-    if not rest:
-        return [(monos, [{}] * len(monos))]
-
-    comp = _index_components(rest, rank_n)
-    comps = sorted(set(comp))
-    classes: dict[tuple, list] = {}
-    for m in monos:
-        q = mono_charge(m, rank_n)
-        cls = tuple(sum(q[i] for i in range(rank_n) if comp[i] == c) for c in comps)
-        classes.setdefault(cls, []).append(m)
-
-    blocks = []
-    for cls in sorted(classes):
-        block = classes[cls]
-        # image monomials may violate the diagonal conditions but stay
-        # inside the class; they are rows like any other
-        columns = [
-            {(t, m2): v for t, X in enumerate(rest) for m2, v in derive_fn(X, m, rank_n).items()}
-            for m in block
-        ]
-        blocks.append((block, columns))
-    return blocks
+def _lie_columns(monos, derive_fn, rest, rank_n):
+    """The images of the monomials (already killed by the diagonal
+    matrices, see ``_split_diagonal``) under the other matrices
+    ``rest``, one column per monomial.  Their joint kernel on the span
+    of the monomials is the space of relations among the columns; an
+    image monomial may break the diagonal conditions and is a row like
+    any other."""
+    return [
+        {(t, m2): v for t, X in enumerate(rest) for m2, v in derive_fn(X, m, rank_n).items()}
+        for m in monos
+    ]
 
 
 def _lie_kernel(monos, derive_fn, rest, rank_n):
-    """Basis of that joint kernel, block by block."""
+    """Basis of that joint kernel."""
     return [
-        {block[i]: v for i, v in rel.items()}
-        for block, columns in _lie_blocks(monos, derive_fn, rest, rank_n)
-        for rel in linalg.kernel_of_columns(columns)
+        {monos[i]: v for i, v in rel.items()}
+        for rel in linalg.kernel_of_columns(_lie_columns(monos, derive_fn, rest, rank_n))
     ]
 
 
 def _lie_dim(monos, derive_fn, rest, rank_n) -> int:
-    """Dimension of that joint kernel: per block, the number of
-    monomials minus the rank of their images."""
-    return sum(
-        len(block) - linalg.rank_of_columns(columns)
-        for block, columns in _lie_blocks(monos, derive_fn, rest, rank_n)
-    )
+    """Dimension of that joint kernel: the number of monomials minus the
+    rank of their images."""
+    return len(monos) - linalg.rank_of_columns(_lie_columns(monos, derive_fn, rest, rank_n))
 
 
 def invariant_basis(
@@ -471,20 +426,6 @@ class SpanCheckReport:
         return out
 
 
-def _word_states(generators, gen_weights, alg, target_weight, max_len):
-    """Evaluate all weakly decreasing words of derivative letters
-    (generator index, derivative count) of the given total weight > 0."""
-    letters = []
-    for gi, gw in enumerate(gen_weights):
-        for t in range(0, target_weight - gw + 1):
-            letters.append((gi, t))
-    letters.sort(reverse=True)
-    words = words_of_weight(
-        letters, [gen_weights[gi] + t for gi, t in letters], target_weight, max_len=max_len,
-    )
-    return [iterated_wick([derive(generators[gi], t) for gi, t in word]) for word in words]
-
-
 def span_check(
     generators: list[State],
     action: GroupAction,
@@ -516,7 +457,8 @@ def span_check(
         if w == 0:
             vecs = [State({(): 1})]
         else:
-            vecs = [s for s in _word_states(generators, gen_weights, alg, w, max_word_length) if s]
+            words = derivative_words(gen_weights, w, max_word_length)
+            vecs = [s for s in word_products(generators, words) if s]
         w_window = window
         for s in vecs:
             for m in s.terms:

@@ -11,11 +11,11 @@ primitive (each divided by the gcd of its entries) and makes a
 end: int arithmetic is several times faster than Fraction arithmetic,
 and the rows it holds are nonzero multiples of the rows elimination
 over the rationals would hold, so the answers are the same.  A rank
-takes the forward elimination alone; kernels, solves and determinants
-back-substitute to the reduced row echelon form.  Vectors
-are ``{index: scalar}`` dicts without zeros; ``Combination`` is the
-base of the package's other sparse combinations (Fock states,
-vacuum-module elements).
+or a determinant takes the forward elimination alone; kernels and
+solves back-substitute to the reduced row echelon form.  Vectors are
+``{index: scalar}`` dicts without zeros; ``Combination`` is the base of
+the package's other sparse combinations (Fock states, vacuum-module
+elements).
 
 Scalars serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1);
 matrices serialize as ``{"rows": r, "cols": c, "entries": [[i, j, "p/q"], ...]}``.
@@ -272,36 +272,33 @@ def _echelon(
     return pivots
 
 
-def _rref(
-    rows: list[dict[int, Scalar]], ncols: int, scales: list | None = None
-) -> list[tuple[int, int]]:
+def _rref(rows: list[dict[int, Scalar]], ncols: int) -> list[tuple[int, int]]:
     """In-place reduced row echelon form; returns (row, col) per pivot.
 
     ``_echelon`` eliminates forward.  Back-substitution then clears each
     pivot column, last pivot first, from the earlier pivot rows that
     hold it, with the same fraction-free ``_clear``: the other rows are
     empty, and a later pivot row has no entry left of its own pivot.
-    For the same reason no clear fills in a pivot column still to come.
+    For the same reason no clear fills in a pivot column, so the rows
+    that hold each pivot column are listed in one pass before any clear.
     Only at the end is each pivot row divided by its pivot, giving ints
     where the quotient is integral and Fractions elsewhere.  The
     reduced form is unique, so the result is the one Gauss-Jordan over
     the rationals gives.
-
-    When ``scales`` is a list, every factor num/den that multiplied a
-    row is appended to it as (num, den), so that the determinant of
-    the result is that of the input times the product of num/den.
     """
-    pivots = _echelon(rows, ncols, scales)
-    for k in range(len(pivots) - 1, 0, -1):
-        prow, col = pivots[k]
-        _clear(rows, prow, col, [r for r, _ in pivots[:k] if col in rows[r]], scales)
+    pivots = _echelon(rows, ncols)
+    holders: dict[int, list[int]] = {col: [] for _, col in pivots}
+    for prow, col in pivots:
+        for c in rows[prow]:
+            if c != col and c in holders:
+                holders[c].append(prow)
+    for prow, col in reversed(pivots):
+        _clear(rows, prow, col, holders[col], None)
     for prow, col in pivots:
         row = rows[prow]
         pv = row[col]
         if pv != 1:
             rows[prow] = {j: scalar(Fraction(v, pv)) for j, v in row.items()}
-            if scales is not None:
-                scales.append((1, pv))
     return pivots
 
 
@@ -315,22 +312,19 @@ def kernel_basis(m: SparseMatrix) -> list[dict[int, Scalar]]:
     """Basis of the exact right null space; empty iff rank == cols.
 
     Each free column yields one basis vector with a 1 in that column;
-    basis vectors are listed by ascending free column.
+    basis vectors are listed by ascending free column.  The RREF's
+    pivot rows hold no pivot column but their own, so one read of each
+    pivot row fills in every vector's pivot entries.
     """
     rows = _row_dicts(m)
     pivots = _rref(rows, m.cols)
-    pivot_cols = {col: prow for prow, col in pivots}
-    basis: list[dict[int, Scalar]] = []
-    for free in range(m.cols):
-        if free in pivot_cols:
-            continue
-        vec = {free: 1}
-        for col, prow in pivot_cols.items():
-            v = rows[prow].get(free, 0)
-            if v != 0:
-                vec[col] = -v
-        basis.append(vec)
-    return basis
+    pivot_cols = {col for _, col in pivots}
+    basis = {free: {free: 1} for free in range(m.cols) if free not in pivot_cols}
+    for prow, col in pivots:
+        for j, v in rows[prow].items():
+            if j != col:
+                basis[j][col] = -v
+    return list(basis.values())
 
 
 def solve(m: SparseMatrix, b: dict[int, Scalar]) -> dict[int, Scalar] | None:
@@ -360,27 +354,31 @@ def solve(m: SparseMatrix, b: dict[int, Scalar]) -> dict[int, Scalar] | None:
 def det(m: SparseMatrix) -> Scalar:
     """Exact determinant of a square matrix.
 
-    A full-rank RREF is a permutation matrix, whose determinant is the
-    sign of the permutation the pivot rows form; ``_rref`` reports the
-    factors by which it scaled rows, and the determinant is that sign
-    divided by their product.
+    At full rank ``_echelon`` leaves a triangular matrix up to the row
+    permutation the pivot rows form, so its determinant is the sign of
+    that permutation times the product of the pivots; ``_echelon``
+    reports the factors by which it scaled rows, and the determinant is
+    that product divided by theirs.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
+    rows = _row_dicts(m)
     scales: list[tuple[int, int]] = []
-    pivots = _rref(_row_dicts(m), m.cols, scales)
+    pivots = _echelon(rows, m.cols, scales)
     if len(pivots) < m.rows:
         return 0
     perm = [prow for prow, _ in pivots]
-    d = Fraction(1)
+    num, den = 1, 1
     for i in range(len(perm)):
         while perm[i] != i:
             j = perm[i]
             perm[i], perm[j] = perm[j], perm[i]
-            d = -d
-    for num, den in scales:
-        d = d * den / num
-    return scalar(d)
+            num = -num
+    for prow, col in pivots:
+        num *= rows[prow][col]
+    for a, c in scales:
+        num, den = num * c, den * a
+    return scalar(Fraction(num, den))
 
 
 def _column_matrix(columns: list[dict], keys: list | None = None) -> tuple[SparseMatrix, dict]:

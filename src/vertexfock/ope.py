@@ -57,6 +57,7 @@ from .fock import (
     state_to_json,
     state_to_text,
     weight,
+    words_of_weight,
 )
 from .linalg import add_into
 
@@ -224,6 +225,26 @@ def iterated_wick(states) -> State:
     for s in reversed(states[:-1]):
         out = wick(s, out)
     return out
+
+
+def derivative_words(weights, total: int, max_len: int | None = None) -> list[tuple]:
+    """Every normally ordered word of the given total weight in
+    generators of the given positive weights and their derivatives,
+    with at most max_len letters.  Letter (i, t), the t-th derivative
+    of generator i, has weight weights[i] + t; letters are weakly
+    decreasing.  Every word has a letter: a total below 1 gives none."""
+    if total < 1:
+        return []
+    letters = sorted(((i, t) for i, w in enumerate(weights) for t in range(total - w + 1)),
+                     reverse=True)
+    return words_of_weight(letters, [weights[i] + t for i, t in letters], total, max_len=max_len)
+
+
+def word_products(generators, words) -> list[State]:
+    """The right-nested Wick product of each ``derivative_words`` word in
+    the given generator states, each derived letter computed once."""
+    derived = {x: derive(generators[x[0]], x[1]) for x in set().union(*words)}
+    return [iterated_wick([derived[x] for x in w]) for w in words]
 
 
 def derive(a: State, times: int = 1) -> State:

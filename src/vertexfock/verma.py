@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import linalg
 from .fock import AlgebraDescriptor, State, vacuum, words_of_weight
 from .linalg import Combination, Scalar, add_into, format_scalar, scalar
-from .ope import circle, derive, iterated_wick
+from .ope import circle, derivative_words, derive, iterated_wick, word_products
 from .winfinity import bracket_basis, field_mode, realize_current
 
 # letter (l, k) means J^l_{-k}, k >= l+1; PBW key orders by weight first
@@ -214,28 +214,15 @@ FreeLetter = tuple[int, int]
 FreeWord = tuple[FreeLetter, ...]
 
 
-def free_letter_weight(letter: FreeLetter) -> int:
-    b, t = letter
-    return b + 1 + t
-
-
 def free_words(weight_n: int, g_max: int) -> list[FreeWord]:
     """All normally ordered words of the given weight in the currents
-    J^0..J^{g_max} and their derivatives, letters weakly decreasing.
+    J^0..J^{g_max} and their derivatives (``ope.derivative_words``).
 
     Canonical (sorted) words suffice to span: reordering defects are
     derivatives of lower circle products, which the solver's redundancy
-    absorbs.  Every word has a letter: weight 0 gives none.
+    absorbs.
     """
-    if weight_n < 1:
-        return []
-    letters: list[FreeLetter] = []
-    for b in range(g_max + 1):
-        for t in range(0, weight_n - b):
-            if free_letter_weight((b, t)) <= weight_n:
-                letters.append((b, t))
-    letters.sort(reverse=True)
-    return words_of_weight(letters, [free_letter_weight(x) for x in letters], weight_n)
+    return derivative_words(range(1, g_max + 2), weight_n)
 
 
 def evaluate_free_word(word: FreeWord, alg: AlgebraDescriptor) -> State:
@@ -285,7 +272,8 @@ def decoupling_relation(l: int, n: int, g_max: int, kind: str = "bg") -> Decoupl
     alg = AlgebraDescriptor(kind, n)
     target = realize_current(l, alg)
     words = free_words(l + 1, g_max)
-    columns = [evaluate_free_word(w, alg).terms for w in words]
+    currents = [realize_current(b, alg) for b in range(g_max + 1)]
+    columns = [s.terms for s in word_products(currents, words)]
     sol = linalg.solve_in_span(columns, target.terms)
     if sol is None:
         return None

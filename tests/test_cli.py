@@ -163,6 +163,9 @@ def test_usage_errors(capsys, tmp_path):
         assert rc == 2 and out == "" and "ceiling" in err, expr
     rc, out, err = run(capsys, "ope", "beta[1]", "D^13(gamma[1])")
     assert rc == 2 and out == "" and "ceiling" in err
+    # express-map's entries grow as (w+k+l)!, so --w and --m are capped as in matrices
+    rc, out, err = run(capsys, "express-map", "--w", "13", "--m", "0", "--c", "1", "--d", "1")
+    assert rc == 2 and out == "" and "ceiling" in err
     gens = tmp_path / "gens.txt"
     gens.write_text("J[0]\nJ[13]\n")
     rc, out, err = run(capsys, "span-check", "--action", "torus:1", "--gens", str(gens),

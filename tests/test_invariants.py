@@ -137,6 +137,30 @@ def test_invariant_basis_sl2():
         assert is_invariant_state(act, BG2, s)
 
 
+@pytest.mark.parametrize("action, alg", [
+    (sl2_standard(), BG2),
+    # E_12 and diag(1, -1, 0): two index components, {1, 2} and {3}
+    (invariants.LieAlgebraAction((((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+                                  ((1, 0, 0), (0, -1, 0), (0, 0, 0)))),
+     AlgebraDescriptor("bg", 3)),
+    (gl_standard(2), AlgebraDescriptor("bc", 2)),
+], ids=["sl2-bg2", "e12-h-bg3", "gl2-bc2"])
+def test_invariant_basis_is_the_naive_joint_kernel(action, alg):
+    # the joint kernel of every matrix on every monomial of the
+    # bidegree: no diagonal pruning, one system over all of them
+    ops = [extend_action(X, alg) for X in action.matrices]
+    for w in range(6):
+        for d in range(6):
+            monos = basis(alg, w, d)
+            columns = [{(t, m2): v for t, op in enumerate(ops)
+                        for m2, v in op(State({m: 1})).terms.items()} for m in monos]
+            naive = [{monos[i]: v for i, v in rel.items()}
+                     for rel in linalg.kernel_of_columns(columns)]
+            got = [s.terms for s in invariant_basis(action, alg, w, d)]
+            assert (linalg.rank_of_columns(got) == len(got) == len(naive)
+                    == linalg.rank_of_columns(got + naive)), (w, d)
+
+
 def test_finite_abelian():
     # Z/2 acting by -1 on the single coordinate: invariants are even words
     act = FiniteAbelianAction(((2, (1,)),))

@@ -255,6 +255,23 @@ def tall_sparse_matrices(draw):
     return rows
 
 
+@st.composite
+def interleaved_block_matrices(draw):
+    """Row lists of wide matrices, 15 to 30 columns, that are 2 to 4
+    independent blocks with interleaved rows and columns, as the Lie
+    systems are.  A block is full, so the blocks' pivots alternate and
+    each later pivot column is held by every earlier pivot row of its
+    block: back-substitution runs a long chain through each block."""
+    nblocks, ncols = draw(st.integers(2, 4)), draw(st.integers(15, 30))
+    nrows = draw(st.integers(12, 24))
+    col_block = draw(st.permutations([j % nblocks for j in range(ncols)]))
+    cells = [(i, j) for i in range(nrows) for j in range(ncols) if i % nblocks == col_block[j]]
+    nonzero = st.sampled_from([x for x in range(-9, 10) if x])
+    values = draw(st.sampled_from([nonzero, st.builds(Fraction, nonzero, st.integers(1, 6))]))
+    entries = dict(zip(cells, draw(st.lists(values, min_size=len(cells), max_size=len(cells)))))
+    return [[entries.get((i, j), 0) for j in range(ncols)] for i in range(nrows)]
+
+
 def from_sympy(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
@@ -265,7 +282,7 @@ def integer_first(values) -> bool:
 
 @settings(deadline=None, max_examples=150)
 @given(st.one_of(exact_matrices(), st.integers(1, 5).flatmap(exact_matrices),
-                 tall_sparse_matrices()), st.data())
+                 tall_sparse_matrices(), interleaved_block_matrices()), st.data())
 def test_elimination_matches_sympy(rows, data):
     sympy = pytest.importorskip("sympy")
     m = SparseMatrix.from_rows(rows)
