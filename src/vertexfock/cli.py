@@ -9,7 +9,8 @@ stdout closed by its reader, as by ``| head`` (128 + SIGPIPE; no error).
 Usage errors include a negative cap or --trials, a --jcap below 1 at
 positive --weight (it would impose no condition), arithmetic on hostile
 input (a zero denominator, an expression nested too deeply to
-evaluate), a --gens file that cannot be read, and an --out path that
+evaluate, an overflow or other ArithmeticError, a size that runs out of
+memory), a --gens file that cannot be read, and an --out path that
 cannot be written; the --out path is checked before any computation.
 Caps, --rank, --n, --lcap, --jcap and --g included, are guarded by a
 configurable hard ceiling, and so are the D^k powers, J[l] levels and
@@ -526,6 +527,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ZeroDivisionError as exc:
         print(f"error: division by zero ({exc})", file=sys.stderr)
+        return EXIT_USAGE
+    except (ArithmeticError, MemoryError) as exc:
+        print(f"error: input too large to compute with ({exc!r})", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         print("error: input nested too deeply to evaluate", file=sys.stderr)

@@ -20,7 +20,6 @@ reparsing is the identity; parse-then-print is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import (
@@ -34,7 +33,7 @@ from .fock import (
     mono_weight,
     vacuum,
 )
-from .linalg import format_scalar
+from .linalg import Frozen, format_scalar
 from .ope import circle, derive, iterated_wick
 from .winfinity import realize_current
 
@@ -59,50 +58,37 @@ class ExprSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gen:
-    species: int
-    index: int
+class Gen(Frozen):
+    __slots__ = ("species", "index")
 
 
-@dataclass(frozen=True)
-class JGen:
-    level: int
+class JGen(Frozen):
+    __slots__ = ("level",)
 
 
-@dataclass(frozen=True)
-class Vac:
-    pass
+class Vac(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Deriv:
-    power: int
-    arg: "Expr"
+class Deriv(Frozen):
+    __slots__ = ("power", "arg")
 
 
-@dataclass(frozen=True)
-class NormalOrder:
-    args: tuple
+class NormalOrder(Frozen):
+    __slots__ = ("args",)
 
 
-@dataclass(frozen=True)
-class CircleProd:
-    left: "Expr"
-    n: int
-    right: "Expr"
+class CircleProd(Frozen):
+    __slots__ = ("left", "n", "right")
 
 
-@dataclass(frozen=True)
-class Scaled:
-    coeff: Fraction
-    arg: "Expr"
+class Scaled(Frozen):
+    __slots__ = ("coeff", "arg")  # a Fraction and an Expr
 
 
-@dataclass(frozen=True)
-class Sum:
-    # list of (sign, prod) with sign in {+1, -1}
-    parts: tuple
+class Sum(Frozen):
+    # a tuple of (sign, prod) with sign in {+1, -1}
+    __slots__ = ("parts",)
 
 
 Expr = Gen | JGen | Vac | Deriv | NormalOrder | CircleProd | Scaled | Sum

@@ -25,10 +25,9 @@ signs are transposition counts; a repeated fermionic mode is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Combination, Scalar, add_into, format_scalar, scalar
+from .linalg import Combination, Frozen, Scalar, add_into, format_scalar, scalar
 
 # species codes, in canonical order
 BETA, GAMMA, B, C = 0, 1, 2, 3
@@ -58,12 +57,10 @@ Monomial = tuple[GeneratorMode, ...]
 VACUUM_MONO: Monomial = ()
 
 
-@dataclass(frozen=True)
-class AlgebraDescriptor:
+class AlgebraDescriptor(Frozen):
     """Which free-field algebra we are working in: bg, bc or their tensor."""
 
-    kind: str
-    rank: int
+    __slots__ = ("kind", "rank")
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -61,7 +60,7 @@ from .fock import (
     mono_degree,
     weight as state_weight,
 )
-from .linalg import Scalar, SparseMatrix, add_into, scalar
+from .linalg import Frozen, Record, Scalar, SparseMatrix, add_into, scalar
 from .ope import _replace_factor, circle, derivative_words, wick, word_products
 
 VECTOR_SPECIES = (BETA, B)
@@ -72,12 +71,11 @@ VECTOR_SPECIES = (BETA, B)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusAction:
+class TorusAction(Frozen):
     """Diagonal torus with an m x n integer charge matrix (rows = torus
     coordinates)."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in r) for r in self.rows)
@@ -94,12 +92,11 @@ class TorusAction:
         return all(sum(r[i] * q[i] for i in range(len(q))) == 0 for r in self.rows)
 
 
-@dataclass(frozen=True)
-class FiniteAbelianAction:
+class FiniteAbelianAction(Frozen):
     """Product of cyclic groups acting diagonally; each character is a
     pair (order, integer vector)."""
 
-    chars: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("chars",)
 
     def __post_init__(self):
         chars = tuple((int(o), tuple(int(x) for x in v)) for o, v in self.chars)
@@ -114,15 +111,14 @@ class FiniteAbelianAction:
         )
 
 
-@dataclass(frozen=True)
-class LieAlgebraAction:
+class LieAlgebraAction(Frozen):
     """A list of n x n rational matrices acting on the index space.
 
     The joint kernel is taken over the listed operators; closure under
     brackets is not required.
     """
 
-    matrices: tuple[tuple[tuple[Scalar, ...], ...], ...]
+    __slots__ = ("matrices",)
 
     def __post_init__(self):
         mats = tuple(tuple(tuple(scalar(x) for x in row) for row in m) for m in self.matrices)
@@ -294,13 +290,11 @@ def trivial_action() -> TorusAction:
     return TorusAction(())
 
 
-@dataclass
-class DimTable:
-    """Bigraded dimension table of a subspace."""
+class DimTable(Record):
+    """Bigraded dimension table of a subspace: entries maps (weight,
+    degree) to a dimension."""
 
-    entries: dict[tuple[int, int], int]
-    weight_cap: int
-    degree_cap: int
+    __slots__ = ("entries", "weight_cap", "degree_cap")
 
     def __getitem__(self, wd) -> int:
         return self.entries.get(tuple(wd), 0)
@@ -401,12 +395,10 @@ def is_invariant_state(action: GroupAction, alg: AlgebraDescriptor, s: State) ->
     return True
 
 
-@dataclass
-class SpanCheckReport:
-    status: str  # "success" or "deficient"
-    dims: dict[int, tuple[int, int]]  # weight -> (dim_have, dim_need)
-    first_deficiency: tuple[int, int, int, int] | None  # (weight, degree, have, need)
-    degree_window: int
+class SpanCheckReport(Record):
+    # status is "success" or "deficient", dims maps a weight to (dim_have,
+    # dim_need), first_deficiency is (weight, degree, have, need) or None
+    __slots__ = ("status", "dims", "first_deficiency", "degree_window")
 
     @property
     def ok(self) -> bool:

@@ -23,11 +23,58 @@ matrices serialize as ``{"rows": r, "cols": c, "entries": [[i, j, "p/q"], ...]}`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 Scalar = int | Fraction
+
+
+class Record:
+    """Base of the package's plain data classes.  The fields are the
+    class's ``__slots__``, given in that order or by name; after they
+    are set, ``__post_init__`` checks or normalises them.  Two instances
+    of one class are equal when their fields are, so a ``Record`` is
+    unhashable; a ``Frozen`` one hashes by its fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) + len(kwargs) != len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes each of the fields {names} once")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """A ``Record`` whose fields cannot be assigned once it is built
+    (``__post_init__`` sets a normalised one with ``object.__setattr__``)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 def scalar(x) -> Scalar:
@@ -116,19 +163,17 @@ class Combination:
         return self._raw({k: scalar(c * v) for k, v in self.terms.items()})
 
 
-@dataclass
-class SparseMatrix:
+class SparseMatrix(Record):
     """rows x cols matrix storing only nonzero rational entries."""
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], Scalar] = field(default_factory=dict)
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        self.entries = exact_terms(self.entries)
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Scalar] | None = None):
+        self.rows, self.cols = rows, cols
+        self.entries = exact_terms(entries)
         for i, j in self.entries:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise IndexError(f"entry ({i},{j}) out of range for {self.rows}x{self.cols}")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i},{j}) out of range for {rows}x{cols}")
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         return self.entries.get(ij, 0)

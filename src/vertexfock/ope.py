@@ -42,7 +42,6 @@ mutated), so concurrent evaluation of independent products is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fock import (
@@ -59,7 +58,7 @@ from .fock import (
     weight,
     words_of_weight,
 )
-from .linalg import add_into
+from .linalg import Record, add_into
 
 # structure constants of monomial products are integers
 _MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
@@ -270,12 +269,11 @@ def locality_bound(a: State, b: State) -> int:
     return weight(a) + weight(b) + 1
 
 
-@dataclass
-class OpeTable:
-    """Nonzero singular OPE terms a o_n b for 0 <= n < locality bound."""
+class OpeTable(Record):
+    """Nonzero singular OPE terms a o_n b for 0 <= n < locality bound:
+    poles lists (n, a o_n b), nonzero entries only."""
 
-    locality_bound: int
-    poles: list[tuple[int, State]]  # (n, a o_n b), nonzero entries only
+    __slots__ = ("locality_bound", "poles")
 
     def to_json(self) -> dict:
         return {
@@ -305,12 +303,11 @@ def _sign_factor(a: State, b: State) -> int:
     return -1 if parity(a) and parity(b) else 1
 
 
-@dataclass
-class IdentityReport:
-    """Exact evaluation of both sides of the four Wick/circle identities."""
+class IdentityReport(Record):
+    """Exact evaluation of both sides of the four Wick/circle identities:
+    defects maps each identity's name to the State lhs - rhs."""
 
-    n: int
-    defects: dict[str, State]
+    __slots__ = ("n", "defects")
 
     @property
     def ok(self) -> bool:

@@ -25,11 +25,9 @@ length-and-mode-bounded ordered span must agree weight by weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .fock import AlgebraDescriptor, State, vacuum, words_of_weight
-from .linalg import Combination, Scalar, add_into, format_scalar, scalar
+from .linalg import Combination, Record, Scalar, add_into, format_scalar, scalar
 from .ope import circle, derivative_words, derive, iterated_wick, word_products
 from .winfinity import bracket_basis, field_mode, realize_current
 
@@ -237,14 +235,12 @@ def free_word_text(word: FreeWord) -> str:
     return ":" + " ".join(bits) + ":"
 
 
-@dataclass
-class DecouplingRelation:
+class DecouplingRelation(Record):
     """A current expressed exactly as a combination of normally ordered
-    words in strictly lower currents and their derivatives."""
+    words in strictly lower currents and their derivatives: terms lists
+    (word, coefficient)."""
 
-    target: int
-    weight: int
-    terms: list[tuple[FreeWord, Scalar]]
+    __slots__ = ("target", "weight", "terms")
 
     def to_json(self) -> dict:
         return {
@@ -319,15 +315,9 @@ def _span_dims_by_weight(vectors_by_weight: dict[int, list[State]]) -> dict[int,
     return dims
 
 
-@dataclass
-class SpanReport:
-    degree: int
-    symbol_cap: int
-    weight_cap: int
-    letter_cap_full: int
-    dims_full: dict[int, int]
-    dims_short: dict[int, int]
-    dims_ordered: dict[int, int]
+class SpanReport(Record):
+    __slots__ = ("degree", "symbol_cap", "weight_cap", "letter_cap_full",
+                 "dims_full", "dims_short", "dims_ordered")
 
     @property
     def ok(self) -> bool:

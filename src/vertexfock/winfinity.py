@@ -30,7 +30,6 @@ rising-product matrix that certifies its invertibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -46,7 +45,7 @@ from .fock import (
     generator_state,
     state_to_text,
 )
-from .linalg import Scalar, SparseMatrix, add_into, exact_terms, format_scalar, scalar
+from .linalg import Record, Scalar, SparseMatrix, add_into, exact_terms, format_scalar, scalar
 from .ope import _contraction_partners, _insert_creation, derive, iterated_wick
 
 # ---------------------------------------------------------------------------
@@ -70,16 +69,14 @@ def cocycle(l1: int, k1: int, l2: int, k2: int) -> Scalar:
                     math.factorial(l1 + l2 + 1))
 
 
-@dataclass
-class DOp:
+class DOp(Record):
     """Finite combination of basis operators J^l_k plus a central term."""
 
-    terms: dict[tuple[int, int], Scalar] = field(default_factory=dict)
-    kappa: Scalar = 0
+    __slots__ = ("terms", "kappa")
 
-    def __post_init__(self):
-        self.terms = exact_terms(self.terms)
-        self.kappa = scalar(self.kappa)
+    def __init__(self, terms: dict[tuple[int, int], Scalar] | None = None, kappa: Scalar = 0):
+        self.terms = exact_terms(terms)
+        self.kappa = scalar(kappa)
         for l, _ in self.terms:
             if l < 0:
                 raise ValueError("differential order l must be >= 0")

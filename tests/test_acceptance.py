@@ -1,8 +1,9 @@
 """Acceptance suite.
 
-One test per criterion; each prints a PASS line when its exact checks
-go through (run with -s or -rA to see them).  Everything is exact:
-every comparison is rational equality, with no tolerances anywhere.
+One test per criterion (criterion 12 has one per algebra); each prints
+a PASS line when its exact checks go through (run with -s or -rA to see
+them).  Everything is exact: every comparison is rational equality,
+with no tolerances anywhere.
 """
 
 import time
@@ -276,3 +277,38 @@ def test_criterion_11_spanning_lemmas():
         assert rep.ok, (name, rep.to_json())
     report(11, "full, length-bounded, and ordered-mode-bounded spanning sets "
                "agree per weight (cap 4) for the vacuum, gamma(-1)|0>, and J^0")
+
+
+def _gl_currents_check(kind, n, top, cap):
+    alg = AlgebraDescriptor(kind, n)
+    gens = [realize_current(l, alg) for l in range(top + 1)]
+    return span_check(gens, gl_standard(n), alg, cap, cap)
+
+
+def test_criterion_12_gl2_on_beta_gamma():
+    # Linshaw (arXiv:0811.4067): J^0..J^{n^2+2n-1} strongly generate the
+    # GL_n-invariants of the rank-n bg system; at n = 2 the last one, J^7,
+    # has weight 8 and lies outside the span of J^0..J^6
+    rep = _gl_currents_check("bg", 2, 7, 8)
+    assert rep.ok, rep.to_json()
+    assert [rep.dims[w] for w in range(9)] == [
+        (d, d) for d in (1, 1, 3, 6, 13, 24, 48, 86, 160)
+    ]
+    short = _gl_currents_check("bg", 2, 6, 8)
+    assert not short.ok and short.first_deficiency == (8, 2, 7, 8)
+    assert short.dims[8] == (159, 160)
+    report(12, "J^0..J^7 span the GL_2-invariants of bg:2 at every weight <= 8 "
+               f"(dims {[rep.dims[w][1] for w in range(9)]}); J^0..J^6 fall short "
+               "at weight 8, degree 2 (7 of 8)")
+
+
+def test_criterion_12_gl_on_bc():
+    rep = _gl_currents_check("bc", 2, 1, 8)
+    assert rep.ok, rep.to_json()
+    short = _gl_currents_check("bc", 2, 0, 8)
+    assert not short.ok and short.first_deficiency == (2, 2, 1, 2)
+    rep3 = _gl_currents_check("bc", 3, 2, 7)
+    assert rep3.ok, rep3.to_json()
+    report(12, "J^0, J^1 span the GL_2-invariants of bc:2 at every weight <= 8, "
+               "J^0 alone falls short at weight 2, degree 2 (1 of 2); J^0..J^2 span "
+               "the GL_3-invariants of bc:3 at every weight <= 7")

@@ -331,6 +331,19 @@ def test_eval_deep_nesting_is_usage_error(capsys):
     assert rc == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("exc", [OverflowError("int too large"), MemoryError()])
+def test_overflow_and_memory_errors_are_usage_errors(capsys, monkeypatch, exc):
+    # exit 1 means a verification mismatch, so a size too large to
+    # compute with must not leave through a traceback
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("vertexfock.cli.verify_rep", fail)
+    rc, out, err = run(capsys, "winf-verify", "--n", "1", "--lmax", "1", "--kmax", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
