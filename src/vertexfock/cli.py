@@ -10,8 +10,10 @@ Usage errors include a negative cap or --trials, a --jcap below 1 at
 positive --weight (it would impose no condition), arithmetic on hostile
 input (a zero denominator, an expression nested too deeply to
 evaluate, an overflow or other ArithmeticError, a size that runs out of
-memory), a --gens file that cannot be read, and an --out path that
-cannot be written; the --out path is checked before any computation.
+memory), a --gens file that cannot be read, an --out path that
+cannot be written, and --format csv for a subcommand without a CSV form
+(only ope, inv-dims and commutant have one); the --out path and the
+format are checked before any computation.
 Caps, --rank, --n, --lcap, --jcap and --g included, are guarded by a
 configurable hard ceiling, and so are the D^k powers, J[l] levels and
 CP indices |n| of every expression the CLI evaluates.  What these build
@@ -83,6 +85,8 @@ EXIT_NOT_FOUND = 3
 EXIT_DEFICIENT = 4
 EXIT_BROKEN_PIPE = 141
 
+CSV_COMMANDS = ("ope", "inv-dims", "commutant")
+
 
 class UsageError(ValueError):
     pass
@@ -93,8 +97,6 @@ def _emit(args, obj, text_fn=None, csv_rows=None, csv_header=None) -> None:
     if fmt == "json":
         payload = json.dumps(obj, indent=2, sort_keys=True)
     elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("this subcommand has no CSV form")
         buf = io.StringIO()
         w = csv.writer(buf)
         if csv_header:
@@ -150,6 +152,15 @@ def _evaluate(args, text: str, alg: AlgebraDescriptor):
     return evaluate(tree, alg, max_weight=2 * args.ceiling)
 
 
+def _int_rows(text: str, rank: int, what: str) -> list[tuple[int, ...]]:
+    """Integer rows 'a,b;c,d', each of length rank."""
+    rows = [tuple(int(x) for x in row.split(",")) for row in text.split(";")]
+    for r in rows:
+        if len(r) != rank:
+            raise UsageError(f"{what} row {r} does not match --rank {rank}")
+    return rows
+
+
 def parse_action_spec(spec: str, rank: int):
     spec = spec.strip()
     if spec == "trivial":
@@ -164,11 +175,7 @@ def parse_action_spec(spec: str, rank: int):
             raise UsageError(f"gl:{n} acts on the rank-{n} algebra; set --rank {n}")
         return gl_standard(n)
     if spec.startswith("torus:"):
-        rows = [tuple(int(x) for x in row.split(",")) for row in spec[len("torus:"):].split(";")]
-        for r in rows:
-            if len(r) != rank:
-                raise UsageError(f"charge row {r} does not match --rank {rank}")
-        return TorusAction(tuple(rows))
+        return TorusAction(tuple(_int_rows(spec[len("torus:"):], rank, "charge")))
     if spec.startswith("finite:"):
         fields = {}
         for part in spec.split(":")[1:]:
@@ -181,10 +188,7 @@ def parse_action_spec(spec: str, rank: int):
         if len(fields) < 2:
             raise UsageError("finite action needs ord=K and chars=...")
         order = int(fields["ord"])
-        chars = [tuple(int(x) for x in row.split(",")) for row in fields["chars"].split(";")]
-        for r in chars:
-            if len(r) != rank:
-                raise UsageError(f"character row {r} does not match --rank {rank}")
+        chars = _int_rows(fields["chars"], rank, "character")
         return FiniteAbelianAction(tuple((order, r) for r in chars))
     raise UsageError(f"unknown action spec {spec!r}")
 
@@ -367,13 +371,11 @@ def cmd_span_check(args) -> int:
 
 def cmd_commutant(args) -> int:
     _check_caps(args, args.max_weight, args.max_degree)
-    rows = [tuple(int(x) for x in row.split(",")) for row in args.charges.split(";")]
     alg = _alg(args)
     if alg.kind != "bg":
         raise UsageError("commutants are computed in the bg system")
+    rows = _int_rows(args.charges, alg.rank, "charge")
     for r in rows:
-        if len(r) != alg.rank:
-            raise UsageError(f"charge row {r} does not match --rank {alg.rank}")
         if not any(r):
             raise UsageError(f"charge row {r} is zero, so its current vanishes")
     if not validate_heisenberg(rows, alg):
@@ -521,6 +523,8 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
+        if args.format == "csv" and args.command not in CSV_COMMANDS:
+            raise UsageError("this subcommand has no CSV form")
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,10 +188,6 @@ def generator_state(species: int, index: int = 1) -> State:
     return State({((species, index, -1),): 1})
 
 
-def _apply_creation(g: GeneratorMode, mono: Monomial) -> tuple[int, Monomial] | None:
-    return canonicalize((g,) + mono)
-
-
 def _apply_annihilation(g: GeneratorMode, mono: Monomial) -> dict[Monomial, int]:
     """Commute g rightward through mono, collecting contraction terms."""
     sp, idx, m = g
@@ -215,7 +211,7 @@ def apply_mode(g: GeneratorMode, s: State) -> State:
     creating = g[2] < 0
     for mono, c in s.terms.items():
         if creating:
-            r = _apply_creation(g, mono)
+            r = canonicalize((g,) + mono)
             if r is None:
                 continue
             sg, m2 = r

@@ -303,10 +303,11 @@ class DimTable(Record):
         return isinstance(other, DimTable) and self.entries == other.entries
 
 
-def _invariant_counts(action, counts, seen: dict) -> dict[tuple[int, int], int]:
-    """State-side sum, per (weight, degree), of the ``fock.charge_counts``
-    counts whose charge vector is invariant.  ``seen`` maps a charge
-    vector to its invariance, so each vector is tested once per caller."""
+def _invariant_counts(action, counts) -> dict[tuple[int, int], int]:
+    """Sum, per (weight, degree), of the counts by (weight, degree,
+    charge) of ``fock.charge_counts`` or ``fock.gr_charge_counts`` whose
+    charge vector is invariant; each vector is tested once."""
+    seen: dict[tuple[int, ...], bool] = {}
     dims: dict[tuple[int, int], int] = {}
     for (w, d, q), c in counts.items():
         ok = seen.get(q)
@@ -318,14 +319,13 @@ def _invariant_counts(action, counts, seen: dict) -> dict[tuple[int, int], int]:
 
 
 def _invariant_dims(
-    action: GroupAction, alg: AlgebraDescriptor, weight: int, degree_cap: int, seen: dict
+    action: GroupAction, alg: AlgebraDescriptor, weight: int, degree_cap: int
 ) -> list[int]:
     """State-side invariant dimension of each degree 0..degree_cap at one
     weight: ``len(invariant_basis(action, alg, weight, d))``, without
-    building states or kernel vectors; see ``_invariant_counts`` for
-    ``seen``."""
+    building states or kernel vectors."""
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        dims = _invariant_counts(action, charge_counts(alg, weight, degree_cap), seen)
+        dims = _invariant_counts(action, charge_counts(alg, weight, degree_cap))
         return [dims.get((weight, d), 0) for d in range(degree_cap + 1)]
     rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
     return [_lie_dim(monos, _derive_mono, rest, alg.rank)
@@ -337,12 +337,12 @@ def dim_table(
 ) -> DimTable:
     """State-side invariant dimensions per bidegree."""
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        dims = _invariant_counts(action, charge_counts(alg, weight_cap, degree_cap), {})
+        dims = _invariant_counts(action, charge_counts(alg, weight_cap, degree_cap))
         entries = {(w, d): dims.get((w, d), 0)
                    for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
     else:
         entries = {(w, d): dim for w in range(weight_cap + 1)
-                   for d, dim in enumerate(_invariant_dims(action, alg, w, degree_cap, {}))}
+                   for d, dim in enumerate(_invariant_dims(action, alg, w, degree_cap))}
     return DimTable(entries, weight_cap, degree_cap)
 
 
@@ -354,13 +354,7 @@ def gr_dim_table(
     state-side table entrywise."""
     entries = {(w, d): 0 for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        seen: dict[tuple[int, ...], bool] = {}
-        for (w, d, q), c in gr_charge_counts(alg, weight_cap, degree_cap).items():
-            ok = seen.get(q)
-            if ok is None:
-                ok = seen[q] = action.is_invariant_charge(q)
-            if ok:
-                entries[(w, d)] += c
+        entries.update(_invariant_counts(action, gr_charge_counts(alg, weight_cap, degree_cap)))
     else:
         rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
         for w in range(weight_cap + 1):
@@ -442,7 +436,6 @@ def span_check(
     if 0 in gen_weights:
         raise ValueError("span-check generators must have positive weight")
     window = 2 * weight_cap
-    seen: dict[tuple[int, ...], bool] = {}
     dims: dict[int, tuple[int, int]] = {}
     first_def = None
     for w in range(weight_cap + 1):
@@ -457,12 +450,13 @@ def span_check(
                 w_window = max(w_window, mono_degree(m))
         have_cols = [s.terms for s in vecs]
         dim_have = linalg.rank_of_columns(have_cols)
-        inv_by_degree = _invariant_dims(action, alg, w, w_window, seen)
+        inv_by_degree = _invariant_dims(action, alg, w, w_window)
         dim_need = sum(inv_by_degree)
         dims[w] = (dim_have, dim_need)
         if dim_have < dim_need and first_def is None:
             # localize along the degree filtration: dim(span within
-            # degree <= d) = dim(span) - rank(components above d)
+            # degree <= d) = dim(span) - rank(components above d); at
+            # d = w_window nothing lies above, so the loop always breaks
             cum_need = 0
             for d in range(w_window + 1):
                 cum_need += inv_by_degree[d]
@@ -473,8 +467,6 @@ def span_check(
                 if have_d < cum_need:
                     first_def = (w, d, have_d, cum_need)
                     break
-            if first_def is None:
-                first_def = (w, w_window, dim_have, dim_need)
     status = "success" if first_def is None else "deficient"
     return SpanCheckReport(status, dims, first_def, window)
 

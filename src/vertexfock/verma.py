@@ -26,9 +26,9 @@ length-and-mode-bounded ordered span must agree weight by weight.
 from __future__ import annotations
 
 from . import linalg
-from .fock import AlgebraDescriptor, State, vacuum, words_of_weight
+from .fock import AlgebraDescriptor, State, degree, vacuum, words_of_weight
 from .linalg import Combination, Record, Scalar, add_into, format_scalar, scalar
-from .ope import circle, derivative_words, derive, iterated_wick, word_products
+from .ope import circle, derivative_words, word_products
 from .winfinity import bracket_basis, field_mode, realize_current
 
 # letter (l, k) means J^l_{-k}, k >= l+1; PBW key orders by weight first
@@ -223,11 +223,6 @@ def free_words(weight_n: int, g_max: int) -> list[FreeWord]:
     return derivative_words(range(1, g_max + 2), weight_n)
 
 
-def evaluate_free_word(word: FreeWord, alg: AlgebraDescriptor) -> State:
-    states = [derive(realize_current(b, alg), t) for b, t in word]
-    return iterated_wick(states)
-
-
 def free_word_text(word: FreeWord) -> str:
     bits = []
     for b, t in word:
@@ -280,9 +275,11 @@ def decoupling_relation(l: int, n: int, g_max: int, kind: str = "bg") -> Decoupl
 def verify_decoupling(rel: DecouplingRelation, n: int, kind: str = "bg") -> bool:
     """Re-evaluate both sides of a found relation from scratch."""
     alg = AlgebraDescriptor(kind, n)
+    currents = [realize_current(b, alg) for b in range(rel.target)]
+    products = word_products(currents, [w for w, _ in rel.terms])
     rhs = State()
-    for w, c in rel.terms:
-        rhs = rhs + c * evaluate_free_word(w, alg)
+    for s, (_, c) in zip(products, rel.terms):
+        rhs = rhs + c * s
     return rhs == realize_current(rel.target, alg)
 
 
@@ -306,13 +303,6 @@ def _raising_letters(weight_cap: int, k_cap: int) -> list[RaisingLetter]:
             out.append((k + raise_w, k))
     out.sort(key=lambda lk: (lk[0], -lk[1]))
     return out
-
-
-def _span_dims_by_weight(vectors_by_weight: dict[int, list[State]]) -> dict[int, int]:
-    dims = {}
-    for w, vecs in sorted(vectors_by_weight.items()):
-        dims[w] = linalg.rank_of_columns([v.terms for v in vecs if v])
-    return dims
 
 
 class SpanReport(Record):
@@ -362,38 +352,30 @@ def cyclic_span_check(
             letters weakly decreasing (l descending, then k ascending).
 
     The three spans must agree as exact subspaces, weight by weight.
+    One walk over the words of (i) finds all three: a word is in (ii)
+    if it is short enough, and in (iii) too if its letter positions
+    never decrease and its modes stay within the cap.
     """
-    from .fock import degree as state_degree
-
-    d = state_degree(f) if f else 0
+    d = degree(f) if f else 0
     k_full = 2 * symbol_cap + 4
     k_ordered = 2 * symbol_cap + 1
-    letters_full = _raising_letters(weight_cap, k_full)
-    letters_ordered = _raising_letters(weight_cap, k_ordered)
+    letters = _raising_letters(weight_cap, k_full)
+    spans: tuple[dict[int, list[State]], ...] = ({}, {}, {})
 
-    def collect(letters, max_len, ordered):
-        by_weight: dict[int, list[State]] = {}
-        stack: list[RaisingLetter] = []
+    def dfs(pos: int, length: int, ordered: bool, raised: int, s: State):
+        if not s:
+            return
+        for span, member in zip(spans, (True, length <= d, length <= d and ordered)):
+            if member:
+                span.setdefault(raised, []).append(s)
+        for p, (l, k) in enumerate(letters):
+            if raised + (l - k) <= weight_cap:
+                dfs(p, length + 1, ordered and p >= pos and k <= k_ordered,
+                    raised + (l - k), circle(realize_current(l, alg), k, s))
 
-        def dfs(pos: int, raised: int, s: State):
-            if not s:
-                return
-            by_weight.setdefault(raised, []).append(s)
-            if max_len is not None and len(stack) >= max_len:
-                return
-            start = pos if ordered else 0
-            for p in range(start, len(letters)):
-                l, k = letters[p]
-                if raised + (l - k) > weight_cap:
-                    continue
-                stack.append((l, k))
-                dfs(p, raised + (l - k), circle(realize_current(l, alg), k, s))
-                stack.pop()
-
-        dfs(0, 0, f)
-        return _span_dims_by_weight(by_weight)
-
-    dims_full = collect(letters_full, None, False)
-    dims_short = collect(letters_full, d, False)
-    dims_ordered = collect(letters_ordered, d, True)
+    dfs(0, 0, True, 0, f)
+    dims_full, dims_short, dims_ordered = (
+        {w: linalg.rank_of_columns([s.terms for s in span[w]]) for w in sorted(span)}
+        for span in spans
+    )
     return SpanReport(d, symbol_cap, weight_cap, k_full, dims_full, dims_short, dims_ordered)

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 from oracles import circle_oracle
 from vertexfock.fock import (
+    B,
     BETA,
+    C,
     GAMMA,
     AlgebraDescriptor,
     State,
@@ -288,17 +290,18 @@ def _gl_currents_check(kind, n, top, cap):
 def test_criterion_12_gl2_on_beta_gamma():
     # Linshaw (arXiv:0811.4067): J^0..J^{n^2+2n-1} strongly generate the
     # GL_n-invariants of the rank-n bg system; at n = 2 the last one, J^7,
-    # has weight 8 and lies outside the span of J^0..J^6
-    rep = _gl_currents_check("bg", 2, 7, 8)
+    # has weight 8 and lies outside the span of J^0..J^6; J^8 and J^9 are
+    # absorbed at weights 9 and 10
+    rep = _gl_currents_check("bg", 2, 7, 10)
     assert rep.ok, rep.to_json()
-    assert [rep.dims[w] for w in range(9)] == [
-        (d, d) for d in (1, 1, 3, 6, 13, 24, 48, 86, 160)
+    assert [rep.dims[w] for w in range(11)] == [
+        (d, d) for d in (1, 1, 3, 6, 13, 24, 48, 86, 160, 281, 497)
     ]
     short = _gl_currents_check("bg", 2, 6, 8)
     assert not short.ok and short.first_deficiency == (8, 2, 7, 8)
     assert short.dims[8] == (159, 160)
-    report(12, "J^0..J^7 span the GL_2-invariants of bg:2 at every weight <= 8 "
-               f"(dims {[rep.dims[w][1] for w in range(9)]}); J^0..J^6 fall short "
+    report(12, "J^0..J^7 span the GL_2-invariants of bg:2 at every weight <= 10 "
+               f"(dims {[rep.dims[w][1] for w in range(11)]}); J^0..J^6 fall short "
                "at weight 8, degree 2 (7 of 8)")
 
 
@@ -312,3 +315,32 @@ def test_criterion_12_gl_on_bc():
     report(12, "J^0, J^1 span the GL_2-invariants of bc:2 at every weight <= 8, "
                "J^0 alone falls short at weight 2, degree 2 (1 of 2); J^0..J^2 span "
                "the GL_3-invariants of bc:3 at every weight <= 7")
+
+
+def _mixed_currents(n, top):
+    """The four GL_n-invariant currents of bcbg:n per l <= top:
+    sum_i :u^i d^l v^i: for (u, v) = (gamma, beta), (c, b), (gamma, b), (c, beta)."""
+    gens = []
+    for l in range(top + 1):
+        for u, v in ((GAMMA, BETA), (C, B), (GAMMA, B), (C, BETA)):
+            gens.append(sum((iterated_wick([generator_state(u, i), derive(generator_state(v, i), l)])
+                             for i in range(1, n + 1)), State()))
+    return gens
+
+
+def test_criterion_12_on_bcbg():
+    # "the currents with l <= n - 1 suffice" is only what these probes
+    # show at n = 1 (to weight 6) and n = 2 (to weight 5); it is not a
+    # claim of the paper
+    alg1 = AlgebraDescriptor("bcbg", 1)
+    rep1 = span_check(_mixed_currents(1, 0), TorusAction(((1,),)), alg1, 6, 6)
+    assert rep1.ok, rep1.to_json()
+    alg2 = AlgebraDescriptor("bcbg", 2)
+    rep2 = span_check(_mixed_currents(2, 1), gl_standard(2), alg2, 5, 5)
+    assert rep2.ok, rep2.to_json()
+    short = span_check(_mixed_currents(2, 0), gl_standard(2), alg2, 2, 2)
+    assert not short.ok and short.first_deficiency == (2, 2, 4, 8)
+    report(12, "the four l = 0 currents span the torus-invariants of bcbg:1 at every "
+               "weight <= 6; the eight l <= 1 currents span the GL_2-invariants of bcbg:2 "
+               "at every weight <= 5, and the l = 0 currents alone fall short at weight 2, "
+               "degree 2 (4 of 8)")

@@ -311,6 +311,31 @@ def test_unwritable_out_fails_before_computing(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_row_parsing_usage_errors(capsys):
+    caps = ("--max-weight", "1", "--max-degree", "1")
+    for argv, message in (
+        (("inv-dims", "--action", "torus:1,2", "--rank", "1"),
+         "charge row (1, 2) does not match --rank 1"),
+        (("inv-dims", "--action", "finite:ord=2:chars=1,2", "--rank", "1"),
+         "character row (1, 2) does not match --rank 1"),
+        (("commutant", "--charges", "1,2", "--rank", "1"),
+         "charge row (1, 2) does not match --rank 1"),
+        (("commutant", "--charges", "0"), "charge row (0,) is zero, so its current vanishes"),
+        (("commutant", "--algebra", "bc", "--charges", "1"), "commutants are computed in the bg system"),
+    ):
+        rc, out, err = run(capsys, *argv, *caps)
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_csv_is_refused_before_computing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("singular_vectors ran before --format csv was checked")
+
+    monkeypatch.setattr("vertexfock.cli.singular_vectors", refuse)
+    rc, out, err = run(capsys, "singular", "--c", "-1", "--weight", "6", "--format", "csv")
+    assert (rc, out, err) == (2, "", "error: this subcommand has no CSV form\n")
+
+
 def test_negative_rational_values_parse_space_separated(capsys):
     rc, out, _ = run(capsys, "singular", "--c", "-1/2", "--weight", "2")
     assert rc == 0 and json.loads(out)["central_charge"] == "-1/2"

@@ -4,13 +4,12 @@ import pytest
 
 from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, generator_state, vacuum, weight
 from vertexfock.linalg import rank_of_columns
-from vertexfock.ope import circle
+from vertexfock.ope import circle, wick, word_products
 from vertexfock.verma import (
     VermaElement,
     act,
     cyclic_span_check,
     decoupling_relation,
-    evaluate_free_word,
     free_words,
     ideal_kernel,
     project,
@@ -134,7 +133,8 @@ def test_strong_generation_monotone():
     for w in range(1, 5):
         dims = []
         for g in range(0, 3):
-            cols = [evaluate_free_word(fw, BG1).terms for fw in free_words(w, g)]
+            currents = [realize_current(b, BG1) for b in range(g + 1)]
+            cols = [s.terms for s in word_products(currents, free_words(w, g))]
             dims.append(rank_of_columns([c for c in cols if c]))
         assert dims == sorted(dims)
         full = sum(
@@ -160,3 +160,48 @@ def test_cyclic_span_ordered_never_exceeds_full():
     rep = cyclic_span_check(j0, 0, BG1, 4)
     for w in rep.dims_full:
         assert rep.dims_ordered.get(w, 0) <= rep.dims_full[w]
+
+
+def test_decoupling_reverification_sees_a_wrong_coefficient():
+    rel = decoupling_relation(3, 1, 2)
+    (w0, c0), *rest = rel.terms
+    wrong = type(rel)(rel.target, rel.weight, [(w0, c0 + 1)] + rest)
+    assert not verify_decoupling(wrong, 1)
+
+
+def test_bc_vacuum_module_facts():
+    # the bc realization at central charge +n, where J^0..J^{n-1}
+    # generate W_{1+inf,+n}: the projection kernel starts at weight n+1
+    # and J^n decouples through J^0..J^{n-1}
+    for n in (1, 2):
+        for N in range(n + 1):
+            assert ideal_kernel(n, N, "bc") == []
+        assert len(ideal_kernel(n, n + 1, "bc")) == 1
+        rel = decoupling_relation(n, n, n - 1, "bc")
+        assert rel is not None and verify_decoupling(rel, n, "bc")
+    # J^1 = 1/2 dJ^0 - 1/2 :J^0 J^0: at n = 1
+    assert decoupling_relation(1, 1, 0, "bc").terms == [
+        (((0, 1),), Fraction(1, 2)), (((0, 0), (0, 0)), Fraction(-1, 2)),
+    ]
+    assert decoupling_relation(1, 2, 0, "bc") is None
+
+
+def test_cyclic_spans_are_exact():
+    # the full, length-bounded and ordered spans, weight by weight
+    gb = wick(generator_state(GAMMA, 1), generator_state(BETA, 1))
+    cases = []
+    for symbol_cap, cap in ((0, 5), (1, 4)):
+        ramp = {w: w + 1 for w in range(cap + 1)}
+        cases += [
+            (vacuum(), BG1, symbol_cap, cap, {0: 1}),
+            (generator_state(GAMMA, 1), BG1, symbol_cap, cap, dict.fromkeys(range(cap + 1), 1)),
+            (realize_current(0, BG1), BG1, symbol_cap, cap, ramp),
+            (realize_current(1, BG1), BG1, symbol_cap, cap, ramp),
+            (gb, BG1, symbol_cap, cap, ramp),
+        ]
+    for alg in (AlgebraDescriptor("bc", 1), BG2):
+        for l in (0, 1):
+            cases.append((realize_current(l, alg), alg, 0, 4, {w: w + 1 for w in range(5)}))
+    for f, alg, symbol_cap, cap, dims in cases:
+        rep = cyclic_span_check(f, symbol_cap, alg, cap)
+        assert (rep.dims_full, rep.dims_short, rep.dims_ordered) == (dims, dims, dims), (f, alg)
