@@ -154,11 +154,20 @@ def _evaluate(args, text: str, alg: AlgebraDescriptor):
 
 def _int_rows(text: str, rank: int, what: str) -> list[tuple[int, ...]]:
     """Integer rows 'a,b;c,d', each of length rank."""
-    rows = [tuple(int(x) for x in row.split(",")) for row in text.split(";")]
-    for r in rows:
+    rows = []
+    for row in text.split(";"):
+        r = tuple(_int(x, f"{what} row {row!r} is not a list of integers") for x in row.split(","))
         if len(r) != rank:
             raise UsageError(f"{what} row {r} does not match --rank {rank}")
+        rows.append(r)
     return rows
+
+
+def _int(text: str, message: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(message) from None
 
 
 def parse_action_spec(spec: str, rank: int):
@@ -170,7 +179,7 @@ def parse_action_spec(spec: str, rank: int):
             raise UsageError("sl2 acts on the rank-2 algebra; set --rank 2")
         return sl2_standard()
     if spec.startswith("gl:"):
-        n = int(spec[len("gl:"):])
+        n = _int(spec[len("gl:"):], f"action {spec!r} does not name an integer rank")
         if n != rank:
             raise UsageError(f"gl:{n} acts on the rank-{n} algebra; set --rank {n}")
         return gl_standard(n)
@@ -187,7 +196,7 @@ def parse_action_spec(spec: str, rank: int):
             fields[key] = value
         if len(fields) < 2:
             raise UsageError("finite action needs ord=K and chars=...")
-        order = int(fields["ord"])
+        order = _int(fields["ord"], f"finite-action order {fields['ord']!r} is not an integer")
         chars = _int_rows(fields["chars"], rank, "character")
         return FiniteAbelianAction(tuple((order, r) for r in chars))
     raise UsageError(f"unknown action spec {spec!r}")

@@ -14,19 +14,21 @@ space:
 
 Dimension tables are computed twice, on states and on the graded
 symbols, through separate code paths; the two must agree entrywise.
-For tori and finite abelian groups an entry is a sum of coefficients
-of the charge-graded Hilbert series: each side counts its monomials by
-(weight, degree, charge vector) without listing them
+For tori, finite abelian groups and the standard Lie actions
+(``sl2_standard()``, ``gl_standard(n)``) an entry is a weighted sum of
+coefficients of the charge-graded Hilbert series: each side counts its
+monomials by (weight, degree, charge vector) without listing them
 (``fock.charge_counts`` over modes, its own ``fock.gr_charge_counts``
-over symbols), tests each charge vector once, in a dict local to the
-call, and adds up the counts of the invariant ones.  For Lie-algebra
-actions each side enumerates a weight once, every degree up to the cap
-from one walk (``fock.basis_by_degree``, ``fock.gr_basis_by_degree``)
+over symbols), weighs each charge vector once (``_charge_sign``: 1 or 0
+for invariance under a torus or finite group, the sign of a Weyl shift
+for sl2 and gl_n) and adds up.  Other Lie-algebra actions are
+eliminated: each side enumerates a weight once, every degree up to the
+cap from one walk (``fock.basis_by_degree``, ``fock.gr_basis_by_degree``)
 that lists only the monomials the diagonal matrices kill, and an entry
 is the size of an exact joint kernel of the other matrices, one exact
 system per bidegree: the number of those monomials minus the rank of
-their images.  The command line runs as ``vertexfock
-inv-dims`` or ``python -m vertexfock inv-dims``.
+their images.  The command line runs as ``vertexfock inv-dims`` or
+``python -m vertexfock inv-dims``.
 
 Strong-generation checks compare the exact span of normally ordered
 words in a generator list against the invariant dimensions, weight by
@@ -36,6 +38,7 @@ list of currents, zero modes first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from bisect import bisect_left
@@ -303,18 +306,43 @@ class DimTable(Record):
         return isinstance(other, DimTable) and self.entries == other.entries
 
 
-def _invariant_counts(action, counts) -> dict[tuple[int, int], int]:
+def _charge_sign(action: GroupAction, rank_n: int):
+    """The weight of a charge class q in an invariant dimension, or None
+    where a kernel is needed: 1 or 0 for invariance under a torus or
+    finite group; for ``sl2_standard()`` and ``gl_standard(n)`` on the
+    rank-n algebra the sign of a Weyl shift, since each (weight, degree)
+    slice is a module of the connected group with torus weights q, and
+    Weyl's character formula at highest weight 0 gives dim V^G = sum over
+    s in W of sign(s) m(s(rho) - rho), m the weight multiplicity:
+    m(0) - m(2) in the h-weight q_1 - q_2 for sl2, a sum over S_n with
+    rho = (n-1, ..., 0) for gl_n."""
+    if isinstance(action, (TorusAction, FiniteAbelianAction)):
+        return action.is_invariant_charge
+    if rank_n == 2 and action == sl2_standard():
+        return lambda q: {0: 1, -2: -1}.get(q[0] - q[1], 0)
+    if len(action.matrices) == rank_n * rank_n and action == gl_standard(rank_n):
+        rho = tuple(range(rank_n - 1, -1, -1))
+        # the permutation taking rho to p has one inversion per ascent of p
+        shifts = {tuple(a - b for a, b in zip(p, rho)):
+                  (-1) ** sum(a < b for i, a in enumerate(p) for b in p[i + 1:])
+                  for p in itertools.permutations(rho)}
+        return lambda q: shifts.get(q, 0)
+    return None
+
+
+def _invariant_counts(sign, counts) -> dict[tuple[int, int], int]:
     """Sum, per (weight, degree), of the counts by (weight, degree,
-    charge) of ``fock.charge_counts`` or ``fock.gr_charge_counts`` whose
-    charge vector is invariant; each vector is tested once."""
-    seen: dict[tuple[int, ...], bool] = {}
+    charge) of ``fock.charge_counts`` or ``fock.gr_charge_counts``, each
+    weighed by ``sign`` of its charge vector (``_charge_sign``); each
+    vector is weighed once."""
+    seen: dict[tuple[int, ...], int] = {}
     dims: dict[tuple[int, int], int] = {}
     for (w, d, q), c in counts.items():
-        ok = seen.get(q)
-        if ok is None:
-            ok = seen[q] = action.is_invariant_charge(q)
-        if ok:
-            dims[(w, d)] = dims.get((w, d), 0) + c
+        s = seen.get(q)
+        if s is None:
+            s = seen[q] = sign(q)
+        if s:
+            dims[(w, d)] = dims.get((w, d), 0) + s * c
     return dims
 
 
@@ -324,8 +352,9 @@ def _invariant_dims(
     """State-side invariant dimension of each degree 0..degree_cap at one
     weight: ``len(invariant_basis(action, alg, weight, d))``, without
     building states or kernel vectors."""
-    if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        dims = _invariant_counts(action, charge_counts(alg, weight, degree_cap))
+    sign = _charge_sign(action, alg.rank)
+    if sign is not None:
+        dims = _invariant_counts(sign, charge_counts(alg, weight, degree_cap))
         return [dims.get((weight, d), 0) for d in range(degree_cap + 1)]
     rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
     return [_lie_dim(monos, _derive_mono, rest, alg.rank)
@@ -336,8 +365,9 @@ def dim_table(
     action: GroupAction, alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
 ) -> DimTable:
     """State-side invariant dimensions per bidegree."""
-    if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        dims = _invariant_counts(action, charge_counts(alg, weight_cap, degree_cap))
+    sign = _charge_sign(action, alg.rank)
+    if sign is not None:
+        dims = _invariant_counts(sign, charge_counts(alg, weight_cap, degree_cap))
         entries = {(w, d): dims.get((w, d), 0)
                    for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
     else:
@@ -353,8 +383,9 @@ def gr_dim_table(
     count or enumeration and an independent derivation; must equal the
     state-side table entrywise."""
     entries = {(w, d): 0 for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
-    if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        entries.update(_invariant_counts(action, gr_charge_counts(alg, weight_cap, degree_cap)))
+    sign = _charge_sign(action, alg.rank)
+    if sign is not None:
+        entries.update(_invariant_counts(sign, gr_charge_counts(alg, weight_cap, degree_cap)))
     else:
         rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
         for w in range(weight_cap + 1):

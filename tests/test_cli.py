@@ -322,6 +322,14 @@ def test_row_parsing_usage_errors(capsys):
          "charge row (1, 2) does not match --rank 1"),
         (("commutant", "--charges", "0"), "charge row (0,) is zero, so its current vanishes"),
         (("commutant", "--algebra", "bc", "--charges", "1"), "commutants are computed in the bg system"),
+        (("inv-dims", "--action", "torus:1,,1", "--rank", "2"),
+         "charge row '1,,1' is not a list of integers"),
+        (("inv-dims", "--action", "gl:x", "--rank", "2"), "action 'gl:x' does not name an integer rank"),
+        (("inv-dims", "--action", "finite:ord=x:chars=1", "--rank", "1"),
+         "finite-action order 'x' is not an integer"),
+        (("inv-dims", "--action", "finite:ord=2:chars=1;y", "--rank", "1"),
+         "character row 'y' is not a list of integers"),
+        (("commutant", "--charges", "1;x"), "charge row 'x' is not a list of integers"),
     ):
         rc, out, err = run(capsys, *argv, *caps)
         assert (rc, out, err) == (2, "", f"error: {message}\n"), argv

@@ -216,10 +216,9 @@ def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
     monkeypatch.setattr(invariants, "charge_counts", refuse("counter"))
     assert [gr_dim_table(act, alg, 4, 4) for act, alg in cases] == want
     # the refusals bite: the state side needs what the symbol side did without
-    with pytest.raises(AssertionError, match="counter"):
-        dim_table(*cases[0], 4, 4)
-    with pytest.raises(AssertionError, match="walk"):
-        dim_table(*cases[1], 4, 4)
+    for act, alg in cases:
+        with pytest.raises(AssertionError, match="counter"):
+            dim_table(act, alg, 4, 4)
 
 
 ALGEBRAS = [AlgebraDescriptor(kind, rank) for kind in ("bg", "bc", "bcbg") for rank in (1, 2)]
@@ -304,22 +303,72 @@ def test_pruned_walks_are_the_filtered_walks(walk, kind, rank_mats, w, cap):
     assert walk(alg, w, cap, functional) == want
 
 
-def test_sl2_tables_walk_only_the_h_weight_zero_words(monkeypatch):
+def test_sl2_tables_walk_no_words(monkeypatch):
     act = sl2_standard()
-    want = dim_table(act, BG2, 7, 7)
-    for side, table in (("basis_by_degree", dim_table), ("gr_basis_by_degree", gr_dim_table)):
-        walk = getattr(invariants, side)
-        emitted = []
 
-        def counted(*args, walk=walk, emitted=emitted):
-            buckets = walk(*args)
-            emitted.append(sum(map(len, buckets)))
-            return buckets
+    def refused(*args):
+        raise AssertionError("an sl2 table walked words")
 
-        monkeypatch.setattr(invariants, side, counted)
-        assert table(act, BG2, 7, 7) == want
-        # 21,604 words of weight and degree <= 7, of which 2,310 have h-weight 0
-        assert sum(emitted) == 2310, side
+    for side in ("basis_by_degree", "gr_basis_by_degree"):
+        monkeypatch.setattr(invariants, side, refused)
+    assert dim_table(act, BG2, 7, 7) == gr_dim_table(act, BG2, 7, 7)
+    # invariant_basis still walks, pruned to the h-weight-0 words: 2,310
+    # of the 21,604 words of weight and degree <= 7
+    _, h = invariants._split_diagonal(act.matrices, 2, 7)
+    for walk in (fock.basis_by_degree, fock.gr_basis_by_degree):
+        for functional, emitted in ((None, 21604), (h, 2310)):
+            assert sum(len(bucket) for w in range(8) for bucket in walk(BG2, w, 7, functional)) == emitted
+
+
+def _kernel_table(act, alg, cap, walk, derive):
+    """The exact joint-kernel dimension of each bidegree, by the route
+    of the actions that are not counted."""
+    rest, functional = invariants._split_diagonal(act.matrices, alg.rank, cap)
+    return {(w, d): invariants._lie_dim(monos, derive, rest, alg.rank)
+            for w in range(cap + 1) for d, monos in enumerate(walk(alg, w, cap, functional))}
+
+
+@pytest.mark.parametrize("table, walk, derive", [
+    (dim_table, fock.basis_by_degree, invariants._derive_mono),
+    (gr_dim_table, fock.gr_basis_by_degree, invariants._gr_derive_mono),
+], ids=["state", "symbol"])
+@pytest.mark.parametrize("act, alg, cap", [
+    (sl2_standard(), BG2, 6),
+    (sl2_standard(), AlgebraDescriptor("bc", 2), 6),
+    (sl2_standard(), AlgebraDescriptor("bcbg", 2), 4),
+    (gl_standard(2), BG2, 6),
+    (gl_standard(3), AlgebraDescriptor("bc", 3), 6),
+    (gl_standard(2), AlgebraDescriptor("bcbg", 2), 4),
+    (gl_standard(3), AlgebraDescriptor("bg", 3), 4),
+], ids=["sl2-bg2", "sl2-bc2", "sl2-bcbg2", "gl2-bg2", "gl3-bc3", "gl2-bcbg2", "gl3-bg3"])
+def test_weyl_count_is_the_kernel_dimension(table, walk, derive, act, alg, cap):
+    assert invariants._charge_sign(act, alg.rank) is not None
+    assert table(act, alg, cap, cap).entries == _kernel_table(act, alg, cap, walk, derive)
+
+
+def test_lie_tables_agree_beyond_the_reach_of_the_kernels():
+    sl2 = sl2_standard()
+    # span_check's need side for SL_2 on bg:2 at weights 0..10, found
+    # earlier by elimination (a minute per side)
+    need = [sum(invariants._invariant_dims(sl2, BG2, w, 2 * w)) for w in range(11)]
+    assert need == [1, 2, 6, 16, 37, 82, 174, 352, 694, 1326, 2472]
+    # the degree-2 GL_2 invariants of bg:2 number w at weight w
+    dt = dim_table(gl_standard(2), BG2, 10, 2)
+    assert [dt[(w, 2)] for w in range(11)] == list(range(11))
+    assert dim_table(sl2, BG2, 10, 10) == gr_dim_table(sl2, BG2, 10, 10)
+
+
+def test_other_lie_actions_take_the_kernel_route():
+    e12 = ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+    h = ((1, 0, 0), (0, -1, 0), (0, 0, 0))
+    bg3 = AlgebraDescriptor("bg", 3)
+    for act, alg in ((invariants.LieAlgebraAction((e12, h)), bg3),
+                     (invariants.LieAlgebraAction(sl2_standard().matrices[::-1]), BG2),
+                     (gl_standard(2), AlgebraDescriptor("bg", 3))):
+        assert invariants._charge_sign(act, alg.rank) is None
+    act = invariants.LieAlgebraAction((e12, h))
+    want = _kernel_table(act, bg3, 3, fock.basis_by_degree, invariants._derive_mono)
+    assert dim_table(act, bg3, 3, 3).entries == gr_dim_table(act, bg3, 3, 3).entries == want
 
 
 def test_gl_tables_agree():
