@@ -38,7 +38,6 @@ list of currents, zero modes first.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from bisect import bisect_left
@@ -308,25 +307,24 @@ class DimTable(Record):
 
 def _charge_sign(action: GroupAction, rank_n: int):
     """The weight of a charge class q in an invariant dimension, or None
-    where a kernel is needed: 1 or 0 for invariance under a torus or
-    finite group; for ``sl2_standard()`` and ``gl_standard(n)`` on the
-    rank-n algebra the sign of a Weyl shift, since each (weight, degree)
-    slice is a module of the connected group with torus weights q, and
-    Weyl's character formula at highest weight 0 gives dim V^G = sum over
-    s in W of sign(s) m(s(rho) - rho), m the weight multiplicity:
-    m(0) - m(2) in the h-weight q_1 - q_2 for sl2, a sum over S_n with
-    rho = (n-1, ..., 0) for gl_n."""
+    where a kernel is needed: 1 or 0 for a torus or finite group; for
+    ``sl2_standard()`` and ``gl_standard(n)`` the sign of s in the Weyl
+    group W where q = s(rho) - rho, else 0, so that dim V^G is
+    sum over s in W of sign(s) m(s(rho) - rho) (Weyl's character formula
+    at highest weight 0; Fulton-Harris, Lectures 24-25)."""
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         return action.is_invariant_charge
     if rank_n == 2 and action == sl2_standard():
         return lambda q: {0: 1, -2: -1}.get(q[0] - q[1], 0)
     if len(action.matrices) == rank_n * rank_n and action == gl_standard(rank_n):
-        rho = tuple(range(rank_n - 1, -1, -1))
-        # the permutation taking rho to p has one inversion per ascent of p
-        shifts = {tuple(a - b for a, b in zip(p, rho)):
-                  (-1) ** sum(a < b for i, a in enumerate(p) for b in p[i + 1:])
-                  for p in itertools.permutations(rho)}
-        return lambda q: shifts.get(q, 0)
+        def sign(q):
+            # p = s(rho) for rho = (n-1, ..., 0); s has one inversion per
+            # ascending pair of p
+            p = [a + rank_n - 1 - i for i, a in enumerate(q)]
+            if sorted(p) != list(range(rank_n)):
+                return 0
+            return (-1) ** sum(a < b for i, a in enumerate(p) for b in p[i + 1:])
+        return sign
     return None
 
 

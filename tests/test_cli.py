@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,16 @@ def test_gl_and_torus_specs(capsys):
     for spec in ("torus:1,,1", "torus:1,1;", "torus:,1,1"):
         rc, out, _ = run(capsys, "inv-dims", "--action", spec, "--rank", "2", *caps)
         assert rc == 2 and out == "", spec
+
+
+def test_gl_at_the_rank_ceiling_is_quick(capsys):
+    # the Weyl signs of gl:12 are found per charge class, not from a table
+    # of all 12! permutations
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "inv-dims", "--action", "gl:12", "--rank", "12",
+                     "--max-weight", "0", "--max-degree", "0")
+    assert rc == 0 and json.loads(out)["entries"][0]["dim_state_side"] == 1
+    assert time.perf_counter() - start < 10
 
 
 def test_commutant_zero_charge_row(capsys):

@@ -202,7 +202,10 @@ def test_dim_table_counts_equal_invariant_bases():
 
 
 def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
-    cases = [(TorusAction(((1, -1),)), BG2), (sl2_standard(), BG2)]
+    # a torus and sl2 are counted; sl2 with its matrices reordered is
+    # not recognised, so it takes the kernel route and its walks
+    cases = [(TorusAction(((1, -1),)), BG2), (sl2_standard(), BG2),
+             (invariants.LieAlgebraAction(sl2_standard().matrices[::-1]), BG2)]
     want = [dim_table(act, alg, 4, 4) for act, alg in cases]
 
     def refuse(what):
@@ -216,8 +219,8 @@ def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
     monkeypatch.setattr(invariants, "charge_counts", refuse("counter"))
     assert [gr_dim_table(act, alg, 4, 4) for act, alg in cases] == want
     # the refusals bite: the state side needs what the symbol side did without
-    for act, alg in cases:
-        with pytest.raises(AssertionError, match="counter"):
+    for (act, alg), what in zip(cases, ("counter", "counter", "walk")):
+        with pytest.raises(AssertionError, match=what):
             dim_table(act, alg, 4, 4)
 
 
