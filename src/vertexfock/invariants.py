@@ -276,13 +276,11 @@ def invariant_basis(
     action: GroupAction, alg: AlgebraDescriptor, weight: int, degree: int
 ) -> list[State]:
     """Exact basis of the invariant subspace of one bidegree."""
+    sign = _charge_sign(action, alg.rank)
     if degree < 0:
         return []
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        return [
-            State({m: 1}) for m in basis(alg, weight, degree)
-            if action.is_invariant_charge(mono_charge(m, alg.rank))
-        ]
+        return [State({m: 1}) for m in basis(alg, weight, degree) if sign(mono_charge(m, alg.rank))]
     rest, functional = _split_diagonal(action.matrices, alg.rank, degree)
     monos = basis_by_degree(alg, weight, degree, functional)[degree]
     return [State(c) for c in _lie_kernel(monos, _derive_mono, rest, alg.rank)]
@@ -311,9 +309,18 @@ def _charge_sign(action: GroupAction, rank_n: int):
     ``sl2_standard()`` and ``gl_standard(n)`` the sign of s in the Weyl
     group W where q = s(rho) - rho, else 0, so that dim V^G is
     sum over s in W of sign(s) m(s(rho) - rho) (Weyl's character formula
-    at highest weight 0; Fulton-Harris, Lectures 24-25)."""
+    at highest weight 0; Fulton-Harris, Lectures 24-25).
+
+    Every table, basis and span check starts here, so this is where a
+    LieAlgebraAction whose matrices are not rank_n x rank_n is refused
+    with a ValueError."""
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         return action.is_invariant_charge
+    for m in action.matrices:
+        if len(m) != rank_n:
+            raise ValueError(
+                f"action matrices are {len(m)} x {len(m)}, but the algebra has rank {rank_n}"
+            )
     if rank_n == 2 and action == sl2_standard():
         return lambda q: {0: 1, -2: -1}.get(q[0] - q[1], 0)
     if len(action.matrices) == rank_n * rank_n and action == gl_standard(rank_n):
@@ -408,10 +415,9 @@ def dim_table_csv_rows(state_side: DimTable, gr_side: DimTable) -> list[list]:
 
 
 def is_invariant_state(action: GroupAction, alg: AlgebraDescriptor, s: State) -> bool:
+    sign = _charge_sign(action, alg.rank)
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        return all(
-            action.is_invariant_charge(mono_charge(m, alg.rank)) for m in s.terms
-        )
+        return all(sign(mono_charge(m, alg.rank)) for m in s.terms)
     for X in action.matrices:
         if extend_action(X, alg)(s):
             return False

@@ -29,7 +29,7 @@ from . import linalg
 from .fock import AlgebraDescriptor, State, degree, vacuum, words_of_weight
 from .linalg import Combination, Record, Scalar, add_into, format_scalar, scalar
 from .ope import circle, derivative_words, word_products
-from .winfinity import bracket_basis, field_mode, realize_current
+from .winfinity import DOp, bracket_basis, field_mode, realize_current
 
 # letter (l, k) means J^l_{-k}, k >= l+1; PBW key orders by weight first
 Letter = tuple[int, int]
@@ -77,6 +77,10 @@ def vacuum_module_basis(weight_n: int) -> list[Word]:
 
 
 _ACT_MEMO: dict[tuple[int, int, Word, Scalar], dict[Word, Scalar]] = {}
+
+
+def clear_cache() -> None:
+    _ACT_MEMO.clear()
 
 
 def _act_basis(l: int, k: int, word: Word, c: Scalar) -> dict[Word, Scalar]:
@@ -141,12 +145,23 @@ def singular_vectors(
     At N > 0, j_cap < 1 would impose no condition at all and raises
     ValueError.
 
-    Only these capped conditions are imposed, so the result is a basis
+    The solve starts small: it takes the exact kernel of the j = 1
+    conditions alone, which contains the wanted kernel, and applies
+    every other capped condition to each of its basis vectors.  The
+    conditions that fail on any of them join the system, which is
+    solved once more.  A condition that kills every basis vector kills
+    their span, and with it the smaller second kernel, so after that
+    solve no capped condition fails.  The result is then exactly the
+    kernel of all capped conditions, and since an RREF kernel basis
+    depends only on the subspace and the column order, it is the basis
+    the full system gives.
+
+    Only the capped conditions are imposed, so the result is a basis
     of singular vectors up to the caps: it contains every singular
     vector of weight N, and may contain vectors that a condition past
     the caps would exclude.  This function does not compare it with the
     capless projection kernel (``ideal_kernel``); the tests check at
-    c = -1, N = 4 that the span lies in ``ideal_kernel(1, 4)``.
+    c = -1, N = 4 and c = -2, N = 9 that the span lies in it.
     """
     c = scalar(c)
     if l_cap is None:
@@ -161,15 +176,23 @@ def singular_vectors(
     words = vacuum_module_basis(weight_n)
     if not words:
         return []
-    conditions = [(l, j) for l in range(l_cap + 1) for j in range(1, j_cap + 1)]
-    columns = [
-        {(l, j, w2): v for (l, j) in conditions for w2, v in _act_basis(l, j, word, c).items()}
-        for word in words
-    ]
-    return [
-        VermaElement({words[i]: v for i, v in rel.items()})
-        for rel in linalg.kernel_of_columns(columns)
-    ]
+
+    def kernel(conditions):
+        columns = [
+            {(l, j, w2): v for l, j in conditions for w2, v in _act_basis(l, j, word, c).items()}
+            for word in words
+        ]
+        return [
+            VermaElement({words[i]: v for i, v in rel.items()})
+            for rel in linalg.kernel_of_columns(columns)
+        ]
+
+    capped = [(l, j) for l in range(l_cap + 1) for j in range(1, j_cap + 1)]
+    imposed = [lj for lj in capped if lj[1] == 1]
+    basis = kernel(imposed)
+    failing = [(l, j) for l, j in capped
+               if j > 1 and any(act(DOp.basis_element(l, j), v, c) for v in basis)]
+    return kernel(imposed + failing) if failing else basis
 
 
 def project_word(word: Word, alg: AlgebraDescriptor) -> State:

@@ -329,6 +329,23 @@ def test_criterion_12_gl_on_bc():
                "the GL_3-invariants of bc:3 at every weight <= 7")
 
 
+def test_criterion_12_vacuum_module_at_n_2():
+    # W_{1+inf,-2}: the vacuum module at c = -2 has its first singular
+    # vector at weight (n+1)^2 = 9, it spans the projection kernel onto
+    # bg:2, and J^8 is the first current to decouple (Kac-Radul, CMP 1993)
+    svs = singular_vectors(Fraction(-2), 9)
+    assert len(svs) == 1
+    assert not project(svs[0], BG2)
+    assert svs == ideal_kernel(2, 9)
+    rel = decoupling_relation(8, 2, 7)
+    assert rel is not None and len(rel.terms) == 94
+    assert verify_decoupling(rel, 2)
+    assert decoupling_relation(7, 2, 6) is None
+    report(12, "at c = -2 the weight-9 singular vector spans the projection kernel "
+               "onto bg:2; J^8 decouples through J^0..J^7 (94 terms, re-verified), "
+               "J^7 does not decouple through J^0..J^6")
+
+
 def _mixed_currents(n, top):
     """The four GL_n-invariant currents of bcbg:n per l <= top:
     sum_i :u^i d^l v^i: for (u, v) = (gamma, beta), (c, b), (gamma, b), (c, beta)."""

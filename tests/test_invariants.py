@@ -366,12 +366,24 @@ def test_other_lie_actions_take_the_kernel_route():
     h = ((1, 0, 0), (0, -1, 0), (0, 0, 0))
     bg3 = AlgebraDescriptor("bg", 3)
     for act, alg in ((invariants.LieAlgebraAction((e12, h)), bg3),
-                     (invariants.LieAlgebraAction(sl2_standard().matrices[::-1]), BG2),
-                     (gl_standard(2), AlgebraDescriptor("bg", 3))):
+                     (invariants.LieAlgebraAction(sl2_standard().matrices[::-1]), BG2)):
         assert invariants._charge_sign(act, alg.rank) is None
     act = invariants.LieAlgebraAction((e12, h))
     want = _kernel_table(act, bg3, 3, fock.basis_by_degree, invariants._derive_mono)
     assert dim_table(act, bg3, 3, 3).entries == gr_dim_table(act, bg3, 3, 3).entries == want
+
+
+@pytest.mark.parametrize("act, rank, size", [
+    (gl_standard(3), 2, 3), (sl2_standard(), 1, 2), (gl_standard(2), 3, 2),
+], ids=["gl3-on-bg2", "sl2-on-bg1", "gl2-on-bg3"])
+def test_lie_action_of_another_rank_is_refused(act, rank, size):
+    alg = AlgebraDescriptor("bg", rank)
+    message = f"matrices are {size} x {size}, but the algebra has rank {rank}"
+    for call in (lambda: dim_table(act, alg, 2, 2), lambda: gr_dim_table(act, alg, 2, 2),
+                 lambda: invariant_basis(act, alg, 2, 2), lambda: span_check([], act, alg, 2, 2),
+                 lambda: span_check([realize_current(0, alg)], act, alg, 2, 2)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_gl_tables_agree():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import circle_oracle
-from vertexfock import ope
+from vertexfock import ope, verma
 from vertexfock.exprlang import evaluate, parse
 from vertexfock.fock import (
     B,
@@ -331,6 +331,14 @@ def test_clear_cache_empties_both_caches():
     assert ope._MEMO and ope._CONTRACTIONS
     ope.clear_cache()
     assert not ope._MEMO and not ope._CONTRACTIONS
+
+
+def test_verma_clear_cache_empties_the_act_memo_in_place():
+    memo = verma._ACT_MEMO
+    assert verma.singular_vectors(-1, 4)
+    assert memo
+    verma.clear_cache()
+    assert verma._ACT_MEMO is memo and not memo
 
 
 def test_identity_mismatch_reports_replay(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, generator_state, vacuum, weight
-from vertexfock.linalg import rank_of_columns
+from vertexfock.linalg import kernel_of_columns, rank_of_columns
 from vertexfock.ope import circle, wick, word_products
 from vertexfock.verma import (
     VermaElement,
@@ -83,6 +83,48 @@ def test_singular_vectors():
         assert ideal_kernel(1, N) == []
     for c in (Fraction(1, 2), Fraction(3, 7)):
         assert singular_vectors(c, 4) == []
+
+
+def _all_conditions_kernel(c, N, l_cap, j_cap):
+    # every capped condition J^l_j at once, in one exact system
+    words = vacuum_module_basis(N)
+    conditions = [(l, j) for l in range(l_cap + 1) for j in range(1, j_cap + 1)]
+    columns = [
+        {(l, j, w2): v for l, j in conditions
+         for w2, v in act(DOp.basis_element(l, j), VermaElement({w: 1}), c).terms.items()}
+        for w in words
+    ]
+    return [VermaElement({words[i]: v for i, v in rel.items()})
+            for rel in kernel_of_columns(columns)]
+
+
+@pytest.mark.parametrize("c", [Fraction(-1), Fraction(-2), Fraction(1, 2), Fraction(7, 3)])
+def test_singular_vectors_are_the_kernel_of_all_capped_conditions(c):
+    for N in range(7):
+        for l_cap, j_cap in [(None, None), (0, None), (1, None), (2, 3), (1, 1)]:
+            oracle = _all_conditions_kernel(
+                c, N, N + 2 if l_cap is None else l_cap, N if j_cap is None else j_cap)
+            assert singular_vectors(c, N, l_cap, j_cap) == oracle, (c, N, l_cap, j_cap)
+
+
+def test_singular_vectors_solve_again_only_when_j_1_falls_short(monkeypatch):
+    solves = []
+    real = kernel_of_columns
+    monkeypatch.setattr("vertexfock.linalg.kernel_of_columns",
+                        lambda columns: solves.append(len(columns)) or real(columns))
+    # (c, N, l_cap, dimension from j = 1 alone, dimension under every cap)
+    for c, N, l_cap, dim_j1, dim in [
+        (Fraction(-1), 4, 0, 7, 4), (Fraction(-1), 6, 1, 6, 3), (Fraction(1, 2), 5, 0, 11, 6),
+    ]:
+        assert len(singular_vectors(c, N, l_cap, 1)) == dim_j1
+        solves.clear()
+        assert len(singular_vectors(c, N, l_cap)) == dim
+        assert len(solves) == 2, (c, N, l_cap)
+    # the benchmark's weight-6 slices stay one j = 1 solve each
+    for c in (Fraction(-1), Fraction(7, 3)):
+        solves.clear()
+        assert singular_vectors(c, 6) == []
+        assert len(solves) == 1, c
 
 
 def test_singular_vector_lies_in_projection_kernel():
