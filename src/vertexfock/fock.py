@@ -455,15 +455,14 @@ def gr_basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[GrMonomia
 
 
 def gr_basis_by_degree(
-    alg: AlgebraDescriptor, weight: int, degree_cap: int, functional=None
+    alg: AlgebraDescriptor, weight: int, degree_cap: int
 ) -> list[list[GrMonomial]]:
     """Symbol monomials of the given weight, bucketed by degree
     0..degree_cap, each bucket in lexicographic order.
 
     An independent enumeration (over symbol indices k >= 0 rather than
-    modes, with its own walk rather than ``words_of_weight``), used to
-    cross-check state-side dimension counts.  ``functional`` keeps only
-    the monomials on which it vanishes, as in ``basis_by_degree``.
+    modes, with its own walk rather than ``words_of_weight``); the
+    tests set ``gr_charge_counts`` against it.
     """
     out: list[list[GrMonomial]] = [[] for _ in range(degree_cap + 1)]
     if weight < 0 or degree_cap < 0:
@@ -476,20 +475,17 @@ def gr_basis_by_degree(
                 alphabet.append((sp, idx, k))
     alphabet.sort()
     weights = [gr_symbol_weight(s) for s in alphabet]
-    values = [0 if functional is None else SPECIES_CHARGE[sp] * functional[idx - 1]
-              for sp, idx, _ in alphabet]
     n = len(alphabet)
-    # per suffix: the largest weight, and the extreme values (or 0)
-    suffix_max, lowest, highest = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    # per suffix: the largest weight
+    suffix_max = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_max[i] = max(suffix_max[i + 1], weights[i])
-        lowest[i], highest[i] = min(lowest[i + 1], values[i]), max(highest[i + 1], values[i])
     # a fermionic symbol squares to zero, so the walk moves past it
     nxt = [p + 1 if SPECIES_PARITY[g[0]] else p for p, g in enumerate(alphabet)]
     stack: list[GrSymbol] = []
 
-    def dfs(pos: int, rem_w: int, rem_d: int, total: int):
-        if rem_w == 0 and total == 0:
+    def dfs(pos: int, rem_w: int, rem_d: int):
+        if rem_w == 0:
             out[len(stack)].append(tuple(stack))
         if rem_d == 0:
             return
@@ -497,13 +493,11 @@ def gr_basis_by_degree(
             w = weights[p]
             if w > rem_w or rem_w - w > (rem_d - 1) * suffix_max[p]:
                 continue
-            t, j = total + values[p], nxt[p]
-            if (rem_d - 1) * lowest[j] <= -t <= (rem_d - 1) * highest[j]:
-                stack.append(alphabet[p])
-                dfs(j, rem_w - w, rem_d - 1, t)
-                stack.pop()
+            stack.append(alphabet[p])
+            dfs(nxt[p], rem_w - w, rem_d - 1)
+            stack.pop()
 
-    dfs(0, weight, degree_cap, 0)
+    dfs(0, weight, degree_cap)
     return out
 
 

@@ -21,13 +21,14 @@ monomials by (weight, degree, charge vector) without listing them
 (``fock.charge_counts`` over modes, its own ``fock.gr_charge_counts``
 over symbols), weighs each charge vector once (``_charge_sign``: 1 or 0
 for invariance under a torus or finite group, the sign of a Weyl shift
-for sl2 and gl_n) and adds up.  Other Lie-algebra actions are
-eliminated: each side enumerates a weight once, every degree up to the
-cap from one walk (``fock.basis_by_degree``, ``fock.gr_basis_by_degree``)
-that lists only the monomials the diagonal matrices kill, and an entry
-is the size of an exact joint kernel of the other matrices, one exact
-system per bidegree: the number of those monomials minus the rank of
-their images.  The command line runs as ``vertexfock inv-dims`` or
+for sl2 and gl_n) and adds up.  The symbol side only counts, and
+refuses any other action.  The state side eliminates the other
+Lie-algebra actions: it enumerates a weight once, every degree up to
+the cap from one walk (``fock.basis_by_degree``) that lists only the
+monomials the diagonal matrices kill, and an entry is the size of an
+exact joint kernel of the other matrices, one exact system per
+bidegree: the number of those monomials minus the rank of their
+images.  The command line runs as ``vertexfock inv-dims`` or
 ``python -m vertexfock inv-dims``.
 
 Strong-generation checks compare the exact span of normally ordered
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from fractions import Fraction
 
 from . import linalg
@@ -48,15 +48,12 @@ from .fock import (
     B,
     BETA,
     GAMMA,
-    SPECIES_PARITY,
     AlgebraDescriptor,
-    GrMonomial,
     Monomial,
     State,
     basis,
     basis_by_degree,
     charge_counts,
-    gr_basis_by_degree,
     gr_charge_counts,
     mono_charge,
     mono_degree,
@@ -191,29 +188,6 @@ def extend_action(X, alg: AlgebraDescriptor):
     return op
 
 
-def _gr_derive_mono(X, mono: GrMonomial, rank_n: int) -> dict[GrMonomial, Fraction]:
-    """Symbol-side derivation: each re-indexed symbol moves, within its
-    species, to its sorted place; a fermion changes sign once per symbol
-    it passes, and vanishes if it lands on an equal one."""
-    out: dict[GrMonomial, Fraction] = {}
-    for pos, (sp, idx, k) in enumerate(mono):
-        others = mono[:pos] + mono[pos + 1:]
-        odd = SPECIES_PARITY[sp]
-        for j in range(1, rank_n + 1):
-            coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
-            if coef == 0:
-                continue
-            new = (sp, j, k)
-            at = bisect_left(others, new)
-            if odd:
-                if at < len(others) and others[at] == new:
-                    continue
-                if (at - pos) & 1:
-                    coef = -coef
-            add_into(out, others[:at] + (new,) + others[at:], coef)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # invariant bases and dimension tables
 # ---------------------------------------------------------------------------
@@ -312,9 +286,13 @@ def _charge_sign(action: GroupAction, rank_n: int):
     at highest weight 0; Fulton-Harris, Lectures 24-25).
 
     Every table, basis and span check starts here, so this is where a
-    LieAlgebraAction whose matrices are not rank_n x rank_n is refused
-    with a ValueError."""
+    charge row, character or matrix of another size than rank_n is
+    refused with a ValueError."""
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
+        rows = action.rows if isinstance(action, TorusAction) else [v for _, v in action.chars]
+        for r in rows:
+            if len(r) != rank_n:
+                raise ValueError(f"action rows have length {len(r)}, but the algebra has rank {rank_n}")
         return action.is_invariant_charge
     for m in action.matrices:
         if len(m) != rank_n:
@@ -335,68 +313,49 @@ def _charge_sign(action: GroupAction, rank_n: int):
     return None
 
 
-def _invariant_counts(sign, counts) -> dict[tuple[int, int], int]:
-    """Sum, per (weight, degree), of the counts by (weight, degree,
+def _invariant_table(sign, counts, weight_cap: int, degree_cap: int) -> DimTable:
+    """The sum, per (weight, degree), of the counts by (weight, degree,
     charge) of ``fock.charge_counts`` or ``fock.gr_charge_counts``, each
     weighed by ``sign`` of its charge vector (``_charge_sign``); each
     vector is weighed once."""
     seen: dict[tuple[int, ...], int] = {}
-    dims: dict[tuple[int, int], int] = {}
+    dims = {(w, d): 0 for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
     for (w, d, q), c in counts.items():
         s = seen.get(q)
         if s is None:
             s = seen[q] = sign(q)
         if s:
-            dims[(w, d)] = dims.get((w, d), 0) + s * c
-    return dims
-
-
-def _invariant_dims(
-    action: GroupAction, alg: AlgebraDescriptor, weight: int, degree_cap: int
-) -> list[int]:
-    """State-side invariant dimension of each degree 0..degree_cap at one
-    weight: ``len(invariant_basis(action, alg, weight, d))``, without
-    building states or kernel vectors."""
-    sign = _charge_sign(action, alg.rank)
-    if sign is not None:
-        dims = _invariant_counts(sign, charge_counts(alg, weight, degree_cap))
-        return [dims.get((weight, d), 0) for d in range(degree_cap + 1)]
-    rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
-    return [_lie_dim(monos, _derive_mono, rest, alg.rank)
-            for monos in basis_by_degree(alg, weight, degree_cap, functional)]
+            dims[(w, d)] += s * c
+    return DimTable(dims, weight_cap, degree_cap)
 
 
 def dim_table(
     action: GroupAction, alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
 ) -> DimTable:
-    """State-side invariant dimensions per bidegree."""
+    """State-side invariant dimensions per bidegree.  An action that
+    ``_charge_sign`` cannot weigh takes one walk per weight and one
+    exact rank per bidegree."""
     sign = _charge_sign(action, alg.rank)
     if sign is not None:
-        dims = _invariant_counts(sign, charge_counts(alg, weight_cap, degree_cap))
-        entries = {(w, d): dims.get((w, d), 0)
-                   for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
-    else:
-        entries = {(w, d): dim for w in range(weight_cap + 1)
-                   for d, dim in enumerate(_invariant_dims(action, alg, w, degree_cap))}
-    return DimTable(entries, weight_cap, degree_cap)
+        return _invariant_table(sign, charge_counts(alg, weight_cap, degree_cap), weight_cap, degree_cap)
+    rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
+    return DimTable({(w, d): _lie_dim(monos, _derive_mono, rest, alg.rank)
+                     for w in range(weight_cap + 1)
+                     for d, monos in enumerate(basis_by_degree(alg, w, degree_cap, functional))},
+                    weight_cap, degree_cap)
 
 
 def gr_dim_table(
     action: GroupAction, alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
 ) -> DimTable:
     """Symbol-side invariant dimensions per bidegree, by an independent
-    count or enumeration and an independent derivation; must equal the
-    state-side table entrywise."""
-    entries = {(w, d): 0 for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
+    count (``fock.gr_charge_counts``); must equal the state-side table
+    entrywise.  The symbol side has no kernel route: an action that
+    ``_charge_sign`` cannot weigh is refused with a ValueError."""
     sign = _charge_sign(action, alg.rank)
-    if sign is not None:
-        entries.update(_invariant_counts(sign, gr_charge_counts(alg, weight_cap, degree_cap)))
-    else:
-        rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
-        for w in range(weight_cap + 1):
-            for d, monos in enumerate(gr_basis_by_degree(alg, w, degree_cap, functional)):
-                entries[(w, d)] = _lie_dim(monos, _gr_derive_mono, rest, alg.rank)
-    return DimTable(entries, weight_cap, degree_cap)
+    if sign is None:
+        raise ValueError("the symbol side counts tori, finite groups, sl2 and gl:n only")
+    return _invariant_table(sign, gr_charge_counts(alg, weight_cap, degree_cap), weight_cap, degree_cap)
 
 
 def dim_table_csv_rows(state_side: DimTable, gr_side: DimTable) -> list[list]:
@@ -459,7 +418,8 @@ def span_check(
     the invariant dimensions at every weight up to the cap.
 
     The invariant side is summed over degrees up to a window of
-    2*weight_cap, widened to cover every monomial the words produce.
+    2*weight_cap, widened to cover every monomial the words produce,
+    and read from one ``dim_table`` whose degree cap bounds every word.
     Reports the first deficient bidegree through the degree filtration.
     Generators must have positive weight: weight 0 is checked against
     the vacuum alone.
@@ -471,6 +431,12 @@ def span_check(
     if 0 in gen_weights:
         raise ValueError("span-check generators must have positive weight")
     window = 2 * weight_cap
+    # a word has at most this many letters, and its monomials at most
+    # top degree per letter: Wick contractions lower the degree and
+    # derivatives keep it
+    letters = min(max_word_length, weight_cap // min(gen_weights, default=1))
+    top = max((mono_degree(m) for g in generators for m in g.terms), default=0)
+    table = dim_table(action, alg, weight_cap, max(window, top * letters))
     dims: dict[int, tuple[int, int]] = {}
     first_def = None
     for w in range(weight_cap + 1):
@@ -485,7 +451,7 @@ def span_check(
                 w_window = max(w_window, mono_degree(m))
         have_cols = [s.terms for s in vecs]
         dim_have = linalg.rank_of_columns(have_cols)
-        inv_by_degree = _invariant_dims(action, alg, w, w_window)
+        inv_by_degree = [table[(w, d)] for d in range(w_window + 1)]
         dim_need = sum(inv_by_degree)
         dims[w] = (dim_have, dim_need)
         if dim_have < dim_need and first_def is None:

@@ -53,7 +53,8 @@ def identity_suite(
 
     Returns {"trials": ..., "mismatches": [...]}; the mismatch list must
     be empty.  A mismatch names the failed identities and carries the
-    triple as expressions that ``vertexfock eval`` reads back.
+    seed, and the triple as expressions that ``vertexfock eval`` reads
+    back.
     """
     rng = random.Random(seed)
     mismatches = []
@@ -65,7 +66,7 @@ def identity_suite(
         rep = check_identities(a, b, c, n)
         if not rep.ok:
             mismatches.append(
-                {"trial": t, "n": n, "failed": rep.mismatch_names(),
+                {"trial": t, "seed": seed, "n": n, "failed": rep.mismatch_names(),
                  "a": state_to_text(a), "b": state_to_text(b), "c": state_to_text(c)}
             )
     return {"trials": trials, "algebra": f"{alg.kind}:{alg.rank}", "mismatches": mismatches}

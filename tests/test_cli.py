@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from vertexfock.cli import main
+from vertexfock.fock import AlgebraDescriptor, state_to_json
+from vertexfock.ope import IdentityReport
+from vertexfock.verify import random_homogeneous_state
 from vertexfock.verma import singular_vectors
 
 
@@ -45,6 +49,25 @@ def test_verify_identities(capsys):
     )
     assert rc == 0
     assert json.loads(out)["mismatches"] == []
+
+
+def test_identity_mismatch_carries_its_seed_and_replays_through_eval(capsys, monkeypatch):
+    monkeypatch.setattr("vertexfock.verify.check_identities",
+                        lambda a, b, c, n: IdentityReport(n, {"iterate": a}))
+    alg = ("--rank", "1", "--algebra", "bcbg")
+    rc, out, _ = run(capsys, "verify-identities", "--trials", "3", "--seed", "7",
+                     "--max-weight", "3", "--max-degree", "2", *alg)
+    assert rc == 1
+    mismatches = json.loads(out)["mismatches"]
+    assert [(m["trial"], m["seed"]) for m in mismatches] == [(0, 7), (1, 7), (2, 7)]
+    # the seed regenerates the triples, and each expression evaluates back to its state
+    rng = random.Random(7)
+    for m in mismatches:
+        triple = [random_homogeneous_state(rng, AlgebraDescriptor("bcbg", 1), 3, 2) for _ in range(3)]
+        assert rng.choice([1, 2, 3]) == m["n"]
+        for key, state in zip("abc", triple):
+            rc, out, _ = run(capsys, "eval", m[key], *alg)
+            assert rc == 0 and json.loads(out) == state_to_json(state)
 
 
 def test_winf_verify(capsys):

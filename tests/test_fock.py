@@ -343,3 +343,29 @@ def test_gr_basis_by_degree_matches_brute_force():
             for cap in range(5):
                 assert gr_basis_by_degree(alg, w, cap) == want[:cap + 1], (alg, w, cap)
             assert [gr_basis(alg, w, d) for d in range(5)] == want
+
+
+# monomials of weight and degree <= 2 of each algebra, for random states
+LAW_POOLS = {kind: [m for w in range(3) for d in range(3) for m in basis(AlgebraDescriptor(kind, 2), w, d)]
+             for kind in ("bg", "bc", "bcbg")}
+LAW_SCALARS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+def law_states(kind):
+    return st.dictionaries(st.sampled_from(LAW_POOLS[kind]), LAW_SCALARS, max_size=4).map(State)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(LAW_POOLS)).flatmap(lambda kind: st.tuples(*[law_states(kind)] * 3)),
+       LAW_SCALARS, LAW_SCALARS)
+def test_state_module_laws(states, a, b):
+    s, t, u = states
+    assert s + t == t + s
+    assert (s + t) + u == s + (t + u)
+    assert a * (s + t) == a * s + a * t
+    assert (a + b) * s == a * s + b * s
+    assert not (s - s) and s - s == State()
+    assert not (0 * s).terms
+    # integer-first: every integral coefficient of a result is an int
+    for r in (s + t, s - t, -s, a * s, (a + b) * s, a * (s + t)):
+        assert _int_first(r.terms)

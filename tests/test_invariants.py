@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vertexfock import fock, invariants, linalg
+from vertexfock.exprlang import evaluate, parse
 from vertexfock.fock import (
     B,
     BETA,
@@ -79,22 +80,6 @@ def test_extend_action_matches_resorting_the_word():
                         want_derive = want_derive + (-mode) * State({word: 1})
                     assert op(State({m: 1})) == want, m
                     assert derive(State({m: 1})) == want_derive, m
-
-
-def test_symbol_derivation_is_the_symbol_of_the_state_derivation():
-    # the symbol side re-sorts a re-indexed symbol in one pass of its
-    # own; the symbol map commutes with the derivation (the 1/k! scaling
-    # depends on the mode numbers only, which the derivation keeps)
-    X = ((1, Fraction(2, 3)), (-1, 3))
-    for alg in (AlgebraDescriptor("bc", 2), AlgebraDescriptor("bcbg", 2)):
-        op = extend_action(X, alg)
-        for w in range(4):
-            for d in range(1, 4):
-                for m in basis(alg, w, d):
-                    ((sym, c),) = fock.gr_symbol(State({m: 1})).items()
-                    img = op(State({m: 1}))
-                    want = {k: v / c for k, v in fock.gr_symbol(img).items()} if img else {}
-                    assert invariants._gr_derive_mono(X, sym, 2) == want, m
 
 
 def test_extend_action_preserves_bidegree():
@@ -203,10 +188,12 @@ def test_dim_table_counts_equal_invariant_bases():
 
 def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
     # a torus and sl2 are counted; sl2 with its matrices reordered is
-    # not recognised, so it takes the kernel route and its walks
-    cases = [(TorusAction(((1, -1),)), BG2), (sl2_standard(), BG2),
-             (invariants.LieAlgebraAction(sl2_standard().matrices[::-1]), BG2)]
+    # not recognised, so the symbol side refuses it and the state side
+    # takes the kernel route and its walks
+    reordered = invariants.LieAlgebraAction(sl2_standard().matrices[::-1])
+    cases = [(TorusAction(((1, -1),)), BG2), (sl2_standard(), BG2)]
     want = [dim_table(act, alg, 4, 4) for act, alg in cases]
+    assert dim_table(reordered, BG2, 4, 4).entries == _kernel_table(reordered, BG2, 4)
 
     def refuse(what):
         def refused(*args, **kwargs):
@@ -218,8 +205,10 @@ def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
     monkeypatch.setattr(fock, "charge_counts", refuse("counter"))
     monkeypatch.setattr(invariants, "charge_counts", refuse("counter"))
     assert [gr_dim_table(act, alg, 4, 4) for act, alg in cases] == want
+    with pytest.raises(ValueError, match="symbol side counts"):
+        gr_dim_table(reordered, BG2, 4, 4)
     # the refusals bite: the state side needs what the symbol side did without
-    for (act, alg), what in zip(cases, ("counter", "counter", "walk")):
+    for (act, alg), what in zip(cases + [(reordered, BG2)], ("counter", "counter", "walk")):
         with pytest.raises(AssertionError, match=what):
             dim_table(act, alg, 4, 4)
 
@@ -287,13 +276,12 @@ def diagonal_matrices(draw):
                   for v in diagonals]
 
 
-@pytest.mark.parametrize("walk", [fock.basis_by_degree, fock.gr_basis_by_degree])
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(("bg", "bc", "bcbg")), diagonal_matrices(), st.integers(0, 4), st.integers(0, 3))
 # q = (-1, -2) (gamma^1 gamma^2 gamma^2) gives the digits -3 and 1: a
 # base of 3 would fold them to 0
 @example("bg", (2, [((1, 0), (0, 1)), ((1, 0), (0, -1))]), 0, 3)
-def test_pruned_walks_are_the_filtered_walks(walk, kind, rank_mats, w, cap):
+def test_pruned_walks_are_the_filtered_walks(kind, rank_mats, w, cap):
     rank, mats = rank_mats
     alg = AlgebraDescriptor(kind, rank)
     _, functional = invariants._split_diagonal(mats, rank, cap)
@@ -302,8 +290,8 @@ def test_pruned_walks_are_the_filtered_walks(walk, kind, rank_mats, w, cap):
         q = mono_charge(m, rank)
         return all(sum(X[i][i] * q[i] for i in range(rank)) == 0 for X in mats)
 
-    want = [[m for m in bucket if killed(m)] for bucket in walk(alg, w, cap)]
-    assert walk(alg, w, cap, functional) == want
+    want = [[m for m in bucket if killed(m)] for bucket in fock.basis_by_degree(alg, w, cap)]
+    assert fock.basis_by_degree(alg, w, cap, functional) == want
 
 
 def test_sl2_tables_walk_no_words(monkeypatch):
@@ -312,29 +300,29 @@ def test_sl2_tables_walk_no_words(monkeypatch):
     def refused(*args):
         raise AssertionError("an sl2 table walked words")
 
-    for side in ("basis_by_degree", "gr_basis_by_degree"):
-        monkeypatch.setattr(invariants, side, refused)
+    monkeypatch.setattr(invariants, "basis_by_degree", refused)
+    monkeypatch.setattr(fock, "gr_basis_by_degree", refused)
     assert dim_table(act, BG2, 7, 7) == gr_dim_table(act, BG2, 7, 7)
     # invariant_basis still walks, pruned to the h-weight-0 words: 2,310
     # of the 21,604 words of weight and degree <= 7
     _, h = invariants._split_diagonal(act.matrices, 2, 7)
-    for walk in (fock.basis_by_degree, fock.gr_basis_by_degree):
-        for functional, emitted in ((None, 21604), (h, 2310)):
-            assert sum(len(bucket) for w in range(8) for bucket in walk(BG2, w, 7, functional)) == emitted
+    for functional, emitted in ((None, 21604), (h, 2310)):
+        assert sum(len(bucket) for w in range(8)
+                   for bucket in fock.basis_by_degree(BG2, w, 7, functional)) == emitted
 
 
-def _kernel_table(act, alg, cap, walk, derive):
-    """The exact joint-kernel dimension of each bidegree, by the route
-    of the actions that are not counted."""
+def _kernel_table(act, alg, cap):
+    """The exact joint-kernel dimension of each bidegree, by the state
+    side's route for the actions that are not counted."""
     rest, functional = invariants._split_diagonal(act.matrices, alg.rank, cap)
-    return {(w, d): invariants._lie_dim(monos, derive, rest, alg.rank)
-            for w in range(cap + 1) for d, monos in enumerate(walk(alg, w, cap, functional))}
+    return {(w, d): invariants._lie_dim(monos, invariants._derive_mono, rest, alg.rank)
+            for w in range(cap + 1)
+            for d, monos in enumerate(fock.basis_by_degree(alg, w, cap, functional))}
 
 
-@pytest.mark.parametrize("table, walk, derive", [
-    (dim_table, fock.basis_by_degree, invariants._derive_mono),
-    (gr_dim_table, fock.gr_basis_by_degree, invariants._gr_derive_mono),
-], ids=["state", "symbol"])
+# each side's Weyl count against the state side's kernels (the symbol
+# side has no kernels of its own)
+@pytest.mark.parametrize("table", [dim_table, gr_dim_table], ids=["state", "symbol"])
 @pytest.mark.parametrize("act, alg, cap", [
     (sl2_standard(), BG2, 6),
     (sl2_standard(), AlgebraDescriptor("bc", 2), 6),
@@ -344,16 +332,17 @@ def _kernel_table(act, alg, cap, walk, derive):
     (gl_standard(2), AlgebraDescriptor("bcbg", 2), 4),
     (gl_standard(3), AlgebraDescriptor("bg", 3), 4),
 ], ids=["sl2-bg2", "sl2-bc2", "sl2-bcbg2", "gl2-bg2", "gl3-bc3", "gl2-bcbg2", "gl3-bg3"])
-def test_weyl_count_is_the_kernel_dimension(table, walk, derive, act, alg, cap):
+def test_weyl_count_is_the_kernel_dimension(table, act, alg, cap):
     assert invariants._charge_sign(act, alg.rank) is not None
-    assert table(act, alg, cap, cap).entries == _kernel_table(act, alg, cap, walk, derive)
+    assert table(act, alg, cap, cap).entries == _kernel_table(act, alg, cap)
 
 
 def test_lie_tables_agree_beyond_the_reach_of_the_kernels():
     sl2 = sl2_standard()
     # span_check's need side for SL_2 on bg:2 at weights 0..10, found
     # earlier by elimination (a minute per side)
-    need = [sum(invariants._invariant_dims(sl2, BG2, w, 2 * w)) for w in range(11)]
+    dt = dim_table(sl2, BG2, 10, 20)
+    need = [sum(dt[(w, d)] for d in range(2 * w + 1)) for w in range(11)]
     assert need == [1, 2, 6, 16, 37, 82, 174, 352, 694, 1326, 2472]
     # the degree-2 GL_2 invariants of bg:2 number w at weight w
     dt = dim_table(gl_standard(2), BG2, 10, 2)
@@ -369,21 +358,31 @@ def test_other_lie_actions_take_the_kernel_route():
                      (invariants.LieAlgebraAction(sl2_standard().matrices[::-1]), BG2)):
         assert invariants._charge_sign(act, alg.rank) is None
     act = invariants.LieAlgebraAction((e12, h))
-    want = _kernel_table(act, bg3, 3, fock.basis_by_degree, invariants._derive_mono)
-    assert dim_table(act, bg3, 3, 3).entries == gr_dim_table(act, bg3, 3, 3).entries == want
+    assert dim_table(act, bg3, 3, 3).entries == _kernel_table(act, bg3, 3)
+    with pytest.raises(ValueError, match="symbol side counts"):
+        gr_dim_table(act, bg3, 3, 3)
 
 
-@pytest.mark.parametrize("act, rank, size", [
-    (gl_standard(3), 2, 3), (sl2_standard(), 1, 2), (gl_standard(2), 3, 2),
-], ids=["gl3-on-bg2", "sl2-on-bg1", "gl2-on-bg3"])
-def test_lie_action_of_another_rank_is_refused(act, rank, size):
+@pytest.mark.parametrize("act, rank, shape", [
+    (gl_standard(3), 2, "matrices are 3 x 3"), (sl2_standard(), 1, "matrices are 2 x 2"),
+    (gl_standard(2), 3, "matrices are 2 x 2"),
+    (TorusAction(((1, -1, 5),)), 2, "rows have length 3"), (TorusAction(((1,),)), 2, "rows have length 1"),
+    (FiniteAbelianAction(((2, (1, 1)), (3, (1,)))), 2, "rows have length 1"),
+], ids=["gl3-on-bg2", "sl2-on-bg1", "gl2-on-bg3", "torus3-on-bg2", "torus1-on-bg2", "finite1-on-bg2"])
+def test_lie_action_of_another_rank_is_refused(act, rank, shape):
     alg = AlgebraDescriptor("bg", rank)
-    message = f"matrices are {size} x {size}, but the algebra has rank {rank}"
+    message = f"{shape}, but the algebra has rank {rank}"
     for call in (lambda: dim_table(act, alg, 2, 2), lambda: gr_dim_table(act, alg, 2, 2),
                  lambda: invariant_basis(act, alg, 2, 2), lambda: span_check([], act, alg, 2, 2),
                  lambda: span_check([realize_current(0, alg)], act, alg, 2, 2)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_trivial_action_fits_every_rank():
+    for rank in (1, 2, 3):
+        alg = AlgebraDescriptor("bg", rank)
+        assert dim_table(trivial_action(), alg, 2, 2) == gr_dim_table(trivial_action(), alg, 2, 2)
 
 
 def test_gl_tables_agree():
@@ -427,6 +426,16 @@ def test_span_check_deficiency():
     obj = rep.to_json()
     assert obj["status"] == "deficient"
     assert obj["first_deficiency"]["weight"] == 2
+
+
+def test_span_check_need_side_covers_the_widened_window():
+    # the words reach degree 9 at weight 3, past the window of 6: the
+    # one need table must reach that far, or weight 3 would need less
+    gens = [evaluate(parse("NO(gamma[1],gamma[1],beta[1])"), BG1), generator_state(BETA, 1)]
+    rep = span_check(gens, trivial_action(), BG1, 3, 5)
+    assert rep.degree_window == 6
+    assert rep.dims == {0: (1, 7), 1: (2, 12), 2: (5, 27), 3: (10, 78)}
+    assert rep.first_deficiency == (0, 1, 1, 2)
 
 
 def test_span_check_empty_generators():
