@@ -219,7 +219,7 @@ def _split_diagonal(mats, rank_n: int, degree_cap: int):
     return rest, [sum(row[i] * base**t for t, row in enumerate(rows)) for i in range(rank_n)]
 
 
-def _lie_columns(monos, derive_fn, rest, rank_n):
+def _lie_columns(monos, rest, rank_n):
     """The images of the monomials (already killed by the diagonal
     matrices, see ``_split_diagonal``) under the other matrices
     ``rest``, one column per monomial.  Their joint kernel on the span
@@ -227,23 +227,23 @@ def _lie_columns(monos, derive_fn, rest, rank_n):
     image monomial may break the diagonal conditions and is a row like
     any other."""
     return [
-        {(t, m2): v for t, X in enumerate(rest) for m2, v in derive_fn(X, m, rank_n).items()}
+        {(t, m2): v for t, X in enumerate(rest) for m2, v in _derive_mono(X, m, rank_n).items()}
         for m in monos
     ]
 
 
-def _lie_kernel(monos, derive_fn, rest, rank_n):
+def _lie_kernel(monos, rest, rank_n):
     """Basis of that joint kernel."""
     return [
         {monos[i]: v for i, v in rel.items()}
-        for rel in linalg.kernel_of_columns(_lie_columns(monos, derive_fn, rest, rank_n))
+        for rel in linalg.kernel_of_columns(_lie_columns(monos, rest, rank_n))
     ]
 
 
-def _lie_dim(monos, derive_fn, rest, rank_n) -> int:
+def _lie_dim(monos, rest, rank_n) -> int:
     """Dimension of that joint kernel: the number of monomials minus the
     rank of their images."""
-    return len(monos) - linalg.rank_of_columns(_lie_columns(monos, derive_fn, rest, rank_n))
+    return len(monos) - linalg.rank_of_columns(_lie_columns(monos, rest, rank_n))
 
 
 def invariant_basis(
@@ -257,7 +257,7 @@ def invariant_basis(
         return [State({m: 1}) for m in basis(alg, weight, degree) if sign(mono_charge(m, alg.rank))]
     rest, functional = _split_diagonal(action.matrices, alg.rank, degree)
     monos = basis_by_degree(alg, weight, degree, functional)[degree]
-    return [State(c) for c in _lie_kernel(monos, _derive_mono, rest, alg.rank)]
+    return [State(c) for c in _lie_kernel(monos, rest, alg.rank)]
 
 
 def trivial_action() -> TorusAction:
@@ -266,12 +266,17 @@ def trivial_action() -> TorusAction:
 
 class DimTable(Record):
     """Bigraded dimension table of a subspace: entries maps (weight,
-    degree) to a dimension."""
+    degree) to a dimension.  A bidegree outside the caps has no entry:
+    reading one raises KeyError, so an undersized table cannot
+    undercount."""
 
     __slots__ = ("entries", "weight_cap", "degree_cap")
 
     def __getitem__(self, wd) -> int:
-        return self.entries.get(tuple(wd), 0)
+        w, d = wd
+        if not (0 <= w <= self.weight_cap and 0 <= d <= self.degree_cap):
+            raise KeyError(f"({w}, {d}) is outside the caps ({self.weight_cap}, {self.degree_cap})")
+        return self.entries.get((w, d), 0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DimTable) and self.entries == other.entries
@@ -339,7 +344,7 @@ def dim_table(
     if sign is not None:
         return _invariant_table(sign, charge_counts(alg, weight_cap, degree_cap), weight_cap, degree_cap)
     rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
-    return DimTable({(w, d): _lie_dim(monos, _derive_mono, rest, alg.rank)
+    return DimTable({(w, d): _lie_dim(monos, rest, alg.rank)
                      for w in range(weight_cap + 1)
                      for d, monos in enumerate(basis_by_degree(alg, w, degree_cap, functional))},
                     weight_cap, degree_cap)

@@ -29,14 +29,19 @@ Entries with K < 0 contribute nothing, so products past the locality
 bound vanish without work.  n = -1 is the Wick product, n = -2 against
 the vacuum is the derivative; n >= 0 are the OPE pole coefficients.
 
-What is memoized, in two module dicts that ``clear_cache`` empties:
+What is memoized, in three module dicts that ``clear_cache`` empties:
 ``_CONTRACTIONS`` holds the contraction list of every pair (ma, mb) with
 a nonempty first word, and ``_MEMO`` every product ma o_n mb with a
 nonempty first word, keyed by (ma, n, mb), with its integer structure
 constants ({monomial: int}) as the value.  Vacuum products 1 o_n mb
-are returned directly and memoized in neither.  The caches are
-semantically invisible (idempotent inserts of values that are never
-mutated), so concurrent evaluation of independent products is safe.
+are returned directly and memoized in neither.  Both caches hold one
+shared copy of each word: ``_WORDS`` maps every word they store to
+itself, and each stored term looks its word up there once, outside the
+stage-2 loops.  Stage 2 builds a fresh tuple for every output word, and
+the same few thousand words recur across many products, so without the
+table the memo would hold many equal copies of each.  The caches are semantically invisible
+(idempotent inserts of values that are never mutated), so concurrent
+evaluation of independent products is safe.
 """
 
 from __future__ import annotations
@@ -65,11 +70,14 @@ _MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
 # (ma, mb) -> [(word, coefficient, pole order q, creators, rightmost first)]
 Contraction = tuple[Monomial, int, int, tuple[GeneratorMode, ...]]
 _CONTRACTIONS: dict[tuple[Monomial, Monomial], list[Contraction]] = {}
+# the one copy of each word that the two caches above hold
+_WORDS: dict[Monomial, Monomial] = {}
 
 
 def clear_cache() -> None:
     _MEMO.clear()
     _CONTRACTIONS.clear()
+    _WORDS.clear()
 
 
 def _insert_creation(g: GeneratorMode, mono: Monomial) -> tuple[int, Monomial] | None:
@@ -153,7 +161,8 @@ def _contractions(ma: Monomial, mb: Monomial) -> list[Contraction]:
             for j, word2, c2 in _contraction_partners(sp, idx, word):
                 add_into(nxt, (word2, q + j + m + 1, creators), sign * math.comb(j + m, m) * c2)
         layer = nxt
-    out = [(word, c, q, creators) for (word, q, creators), c in layer.items()]
+    share = _WORDS.setdefault
+    out = [(share(word, word), c, q, creators) for (word, q, creators), c in layer.items()]
     _CONTRACTIONS[key] = out
     return out
 
@@ -192,7 +201,8 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
             r = _insert_creation((sp, idx, mode - rest), w)
             if r is not None:
                 add_into(acc, r[1], r[0] * math.comb(rest + m, m) * c)
-    _MEMO[key] = acc
+    share = _WORDS.setdefault
+    acc = _MEMO[key] = {share(w, w): c for w, c in acc.items()}
     return acc
 
 

@@ -279,8 +279,14 @@ def verify_rep(
     """
     if kappa_value is None:
         kappa_value = default_central_value(alg)
-    # images[mode][word] = J^l(k) word, mode = (l, field index)
+    # images[mode][word] = J^l(k) word, mode = (l, field index); the
+    # images hold one copy of each word, the one in ``words``
     images: dict[tuple[int, int], dict[Monomial, dict[Monomial, int]]] = {}
+    words: dict[Monomial, Monomial] = {}
+
+    def image(mode, word):
+        return {words.setdefault(w, w): c for w, c in apply_current_mode(*mode, word, alg).items()}
+
     # per pair: the two modes, the central scalar, the bracket's image
     # caches with their coefficients, and the pair's mismatches
     checks = []
@@ -301,7 +307,7 @@ def verify_rep(
             for mono in basis(alg, w, d):
                 for mode, cache in images.items():
                     if mono not in cache:
-                        cache[mono] = apply_current_mode(*mode, mono, alg)
+                        cache[mono] = image(mode, mono)
                 for a, b, central, terms, found in checks:
                     acc = {mono: -central}
                     get = acc.get
@@ -311,7 +317,7 @@ def verify_rep(
                         for w1, c1 in images[inner][mono].items():
                             img = cache.get(w1)
                             if img is None:
-                                img = cache[w1] = apply_current_mode(*outer, w1, alg)
+                                img = cache[w1] = image(outer, w1)
                             c1 *= sign
                             for w2, c2 in img.items():
                                 acc[w2] = get(w2, 0) + c1 * c2

@@ -25,7 +25,6 @@ from vertexfock.fock import (
 )
 from vertexfock.invariants import (
     TorusAction,
-    _derive_mono,
     _lie_dim,
     _split_diagonal,
     commutant_basis,
@@ -236,7 +235,7 @@ def test_criterion_8_invariant_theory_shadow():
     ]
     for name, act, alg, cap in lie_cases:
         rest, functional = _split_diagonal(act.matrices, alg.rank, cap)
-        kernels = {(w, d): _lie_dim(monos, _derive_mono, rest, alg.rank)
+        kernels = {(w, d): _lie_dim(monos, rest, alg.rank)
                    for w in range(cap + 1)
                    for d, monos in enumerate(basis_by_degree(alg, w, cap, functional))}
         assert kernels == gr_dim_table(act, alg, cap, cap).entries, name

@@ -265,6 +265,14 @@ def test_trivial_action_counts_everything():
             assert dt[(w, d)] == len(basis(BG1, w, d))
 
 
+@pytest.mark.parametrize("wd", [(1, 4), (4, 1), (0, -1), (-1, 0)])
+def test_reading_past_the_caps_raises(wd):
+    # an undersized table must not read 0 where it has no count
+    dt = dim_table(trivial_action(), BG1, 3, 3)
+    with pytest.raises(KeyError):
+        dt[wd]
+
+
 @st.composite
 def diagonal_matrices(draw):
     """1-3 diagonal matrices on 1-3 indices, with integer or rational
@@ -315,7 +323,7 @@ def _kernel_table(act, alg, cap):
     """The exact joint-kernel dimension of each bidegree, by the state
     side's route for the actions that are not counted."""
     rest, functional = invariants._split_diagonal(act.matrices, alg.rank, cap)
-    return {(w, d): invariants._lie_dim(monos, invariants._derive_mono, rest, alg.rank)
+    return {(w, d): invariants._lie_dim(monos, rest, alg.rank)
             for w in range(cap + 1)
             for d, monos in enumerate(fock.basis_by_degree(alg, w, cap, functional))}
 

@@ -325,12 +325,21 @@ def test_memo_holds_no_vacuum_products():
     assert ope._CONTRACTIONS and all(ma for ma, _ in ope._CONTRACTIONS)
 
 
+def test_caches_hold_one_copy_of_each_word():
+    ope.clear_cache()
+    assert identity_suite(MIX1, 4, 3, 2, seed=1)["mismatches"] == []
+    words = [w for value in ope._MEMO.values() for w in value]
+    words += [entry[0] for value in ope._CONTRACTIONS.values() for entry in value]
+    assert words and all(ope._WORDS[w] is w for w in words)
+    assert len({id(w) for w in words}) == len(ope._WORDS)
+
+
 def test_clear_cache_empties_both_caches():
     j = current(BG2)
     assert circle(j, 1, j) == Fraction(-2) * vacuum()
-    assert ope._MEMO and ope._CONTRACTIONS
+    assert ope._MEMO and ope._CONTRACTIONS and ope._WORDS
     ope.clear_cache()
-    assert not ope._MEMO and not ope._CONTRACTIONS
+    assert not ope._MEMO and not ope._CONTRACTIONS and not ope._WORDS
 
 
 def test_verma_clear_cache_empties_the_act_memo_in_place():
