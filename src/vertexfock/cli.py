@@ -18,9 +18,10 @@ Caps, --rank, --n, --lcap, --jcap and --g included, are guarded by a
 configurable hard ceiling, and so are the D^k powers, J[l] levels and
 CP indices |n| of every expression the CLI evaluates.  What these build
 together is bounded too: every D^k, NO and CP inside an expression
-whose result could have weight above twice the ceiling is refused
-before it is computed (D^k adds k to the weight, NO adds the weights of
-its arguments, and CP(a, n, b) has weight wt a + wt b - n - 1).
+whose result could have weight or degree above twice the ceiling is
+refused before it is computed (D^k adds k to the weight, NO adds the
+weights of its arguments, and CP(a, n, b) has weight wt a + wt b - n - 1;
+NO and CP add the degrees at most, and D^k keeps them).
 
 Action mini-language for group actions:
 
@@ -146,10 +147,10 @@ def _check_out(path: str) -> None:
 def _evaluate(args, text: str, alg: AlgebraDescriptor):
     """Evaluate an expression whose D^k powers, J[l] levels and CP
     indices are all within the ceiling, refusing every D^k, NO and CP
-    whose result could have weight above twice the ceiling."""
+    whose result could have weight or degree above twice the ceiling."""
     tree = parse(text)
     _check_caps(args, *size_parameters(tree))
-    return evaluate(tree, alg, max_weight=2 * args.ceiling)
+    return evaluate(tree, alg, max_weight=2 * args.ceiling, max_degree=2 * args.ceiling)
 
 
 def _int_rows(text: str, rank: int, what: str) -> list[tuple[int, ...]]:

@@ -322,22 +322,32 @@ def _top_weight(s: State) -> int | None:
     return max(map(mono_weight, s.terms), default=None)
 
 
-def _check_weight(what: str, weights, shift: int, max_weight: int | None) -> None:
-    """Refuse a product whose result would have a term of weight above
-    max_weight: its weight is at most sum(weights) + shift.  A zero
+def _top_degree(s: State) -> int | None:
+    """The largest degree of a term of s; None for the zero state."""
+    return max(map(len, s.terms), default=None)
+
+
+def _check_bound(what: str, grading: str, values, shift: int, bound: int | None) -> None:
+    """Refuse a product whose result would have a term of weight (or
+    degree) above bound: it is at most sum(values) + shift.  A zero
     factor gives a zero result, so nothing is refused then."""
-    if max_weight is None or None in weights:
+    if bound is None or None in values:
         return
-    w = sum(weights) + shift
-    if w > max_weight:
-        raise ValueError(f"{what} would have weight {w}, above the bound {max_weight}")
+    v = sum(values) + shift
+    if v > bound:
+        raise ValueError(f"{what} would have {grading} {v}, above the bound {bound}")
 
 
-def evaluate(e: Expr, alg: AlgebraDescriptor, max_weight: int | None = None) -> State:
+def evaluate(
+    e: Expr, alg: AlgebraDescriptor, max_weight: int | None = None, max_degree: int | None = None
+) -> State:
     """The state of an expression.  With max_weight set, every D^k, NO
     and CP whose result could have weight above it is refused
     (ValueError) before it is computed: D^k adds k to the weight, NO
-    adds the weights, and CP(a, n, b) has weight wt a + wt b - n - 1."""
+    adds the weights, and CP(a, n, b) has weight wt a + wt b - n - 1.
+    With max_degree set, every NO and CP whose result could have degree
+    above it is refused likewise: both add the degrees at most, and D^k
+    keeps the degree."""
     if isinstance(e, Vac):
         return vacuum()
     if isinstance(e, Gen):
@@ -348,22 +358,26 @@ def evaluate(e: Expr, alg: AlgebraDescriptor, max_weight: int | None = None) -> 
             raise ValueError("J[l] is only defined in the bg or bc algebra")
         return realize_current(e.level, alg)
     if isinstance(e, Deriv):
-        a = evaluate(e.arg, alg, max_weight)
-        _check_weight(f"D^{e.power}", [_top_weight(a)], e.power, max_weight)
+        a = evaluate(e.arg, alg, max_weight, max_degree)
+        _check_bound(f"D^{e.power}", "weight", [_top_weight(a)], e.power, max_weight)
         return derive(a, e.power)
     if isinstance(e, NormalOrder):
-        args = [evaluate(x, alg, max_weight) for x in e.args]
-        _check_weight("NO", [_top_weight(a) for a in args], 0, max_weight)
+        args = [evaluate(x, alg, max_weight, max_degree) for x in e.args]
+        _check_bound("NO", "weight", [_top_weight(a) for a in args], 0, max_weight)
+        _check_bound("NO", "degree", [_top_degree(a) for a in args], 0, max_degree)
         return iterated_wick(args)
     if isinstance(e, CircleProd):
-        a, b = evaluate(e.left, alg, max_weight), evaluate(e.right, alg, max_weight)
-        _check_weight(f"CP(., {e.n}, .)", [_top_weight(a), _top_weight(b)], -e.n - 1, max_weight)
+        a = evaluate(e.left, alg, max_weight, max_degree)
+        b = evaluate(e.right, alg, max_weight, max_degree)
+        what = f"CP(., {e.n}, .)"
+        _check_bound(what, "weight", [_top_weight(a), _top_weight(b)], -e.n - 1, max_weight)
+        _check_bound(what, "degree", [_top_degree(a), _top_degree(b)], 0, max_degree)
         return circle(a, e.n, b)
     if isinstance(e, Scaled):
-        return e.coeff * evaluate(e.arg, alg, max_weight)
+        return e.coeff * evaluate(e.arg, alg, max_weight, max_degree)
     if isinstance(e, Sum):
         out = State()
         for sign, part in e.parts:
-            out = out + sign * evaluate(part, alg, max_weight)
+            out = out + sign * evaluate(part, alg, max_weight, max_degree)
         return out
     raise TypeError(f"not an expression node: {e!r}")

@@ -60,7 +60,17 @@ from .fock import (
     weight as state_weight,
 )
 from .linalg import Frozen, Record, Scalar, SparseMatrix, add_into, scalar
-from .ope import _replace_factor, circle, derivative_words, wick, word_products
+from .ope import (
+    CodeWord,
+    _code,
+    _decode,
+    _encode,
+    _replace_factor,
+    circle,
+    derivative_words,
+    wick,
+    word_products,
+)
 
 VECTOR_SPECIES = (BETA, B)
 
@@ -157,20 +167,19 @@ def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Scalar]:
     """Mode-wise derivation of a single matrix on a monomial.
 
     Only one factor changes per term; ``ope._replace_factor`` puts the
-    new factor in its place.
+    new factor in its place, in the engine's code spelling.
     """
-    out: dict[Monomial, Scalar] = {}
+    word = _encode(mono)
+    out: dict[CodeWord, Scalar] = {}
     for pos, (sp, idx, mode) in enumerate(mono):
         for j in range(1, rank_n + 1):
             coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
             if coef == 0:
                 continue
-            r = _replace_factor(mono, pos, (sp, j, mode))
-            if r is None:
-                continue
-            sg, mono2 = r
-            add_into(out, mono2, sg * coef)
-    return out
+            r = _replace_factor(word, pos, _code((sp, j, mode)))
+            if r is not None:
+                add_into(out, r[1], r[0] * coef)
+    return {_decode(w): c for w, c in out.items()}
 
 
 def extend_action(X, alg: AlgebraDescriptor):

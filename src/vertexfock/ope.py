@@ -18,8 +18,8 @@ creation part, so ma o_n mb is computed in two stages.
     current word (a partner of the dual species and the same index);
     the coefficient is (-1)^m binom(j+m, m) times the pairing, negated
     when u is odd and passes an odd number of odd creators on its way
-    right, and the pole order q grows by j+m+1.  The result is a list
-    of (word, coefficient, q, creators).
+    right, and the pole order q grows by j+m+1.  The result lists
+    (word, coefficient, q, creators) for each term.
   * Creation (per n).  The power of z must be -n-1, so the creators
     share K = q-n-1 >= 0 among them, k_i >= 0 with sum k_i = K, with
     coefficient prod binom(k_i+m_i, m_i); each u(-k-m-1) is inserted
@@ -29,34 +29,51 @@ Entries with K < 0 contribute nothing, so products past the locality
 bound vanish without work.  n = -1 is the Wick product, n = -2 against
 the vacuum is the derivative; n >= 0 are the OPE pole coefficients.
 
-What is memoized, in three module dicts that ``clear_cache`` empties:
+Both stages spell words in integers.  The letter (sp, idx, mode),
+mode < 0, has the code sp << 28 | idx << 18 | -mode (``_code``), so
+ascending code is canonical order (sp, idx, -mode), and a canonical
+word is an ascending tuple of codes.  The fermions b and c have the top
+species codes, so the odd letters of a canonical word are a suffix.
+Inserting a letter is then one ``bisect_left``: a repeated fermion is
+equality at that place, and an odd letter's sign is the parity of the
+odd letters before it.  The partners of a letter are one bisected block
+of codes, and lowering a creator's mode by k adds k to its code.
+``_code`` refuses a letter that a field cannot hold (a mode >= 0 or
+below -(2^18 - 1), an index above 1023), and ``_lower`` a lowering past
+the mode field, so two letters never share a code.
+
+What is memoized, in module dicts that ``clear_cache`` empties:
 ``_CONTRACTIONS`` holds the contraction list of every pair (ma, mb) with
-a nonempty first word, and ``_MEMO`` every product ma o_n mb with a
-nonempty first word, keyed by (ma, n, mb), with its integer structure
-constants ({monomial: int}) as the value.  Vacuum products 1 o_n mb
-are returned directly and memoized in neither.  Both caches hold one
-shared copy of each word: ``_WORDS`` maps every word they store to
-itself, and each stored term looks its word up there once, outside the
-stage-2 loops.  Stage 2 builds a fresh tuple for every output word, and
-the same few thousand words recur across many products, so without the
-table the memo would hold many equal copies of each.  The caches are semantically invisible
-(idempotent inserts of values that are never mutated), so concurrent
-evaluation of independent products is safe.
+a nonempty first word, in codes, and ``_MEMO`` every product ma o_n mb
+with a nonempty first word, keyed by (ma, n, mb), with its integer
+structure constants ({monomial: int}) as the value.  Both are keyed by
+Monomials, so a hit neither encodes nor decodes; a miss encodes ma and
+mb once.  Vacuum products 1 o_n mb are returned directly and memoized
+in neither.  The caches hold one shared copy of each word: ``_CODES``
+holds the code words and creator tuples of the contraction lists,
+``_WORDS`` maps each code word of a memo value to the one Monomial that
+spells it, ``_LETTERS`` each code to the one letter tuple of decoded
+words, and ``_CODE_OF`` each letter to the one int of its code.  Stage 2 builds a fresh tuple for every output word, and the
+same few thousand words recur across many products, so without the
+tables the memo would hold many equal copies of each.  The caches are
+semantically invisible (idempotent inserts of values that are never
+mutated), so concurrent evaluation of independent products is safe.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .fock import (
+    B,
     CONTRACTION,
     SPECIES_DUAL,
     SPECIES_PARITY,
     GeneratorMode,
     Monomial,
     State,
-    mono_parity,
     parity,
     state_to_json,
     state_to_text,
@@ -65,104 +82,172 @@ from .fock import (
 )
 from .linalg import Record, add_into
 
+# The code of a letter (sp, idx, mode), mode < 0: see the module docstring.
+_IDX_SHIFT = 18
+_SP_SHIFT = 28
+_MODE_MASK = (1 << _IDX_SHIFT) - 1
+_IDX_MASK = (1 << _SP_SHIFT - _IDX_SHIFT) - 1
+# every b and c letter codes at or above this, and no beta or gamma letter
+_ODD = B << _SP_SHIFT
+# code of the first letter of the dual species with the same index, minus
+# the letter's own code with its mode field cleared
+_DUAL_SHIFT = tuple((dual - sp) << _SP_SHIFT for sp, dual in enumerate(SPECIES_DUAL))
+_PAIRING = tuple(CONTRACTION[(sp, dual)] for sp, dual in enumerate(SPECIES_DUAL))
+
+CodeWord = tuple[int, ...]
+
 # structure constants of monomial products are integers
 _MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
-# (ma, mb) -> [(word, coefficient, pole order q, creators, rightmost first)]
-Contraction = tuple[Monomial, int, int, tuple[GeneratorMode, ...]]
-_CONTRACTIONS: dict[tuple[Monomial, Monomial], list[Contraction]] = {}
-# the one copy of each word that the two caches above hold
-_WORDS: dict[Monomial, Monomial] = {}
+# (ma, mb) -> [code word, coefficient, pole order q, creator codes (rightmost
+# first), code word, ...]: four items per term, flat, which saves a tuple each
+_CONTRACTIONS: dict[tuple[Monomial, Monomial], list] = {}
+# the one copy of each code word and creator tuple that _CONTRACTIONS holds
+_CODES: dict[CodeWord, CodeWord] = {}
+# code word -> the one Monomial of it that _MEMO's values hold
+_WORDS: dict[CodeWord, Monomial] = {}
+# code -> the one letter tuple of it that decoded words hold
+_LETTERS: dict[int, GeneratorMode] = {}
+# letter -> its code, computed once, so that encoded words share their ints
+_CODE_OF: dict[GeneratorMode, int] = {}
 
 
 def clear_cache() -> None:
     _MEMO.clear()
     _CONTRACTIONS.clear()
+    _CODES.clear()
     _WORDS.clear()
+    _LETTERS.clear()
+    _CODE_OF.clear()
 
 
-def _insert_creation(g: GeneratorMode, mono: Monomial) -> tuple[int, Monomial] | None:
-    """canonicalize((g,) + mono) for a canonical mono, in one pass.
-
-    g moves right past every factor that sorts before it; the sign
-    counts the odd factors it passes when g is odd.  None if g is a
-    fermionic mode already present.
-    """
+def _code(g: GeneratorMode) -> int:
+    """The code of a creation letter; ValueError if a field cannot hold it."""
     sp, idx, mode = g
-    odd = SPECIES_PARITY[sp]
-    sign = 1
-    for pos, h in enumerate(mono):
-        hsp, hidx, hmode = h
-        if hsp > sp or (hsp == sp and (hidx > idx or (hidx == idx and hmode <= mode))):
-            if odd and h == g:
-                return None
-            return sign, mono[:pos] + (g,) + mono[pos:]
-        if odd and SPECIES_PARITY[hsp]:
-            sign = -sign
-    return sign, mono + (g,)
+    if not (0 <= sp < len(SPECIES_PARITY) and 0 <= idx <= _IDX_MASK and 0 < -mode <= _MODE_MASK):
+        raise ValueError(f"letter {g} has no code: the engine needs a mode in "
+                         f"-1..-{_MODE_MASK} and an index in 0..{_IDX_MASK}")
+    return sp << _SP_SHIFT | idx << _IDX_SHIFT | -mode
 
 
-def _replace_factor(mono: Monomial, pos: int, g: GeneratorMode) -> tuple[int, Monomial] | None:
-    """canonicalize of mono with the factor at pos replaced by g, of the
-    same parity: the old factor moves to the front past the prefix (a
+def _encode(mono: Monomial) -> CodeWord:
+    """The code word of a canonical Monomial; ValueError as ``_code``."""
+    try:
+        return tuple(map(_CODE_OF.__getitem__, mono))
+    except KeyError:
+        for g in mono:
+            if g not in _CODE_OF:
+                _CODE_OF[g] = _code(g)
+        return tuple(map(_CODE_OF.__getitem__, mono))
+
+
+def _letter(c: int) -> GeneratorMode:
+    g = _LETTERS.get(c)
+    if g is None:
+        g = _LETTERS[c] = (c >> _SP_SHIFT, c >> _IDX_SHIFT & _IDX_MASK, -(c & _MODE_MASK))
+    return g
+
+
+def _decode(word: CodeWord) -> Monomial:
+    """The Monomial of a code word, its letters shared through ``_LETTERS``."""
+    return tuple(map(_letter, word))
+
+
+def _lower(g: int, k: int) -> int:
+    """The code of letter g with its mode lowered by k >= 0; ValueError
+    past the mode field."""
+    if (g & _MODE_MASK) + k > _MODE_MASK:
+        sp, idx, mode = _letter(g)
+        _code((sp, idx, mode - k))
+    return g + k
+
+
+def _insert_creation(g: int, word: CodeWord) -> tuple[int, CodeWord] | None:
+    """canonicalize((g,) + word) for a canonical code word, by bisection.
+
+    An odd g passes the odd letters before its place, and those are a
+    suffix of the word, so the sign is the parity of their count.  None
+    if g is a fermionic mode already present.
+    """
+    pos = bisect_left(word, g)
+    if g < _ODD:
+        return 1, word[:pos] + (g,) + word[pos:]
+    if pos < len(word) and word[pos] == g:
+        return None
+    sign = -1 if (pos - bisect_left(word, _ODD, 0, pos)) & 1 else 1
+    return sign, word[:pos] + (g,) + word[pos:]
+
+
+def _replace_factor(word: CodeWord, pos: int, g: int) -> tuple[int, CodeWord] | None:
+    """canonicalize of word with the letter at pos replaced by g, of the
+    same parity: the old letter moves to the front past the prefix (a
     sign if both are odd) and g is inserted by ``_insert_creation``."""
-    r = _insert_creation(g, mono[:pos] + mono[pos + 1:])
-    if r is not None and SPECIES_PARITY[g[0]] and mono_parity(mono[:pos]):
+    r = _insert_creation(g, word[:pos] + word[pos + 1:])
+    if r is not None and g >= _ODD and (pos - bisect_left(word, _ODD, 0, pos)) & 1:
         return -r[0], r[1]
     return r
 
 
-def _contraction_partners(sp: int, idx: int, mono: Monomial) -> list[tuple[int, Monomial, int]]:
-    """Every nonzero u(j) mono, u = (sp, idx), as (j, word, coefficient)
-    by ascending j.
+def _contraction_partners(g: int, word: CodeWord) -> list[tuple[int, CodeWord, int]]:
+    """Every nonzero u(j) word, u the species and index of the code g
+    (its mode field is ignored), as (j, word, coefficient) by ascending j.
 
-    The partners are the factors of the dual species with the same
-    index; canonical order lists them by descending mode, so by
-    ascending j = -mode - 1.  A repeated boson contracts once per copy,
-    and every copy leaves the same word.  Agrees with
-    ``_apply_annihilation((sp, idx, j), mono)`` for every j >= 0.
+    The partners are the letters of the dual species with the same
+    index, one block of codes, in which ascending code is ascending
+    j = -mode - 1.  A repeated boson contracts once per copy, and every
+    copy leaves the same word.  Agrees with
+    ``_apply_annihilation((sp, idx, j), word)`` for every j >= 0.
     """
-    dual = SPECIES_DUAL[sp]
-    odd = SPECIES_PARITY[sp]
-    pairing = CONTRACTION[(sp, dual)]
-    out: list[tuple[int, Monomial, int]] = []
-    sign = 1
-    for pos, h in enumerate(mono):
-        hsp = h[0]
-        if hsp == dual and h[1] == idx:
-            if pos and h == mono[pos - 1]:
-                j, word, c = out[-1]
-                out[-1] = (j, word, c + pairing)
-            else:
-                out.append((-h[2] - 1, mono[:pos] + mono[pos + 1:], sign * pairing))
-        if odd and SPECIES_PARITY[hsp]:
-            sign = -sign
+    sp = g >> _SP_SHIFT
+    base = g - (g & _MODE_MASK) + _DUAL_SHIFT[sp]
+    lo = bisect_left(word, base)
+    hi = bisect_left(word, base + _MODE_MASK + 1, lo)
+    pairing = _PAIRING[sp]
+    if g >= _ODD and (lo - bisect_left(word, _ODD, 0, lo)) & 1:
+        pairing = -pairing
+    out: list[tuple[int, CodeWord, int]] = []
+    prev = None
+    for pos in range(lo, hi):
+        h = word[pos]
+        if h == prev:
+            j, w, c = out[-1]
+            out[-1] = (j, w, c + pairing)
+        else:
+            out.append(((h & _MODE_MASK) - 1, word[:pos] + word[pos + 1:], pairing))
+            if h >= _ODD:
+                # the next partner passes this one too
+                pairing = -pairing
+        prev = h
     return out
 
 
-def _contractions(ma: Monomial, mb: Monomial) -> list[Contraction]:
+def _contractions(ma: Monomial, mb: Monomial) -> list:
     """Stage 1 of ma o_n mb (see the module docstring), for every n."""
     key = (ma, mb)
     hit = _CONTRACTIONS.get(key)
     if hit is not None:
         return hit
-    # (word, q, creators) -> coefficient; the odd creators of a partial
-    # term are those the next (leftward) factor has to pass
-    layer: dict[tuple[Monomial, int, tuple[GeneratorMode, ...]], int] = {(mb, 0, ()): 1}
-    for g in reversed(ma):
-        sp, idx, mode = g
-        m = -mode - 1
-        odd = SPECIES_PARITY[sp]
-        nxt: dict[tuple[Monomial, int, tuple[GeneratorMode, ...]], int] = {}
+    comb = math.comb
+    # (word, q, creators) -> coefficient; when the next (leftward) letter
+    # is odd, every creator is odd, so it passes len(creators) of them
+    layer: dict[tuple[CodeWord, int, CodeWord], int] = {(_encode(mb), 0, ()): 1}
+    for g in reversed(_encode(ma)):
+        m = (g & _MODE_MASK) - 1
+        odd = g >= _ODD
+        nxt: dict[tuple[CodeWord, int, CodeWord], int] = {}
+        get = nxt.get
         for (word, q, creators), c in layer.items():
-            add_into(nxt, (word, q, creators + (g,)), c)
+            t = (word, q, creators + (g,))
+            nxt[t] = get(t, 0) + c
             sign = -c if m & 1 else c
-            if odd and mono_parity(creators):
+            if odd and len(creators) & 1:
                 sign = -sign
-            for j, word2, c2 in _contraction_partners(sp, idx, word):
-                add_into(nxt, (word2, q + j + m + 1, creators), sign * math.comb(j + m, m) * c2)
+            for j, word2, c2 in _contraction_partners(g, word):
+                t = (word2, q + j + m + 1, creators)
+                nxt[t] = get(t, 0) + sign * comb(j + m, m) * c2
         layer = nxt
-    share = _WORDS.setdefault
-    out = [(share(word, word), c, q, creators) for (word, q, creators), c in layer.items()]
+    share = _CODES.setdefault
+    out = [x for (word, q, creators), c in layer.items() if c
+           for x in (share(word, word), c, q, share(creators, creators))]
     _CONTRACTIONS[key] = out
     return out
 
@@ -174,36 +259,78 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    acc: dict[Monomial, int] = {}
-    for word, coef, q, creators in _contractions(ma, mb):
+    comb = math.comb
+    acc: dict[CodeWord, int] = {}
+    get = acc.get
+    flat = iter(_contractions(ma, mb))
+    for word, coef, q, creators in zip(flat, flat, flat, flat):
         rest = q - n - 1
         if rest < 0:
             continue
-        if not creators:
-            if not rest:
-                add_into(acc, word, coef)
+        if not rest:
+            # every creator keeps its mode: one path, no layer
+            for g in creators:
+                r = _insert_creation(g, word)
+                if r is None:
+                    break
+                coef *= r[0]
+                word = r[1]
+            else:
+                acc[word] = get(word, 0) + coef
             continue
+        if not creators:
+            continue
+        for g in creators:
+            if (g & _MODE_MASK) + rest > _MODE_MASK:
+                _lower(g, rest)  # refuses a mode past the code's field
         # stage 2: (creation modes still to share out, word) -> coefficient;
-        # the leftmost creator takes whatever is left
+        # the leftmost creator takes whatever is left.  Lowering a creator
+        # by k adds k to its code; the insertion is _insert_creation's.
         layer = {(rest, word): coef}
-        for sp, idx, mode in creators[:-1]:
-            m = -mode - 1
-            nxt: dict[tuple[int, Monomial], int] = {}
-            for (rest, w), c in layer.items():
-                for k in range(rest + 1):
-                    r = _insert_creation((sp, idx, mode - k), w)
-                    if r is not None:
-                        add_into(nxt, (rest - k, r[1]), r[0] * math.comb(k + m, m) * c)
+        for g in creators[:-1]:
+            m = (g & _MODE_MASK) - 1
+            row = [comb(k + m, m) for k in range(rest + 1)]
+            odd = g >= _ODD
+            nxt: dict[tuple[int, CodeWord], int] = {}
+            nget = nxt.get
+            for (r, w), c in layer.items():
+                first = bisect_left(w, _ODD) if odd else 0
+                for k in range(r + 1):
+                    h = g + k
+                    pos = bisect_left(w, h)
+                    if odd:
+                        if pos < len(w) and w[pos] == h:
+                            continue
+                        v = -c if (pos - first) & 1 else c
+                    else:
+                        v = c
+                    t = (r - k, w[:pos] + (h,) + w[pos:])
+                    nxt[t] = nget(t, 0) + row[k] * v
             layer = nxt
-        sp, idx, mode = creators[-1]
-        m = -mode - 1
-        for (rest, w), c in layer.items():
-            r = _insert_creation((sp, idx, mode - rest), w)
-            if r is not None:
-                add_into(acc, r[1], r[0] * math.comb(rest + m, m) * c)
-    share = _WORDS.setdefault
-    acc = _MEMO[key] = {share(w, w): c for w, c in acc.items()}
-    return acc
+        g = creators[-1]
+        m = (g & _MODE_MASK) - 1
+        row = [comb(k + m, m) for k in range(rest + 1)]
+        odd = g >= _ODD
+        for (r, w), c in layer.items():
+            h = g + r
+            pos = bisect_left(w, h)
+            if odd:
+                if pos < len(w) and w[pos] == h:
+                    continue
+                if (pos - bisect_left(w, _ODD, 0, pos)) & 1:
+                    c = -c
+            t = w[:pos] + (h,) + w[pos:]
+            acc[t] = get(t, 0) + row[r] * c
+    words = _WORDS
+    out: dict[Monomial, int] = {}
+    for w, c in acc.items():
+        if c:
+            mono = words.get(w)
+            if mono is None:
+                mono = words[w] = _decode(w)
+            out[mono] = c
+    _MEMO[key] = out
+    return out
 
 
 def circle(a: State, n: int, b: State) -> State:
@@ -259,18 +386,18 @@ def word_products(generators, words) -> list[State]:
 def derive(a: State, times: int = 1) -> State:
     """Translation operator: on a word, sum over factors of
     u(-m) -> m u(-m-1).  Equals a o_{-2} vacuum."""
-    out = a
+    if times < 1:
+        return a
+    terms = {_encode(mono): c for mono, c in a.terms.items()}
     for _ in range(times):
-        acc: dict[Monomial, Fraction] = {}
-        for mono, c in out.terms.items():
-            for pos, (sp, idx, mode) in enumerate(mono):
-                r = _replace_factor(mono, pos, (sp, idx, mode - 1))
-                if r is None:
-                    continue
-                sg, mono2 = r
-                add_into(acc, mono2, sg * c * (-mode))
-        out = State._raw(acc)
-    return out
+        acc: dict[CodeWord, Fraction] = {}
+        for word, c in terms.items():
+            for pos, g in enumerate(word):
+                r = _replace_factor(word, pos, _lower(g, 1))
+                if r is not None:
+                    add_into(acc, r[1], r[0] * c * (g & _MODE_MASK))
+        terms = acc
+    return State._raw({_decode(word): c for word, c in terms.items()})
 
 
 def locality_bound(a: State, b: State) -> int:

@@ -46,7 +46,17 @@ from .fock import (
     state_to_text,
 )
 from .linalg import Record, Scalar, SparseMatrix, add_into, exact_terms, format_scalar, scalar
-from .ope import _contraction_partners, _insert_creation, derive, iterated_wick
+from .ope import (
+    CodeWord,
+    _code,
+    _contraction_partners,
+    _decode,
+    _encode,
+    _insert_creation,
+    _lower,
+    derive,
+    iterated_wick,
+)
 
 # ---------------------------------------------------------------------------
 # the Lie algebra
@@ -215,39 +225,49 @@ def apply_current_mode(
     created, k-l <= m <= -1, where f_l vanishes on -l..-1, so only
     m <= -l-1 is visited.
     """
+    return {_decode(w): c for w, c in _current_mode_codes(l, k, _encode(word), alg).items()}
+
+
+def _current_mode_codes(
+    l: int, k: int, word: CodeWord, alg: AlgebraDescriptor
+) -> dict[CodeWord, int]:
+    """``apply_current_mode`` on the engine's code spelling of words
+    (see ``ope``)."""
     if alg.kind not in ("bg", "bc"):
         raise ValueError("currents are realized in the bg or bc system only")
     u, v = (GAMMA, BETA) if alg.kind == "bg" else (C, B)
     reorder = -1 if alg.kind == "bc" else 1
     shift = k - l - 1  # u(p) v(m) with p + m = shift
-    out: dict[Monomial, int] = {}
+    out: dict[CodeWord, int] = {}
     for i in range(1, alg.rank + 1):
+        # u^i(-1) and v^i(-1); lowering by t gives mode -1-t
+        cu, cv = _code((u, i, -1)), _code((v, i, -1))
         # v(m) annihilates: u(p) (v(m) word)
-        for m, w1, c1 in _contraction_partners(v, i, word):
+        for m, w1, c1 in _contraction_partners(cv, word):
             c1 *= _falling(-m - 1, l)
             p = shift - m
             if p < 0:
-                r = _insert_creation((u, i, p), w1)
+                r = _insert_creation(_lower(cu, -p - 1), w1)
                 if r is not None:
                     add_into(out, r[1], r[0] * c1)
             else:
-                for j, w2, c2 in _contraction_partners(u, i, w1):
+                for j, w2, c2 in _contraction_partners(cu, w1):
                     if j == p:
                         add_into(out, w2, c1 * c2)
         # u(p) annihilates, v(m) is created: (+/-) v(m) (u(p) word)
-        for p, w1, c1 in _contraction_partners(u, i, word):
+        for p, w1, c1 in _contraction_partners(cu, word):
             m = shift - p
             if m >= 0:
                 continue
-            r = _insert_creation((v, i, m), w1)
+            r = _insert_creation(_lower(cv, -m - 1), w1)
             if r is not None:
                 add_into(out, r[1], reorder * r[0] * _falling(-m - 1, l) * c1)
         # both created: u(p) v(m) word
         for m in range(k - l, -l):
-            r = _insert_creation((v, i, m), word)
+            r = _insert_creation(_lower(cv, -m - 1), word)
             if r is None:
                 continue
-            r2 = _insert_creation((u, i, shift - m), r[1])
+            r2 = _insert_creation(_lower(cu, m - shift - 1), r[1])
             if r2 is not None:
                 add_into(out, r2[1], r[0] * r2[0] * _falling(-m - 1, l))
     return out
@@ -266,8 +286,9 @@ def verify_rep(
 
     ``pairs`` is a sequence of (l1, k1, l2, k2), one per bracket
     [J^{l1}_{k1}, J^{l2}_{k2}].  Modes act through
-    ``apply_current_mode``, word by word, with integer coefficients;
-    the image of each word under each mode is computed once per call
+    ``apply_current_mode``, word by word, with integer coefficients, on
+    the engine's code spelling of words: each basis word is encoded
+    once.  The image of each word under each mode is computed once per call
     (in a dict local to the call) and shared by every pair, every
     bracket term and every basis state that meets it.  For each pair
     and basis word s, J_a(J_b s) - J_b(J_a s) - central s - sum c J_m s
@@ -279,13 +300,14 @@ def verify_rep(
     """
     if kappa_value is None:
         kappa_value = default_central_value(alg)
-    # images[mode][word] = J^l(k) word, mode = (l, field index); the
-    # images hold one copy of each word, the one in ``words``
-    images: dict[tuple[int, int], dict[Monomial, dict[Monomial, int]]] = {}
-    words: dict[Monomial, Monomial] = {}
+    # images[mode][word] = J^l(k) word, mode = (l, field index), on the
+    # code spelling of words (see ``ope``); the images hold one copy of
+    # each word, the one in ``words``
+    images: dict[tuple[int, int], dict[CodeWord, dict[CodeWord, int]]] = {}
+    words: dict[CodeWord, CodeWord] = {}
 
     def image(mode, word):
-        return {words.setdefault(w, w): c for w, c in apply_current_mode(*mode, word, alg).items()}
+        return {words.setdefault(w, w): c for w, c in _current_mode_codes(*mode, word, alg).items()}
 
     # per pair: the two modes, the central scalar, the bracket's image
     # caches with their coefficients, and the pair's mismatches
@@ -305,16 +327,17 @@ def verify_rep(
     for w in range(max_weight + 1):
         for d in range(max_degree + 1):
             for mono in basis(alg, w, d):
+                word = _encode(mono)
                 for mode, cache in images.items():
-                    if mono not in cache:
-                        cache[mono] = image(mode, mono)
+                    if word not in cache:
+                        cache[word] = image(mode, word)
                 for a, b, central, terms, found in checks:
-                    acc = {mono: -central}
+                    acc = {word: -central}
                     get = acc.get
                     # J_a (J_b s) - J_b (J_a s)
                     for outer, inner, sign in ((a, b, 1), (b, a, -1)):
                         cache = images[outer]
-                        for w1, c1 in images[inner][mono].items():
+                        for w1, c1 in images[inner][word].items():
                             img = cache.get(w1)
                             if img is None:
                                 img = cache[w1] = image(outer, w1)
@@ -322,7 +345,7 @@ def verify_rep(
                             for w2, c2 in img.items():
                                 acc[w2] = get(w2, 0) + c1 * c2
                     for cache, c in terms:
-                        for w1, c1 in cache[mono].items():
+                        for w1, c1 in cache[word].items():
                             acc[w1] = get(w1, 0) - c * c1
                     if any(acc.values()):
                         found.append(
@@ -331,7 +354,8 @@ def verify_rep(
                                 "l2": b[0], "k2": sub_index(*b),
                                 "weight": w, "degree": d,
                                 "state": state_to_text(State._raw({mono: 1})),
-                                "difference": state_to_text(State(acc)),
+                                "difference": state_to_text(
+                                    State({_decode(w): c for w, c in acc.items()})),
                             }
                         )
                 checked += len(checks)

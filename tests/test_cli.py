@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexfock.cli import main
 from vertexfock.fock import AlgebraDescriptor, state_to_json
@@ -197,6 +201,14 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 2 and out == "" and "ceiling" in err
     rc, out, _ = run(capsys, "eval", "CP(D^13(beta[1]), -13, gamma[1])", "--ceiling", "13")
     assert rc == 0 and json.loads(out)["terms"]
+    # weight-0 factors leave the weight at 0, but the degree is bounded too
+    many = "NO(" + ", ".join(["gamma[1]"] * 25) + ")"
+    rc, out, err = run(capsys, "eval", many)
+    assert rc == 2 and out == "" and "degree 25, above the bound 24" in err
+    rc, out, _ = run(capsys, "eval", f"CP({many}, -1, gamma[1])", "--ceiling", "13")
+    assert rc == 0 and json.loads(out)["terms"]
+    rc, out, err = run(capsys, "eval", f"CP({many}, -1, NO(gamma[1], gamma[1]))", "--ceiling", "13")
+    assert rc == 2 and out == "" and "CP(., -1, .) would have degree 27, above the bound 26" in err
 
 
 def test_finite_action_keys_are_checked(capsys):
@@ -424,3 +436,83 @@ def test_determinism(capsys):
     rc1, out1, _ = run(capsys, "verify-identities", "--trials", "4", "--seed", "9")
     rc2, out2, _ = run(capsys, "verify-identities", "--trials", "4", "--seed", "9")
     assert out1 == out2
+
+
+# small caps, now and then a negative or non-integer one
+_CAP = st.sampled_from(["0", "1", "1", "2", "2", "3"] * 2 + ["-1", "x"])
+_EXPR = st.sampled_from(["vac", "beta[1]", "gamma[2]", "bb[1]", "J[1]", "D^2(gamma[1])",
+                         "CP(J[0], 1, J[0])", "NO(gamma[1], beta[1])", "CP(", "1/0 * vac"])
+# per subcommand: its positionals, then (flag, values, always given); a
+# flag whose default is costly (--trials 100, ...) is always given
+_COMMANDS = {
+    "ope": ([_EXPR, _EXPR], []),
+    "eval": ([_EXPR], []),
+    "verify-identities": ([], [("--trials", _CAP, True), ("--max-weight", _CAP, True),
+                              ("--max-degree", _CAP, True), ("--seed", _CAP, False)]),
+    "winf-verify": ([], [("--n", st.sampled_from(["1", "2", "0", "x"]), True),
+                         ("--kind", st.sampled_from(["bg", "bc", "xx"]), False),
+                         ("--lmax", _CAP, True), ("--kmax", _CAP, True),
+                         ("--max-weight", _CAP, True), ("--max-degree", _CAP, True)]),
+    "matrices": ([], [("--w", _CAP, True), ("--m", _CAP, True), ("--r", _CAP, False)]),
+    "express-map": ([], [("--w", _CAP, True), ("--m", _CAP, True),
+                         ("--c", st.sampled_from(["1", "1,2", "1,-1/2", "x", "1/0"]), True),
+                         ("--d", st.sampled_from(["1", "2,1", "0,3", "x"]), True)]),
+    "singular": ([], [("--c", st.sampled_from(["-1", "-2", "7/3", "1/0", "x"]), True),
+                      ("--weight", _CAP, True), ("--lcap", _CAP, False), ("--jcap", _CAP, False)]),
+    "ideal-kernel": ([], [("--n", st.sampled_from(["1", "2", "-1", "x"]), True),
+                          ("--weight", _CAP, True)]),
+    "decouple": ([], [("--n", st.sampled_from(["1", "2", "-1", "x"]), True), ("--l", _CAP, True),
+                      ("--g", _CAP, True)]),
+    "inv-dims": ([], [("--action", st.sampled_from(["trivial", "torus:1", "sl2", "gl:2",
+                                                    "finite:ord=2:chars=1", "nope", "torus:1,,1"]),
+                       True), ("--max-weight", _CAP, True), ("--max-degree", _CAP, True)]),
+    "span-check": ([], [("--action", st.sampled_from(["trivial", "torus:1", "sl2", "nope"]), True),
+                        ("--gens", st.sampled_from(["GENS", "MISSING"]), True),
+                        ("--max-weight", _CAP, True), ("--max-len", _CAP, True)]),
+    "commutant": ([], [("--charges", st.sampled_from(["1", "1,-1", "0", "x"]), True),
+                       ("--max-weight", _CAP, True), ("--max-degree", _CAP, True)]),
+}
+_GLOBALS = [("--rank", st.sampled_from(["1", "2", "2", "3", "0", "x"])),
+            ("--algebra", st.sampled_from(["bg", "bc", "bcbg", "zz"])),
+            ("--format", st.sampled_from(["json", "json", "csv", "text"])),
+            ("--ceiling", st.sampled_from(["12", "12", "2", "-1"])),
+            ("--out", st.sampled_from(["OUT", "OUT", "/nonexistent/out.json"]))]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positionals, flags = _COMMANDS[command]
+    argv = [command, *(draw(p) for p in positionals)]
+    for flag, values, always in flags:
+        if always or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    for flag, values in _GLOBALS:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    (root / "gens.txt").write_text("J[0]\nJ[1]\n")
+    return {"GENS": str(root / "gens.txt"), "MISSING": str(root / "missing.txt"),
+            "OUT": str(root / "out.json")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=cli_argv())
+def test_exit_codes_keep_their_contract(cli_files, argv):
+    """Random argument lists exit 0, 2, 3 or 4 with no traceback: the
+    engine is correct, so no verification mismatch (exit 1) can occur,
+    and every refusal is a usage error."""
+    argv = [cli_files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexfock.exprlang import ExprSyntaxError, evaluate, parse, to_text
-from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, state_to_text, vacuum
+from vertexfock.fock import (
+    BETA,
+    GAMMA,
+    AlgebraDescriptor,
+    State,
+    degree,
+    state_to_text,
+    vacuum,
+)
 from vertexfock.ope import circle
 from vertexfock.verify import random_homogeneous_state
 from vertexfock.winfinity import realize_current
@@ -108,3 +117,17 @@ def test_evaluate_matches_engine():
 
     j = iterated_wick([generator_state(GAMMA, 1), generator_state(BETA, 1)])
     assert evaluate(e, BG1) == circle(j, 1, j)
+
+
+def test_evaluate_bounds_the_degree_of_products():
+    twelve = "NO(" + ", ".join(["gamma[1]"] * 12) + ")"
+    assert degree(evaluate(parse(twelve), BG1, max_degree=12)) == 12
+    for expr, what in ((f"NO(gamma[1], {twelve})", "NO"),
+                       (f"CP({twelve}, -1, beta[1])", "CP(., -1, .)"),
+                       (f"D^3(NO({twelve}, vac, gamma[1]))", "NO")):
+        with pytest.raises(ValueError, match=rf"{re.escape(what)} would have degree 13, above"):
+            evaluate(parse(expr), BG1, max_degree=12)
+        assert max(map(len, evaluate(parse(expr), BG1).terms)) == 13
+    # a derivative keeps the degree, and a zero factor refuses nothing
+    assert degree(evaluate(parse(f"D^3({twelve})"), BG1, max_degree=12)) == 12
+    assert not evaluate(parse(f"CP(0 * {twelve}, -1, {twelve})"), BG1, max_degree=12)

@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from vertexfock.fock import (
     BETA,
     C,
     GAMMA,
+    SPECIES_PARITY,
     AlgebraDescriptor,
     State,
     _apply_annihilation,
@@ -23,6 +25,7 @@ from vertexfock.fock import (
     canonicalize,
     degree,
     generator_state,
+    mode_sort_key,
     mono_parity,
     mono_weight,
     vacuum,
@@ -270,17 +273,65 @@ def test_insertion_and_partner_walk_match_fock(alg):
     words = [m for w in range(5) for d in range(5) for m in basis(alg, w, d)]
     gens = [(sp, idx) for sp in alg.species for idx in range(1, alg.rank + 1)]
     repeats = 0
+
+    def decoded(r):
+        return r if r is None else (r[0], ope._decode(r[1]))
+
     for word in words:
+        code = ope._encode(word)
         for sp, idx in gens:
             for k in range(1, 7):
                 g = (sp, idx, -k)
-                got = _insert_creation(g, word)
+                got = decoded(_insert_creation(ope._code(g), code))
                 assert got == canonicalize((g,) + word), (g, word)
                 repeats += got is None
             want = [(j, w2, c) for j in range(8)
                     for w2, c in _apply_annihilation((sp, idx, j), word).items()]
-            assert _contraction_partners(sp, idx, word) == want, (sp, idx, word)
+            got = [(j, ope._decode(w2), c)
+                   for j, w2, c in _contraction_partners(ope._code((sp, idx, -1)), code)]
+            assert got == want, (sp, idx, word)
     assert repeats > 0 if alg.kind != "bg" else repeats == 0
+
+
+def test_letter_codes_hold_their_fields_and_refuse_the_rest():
+    top_idx, top_mode = ope._IDX_MASK, ope._MODE_MASK
+    for sp in (BETA, GAMMA, B, C):
+        for g in ((sp, 0, -1), (sp, top_idx, -1), (sp, 1, -top_mode), (sp, top_idx, -top_mode)):
+            assert ope._decode(ope._encode((g,))) == (g,)
+        for g in ((sp, top_idx + 1, -1), (sp, -1, -1), (sp, 1, -top_mode - 1), (sp, 1, 0),
+                  (sp, 1, 3)):
+            with pytest.raises(ValueError, match=re.escape(str(g))):
+                ope._encode((g,))
+    # lowering a mode past its field is refused too, also inside a product
+    beta_top = ope._code((BETA, 1, -top_mode))
+    assert ope._lower(ope._code((BETA, 1, -1)), top_mode - 1) == beta_top
+    with pytest.raises(ValueError, match="mode"):
+        ope._lower(beta_top, 1)
+    assert circle(beta(), -top_mode, vacuum()) == State({((BETA, 1, -top_mode),): 1})
+    with pytest.raises(ValueError, match=str(-top_mode - 1)):
+        circle(beta(), -top_mode - 1, vacuum())
+    with pytest.raises(ValueError, match=str(-top_mode - 1)):
+        derive(State({((BETA, 1, -top_mode),): 1}))
+
+
+@pytest.mark.parametrize("alg", [BG2, BC2, MIX1], ids=lambda a: f"{a.kind}{a.rank}")
+def test_code_order_is_canonical_order(alg):
+    words = [m for w in range(6) for d in range(6) for m in basis(alg, w, d)]
+    letters = sorted({g for m in words for g in m})
+    assert sorted(letters, key=ope._code) == sorted(letters, key=mode_sort_key)
+    # so a canonical word encodes to an ascending tuple
+    assert all(list(ope._encode(m)) == sorted(ope._encode(m)) for m in words)
+
+
+def test_odd_codes_lie_above_every_even_code():
+    # the sign of an odd insertion counts the odd letters as a suffix
+    top_idx, top_mode = ope._IDX_MASK, ope._MODE_MASK
+    even = [ope._code((sp, i, -m)) for sp in (BETA, GAMMA) for i in (0, top_idx)
+            for m in (1, top_mode)]
+    odd = [ope._code((sp, i, -m)) for sp in (B, C) for i in (0, top_idx) for m in (1, top_mode)]
+    assert max(even) < ope._ODD <= min(odd)
+    assert all((ope._code((sp, 1, -1)) >= ope._ODD) == bool(SPECIES_PARITY[sp])
+               for sp in (BETA, GAMMA, B, C))
 
 
 _SLICES = {
@@ -328,18 +379,28 @@ def test_memo_holds_no_vacuum_products():
 def test_caches_hold_one_copy_of_each_word():
     ope.clear_cache()
     assert identity_suite(MIX1, 4, 3, 2, seed=1)["mismatches"] == []
+    # the memo's words, each the one decoding of its code word
     words = [w for value in ope._MEMO.values() for w in value]
-    words += [entry[0] for value in ope._CONTRACTIONS.values() for entry in value]
-    assert words and all(ope._WORDS[w] is w for w in words)
+    assert words and all(ope._WORDS[ope._encode(w)] is w for w in words)
     assert len({id(w) for w in words}) == len(ope._WORDS)
+    # and their letters, one tuple per letter
+    letters = {id(g) for w in words for g in w}
+    assert letters and len(letters) == len({g for w in words for g in w})
+    # the contraction words and creator tuples
+    # (four items per term: word, coefficient, q, creators)
+    codes = [x for value in ope._CONTRACTIONS.values() for i in (0, 3) for x in value[i::4]]
+    assert any(cr for value in ope._CONTRACTIONS.values() for cr in value[3::4])
+    assert all(ope._CODES[x] is x for x in codes)
+    assert len({id(x) for x in codes}) == len(ope._CODES)
 
 
 def test_clear_cache_empties_both_caches():
     j = current(BG2)
     assert circle(j, 1, j) == Fraction(-2) * vacuum()
-    assert ope._MEMO and ope._CONTRACTIONS and ope._WORDS
+    tables = (ope._MEMO, ope._CONTRACTIONS, ope._CODES, ope._WORDS, ope._LETTERS, ope._CODE_OF)
+    assert all(tables)
     ope.clear_cache()
-    assert not ope._MEMO and not ope._CONTRACTIONS and not ope._WORDS
+    assert not any(tables)
 
 
 def test_verma_clear_cache_empties_the_act_memo_in_place():
