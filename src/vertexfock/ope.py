@@ -46,18 +46,22 @@ What is memoized, in module dicts that ``clear_cache`` empties:
 ``_CONTRACTIONS`` holds the contraction list of every pair (ma, mb) with
 a nonempty first word, in codes, and ``_MEMO`` every product ma o_n mb
 with a nonempty first word, keyed by (ma, n, mb), with its integer
-structure constants ({monomial: int}) as the value.  Both are keyed by
-Monomials, so a hit neither encodes nor decodes; a miss encodes ma and
-mb once.  Vacuum products 1 o_n mb are returned directly and memoized
-in neither.  The caches hold one shared copy of each word: ``_CODES``
-holds the code words and creator tuples of the contraction lists,
-``_WORDS`` maps each code word of a memo value to the one Monomial that
-spells it, ``_LETTERS`` each code to the one letter tuple of decoded
-words, and ``_CODE_OF`` each letter to the one int of its code.  Stage 2 builds a fresh tuple for every output word, and the
-same few thousand words recur across many products, so without the
-tables the memo would hold many equal copies of each.  The caches are
-semantically invisible (idempotent inserts of values that are never
-mutated), so concurrent evaluation of independent products is safe.
+structure constants as the value.  Every entry is an immutable flat
+tuple, (monomial, int, monomial, int, ...) in ``_MEMO``, so a hit is
+handed out as it is.  Both are keyed by Monomials, so a hit neither
+encodes nor decodes; a miss encodes ma and mb once.  Vacuum products
+1 o_n mb are returned directly and memoized in neither.  The caches hold
+one shared copy of each word: ``_CODES`` holds the code words and
+creator tuples of the contraction lists, ``_WORDS`` maps each code word
+of a memo value to the one Monomial that spells it, ``_LETTERS`` each
+code to the one letter tuple of decoded words, and ``_CODE_OF`` each
+letter to the one int of its code; stage 2 builds a fresh tuple for
+every output word, and the same few thousand words recur across many
+products.  Nothing bounds the caches, but ``verify.identity_suite``
+empties them at each trial, whose fresh triple shares almost no product
+with the others.  The caches are semantically invisible (idempotent
+inserts of immutable values), so concurrent evaluation of independent
+products is safe.
 """
 
 from __future__ import annotations
@@ -96,11 +100,11 @@ _PAIRING = tuple(CONTRACTION[(sp, dual)] for sp, dual in enumerate(SPECIES_DUAL)
 
 CodeWord = tuple[int, ...]
 
-# structure constants of monomial products are integers
-_MEMO: dict[tuple[Monomial, int, Monomial], dict[Monomial, int]] = {}
-# (ma, mb) -> [code word, coefficient, pole order q, creator codes (rightmost
-# first), code word, ...]: four items per term, flat, which saves a tuple each
-_CONTRACTIONS: dict[tuple[Monomial, Monomial], list] = {}
+# (ma, n, mb) -> (monomial, integer structure constant, monomial, ...)
+_MEMO: dict[tuple[Monomial, int, Monomial], tuple] = {}
+# (ma, mb) -> (code word, coefficient, pole order q, creator codes (rightmost
+# first), code word, ...): four items per term, flat, which saves a tuple each
+_CONTRACTIONS: dict[tuple[Monomial, Monomial], tuple] = {}
 # the one copy of each code word and creator tuple that _CONTRACTIONS holds
 _CODES: dict[CodeWord, CodeWord] = {}
 # code word -> the one Monomial of it that _MEMO's values hold
@@ -220,7 +224,7 @@ def _contraction_partners(g: int, word: CodeWord) -> list[tuple[int, CodeWord, i
     return out
 
 
-def _contractions(ma: Monomial, mb: Monomial) -> list:
+def _contractions(ma: Monomial, mb: Monomial) -> tuple:
     """Stage 1 of ma o_n mb (see the module docstring), for every n."""
     key = (ma, mb)
     hit = _CONTRACTIONS.get(key)
@@ -246,15 +250,16 @@ def _contractions(ma: Monomial, mb: Monomial) -> list:
                 nxt[t] = get(t, 0) + sign * comb(j + m, m) * c2
         layer = nxt
     share = _CODES.setdefault
-    out = [x for (word, q, creators), c in layer.items() if c
-           for x in (share(word, word), c, q, share(creators, creators))]
+    out = tuple([x for (word, q, creators), c in layer.items() if c
+                 for x in (share(word, word), c, q, share(creators, creators))])
     _CONTRACTIONS[key] = out
     return out
 
 
-def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
+def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> tuple:
+    """ma o_n mb as the flat tuple (monomial, coefficient, monomial, ...)."""
     if not ma:
-        return {mb: 1} if n == -1 else {}
+        return (mb, 1) if n == -1 else ()
     key = (ma, n, mb)
     hit = _MEMO.get(key)
     if hit is not None:
@@ -322,14 +327,14 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> dict[Monomial, int]:
             t = w[:pos] + (h,) + w[pos:]
             acc[t] = get(t, 0) + row[r] * c
     words = _WORDS
-    out: dict[Monomial, int] = {}
+    out = []
     for w, c in acc.items():
         if c:
             mono = words.get(w)
             if mono is None:
                 mono = words[w] = _decode(w)
-            out[mono] = c
-    _MEMO[key] = out
+            out += (mono, c)
+    out = _MEMO[key] = tuple(out)
     return out
 
 
@@ -342,7 +347,8 @@ def circle(a: State, n: int, b: State) -> State:
             if not inner:
                 continue
             c = ca * cb
-            for mono, v in inner.items():
+            flat = iter(inner)
+            for mono, v in zip(flat, flat):
                 add_into(acc, mono, c * v)
     return State._raw(acc)
 
@@ -468,6 +474,13 @@ def check_identities(a: State, b: State, c: State, n: int) -> IdentityReport:
         parity(s)  # raises on mixed parity
     sab = _sign_factor(a, b)
     defects: dict[str, State] = {}
+    # d^k a and d^k b by ascending k, each one derivation of the one before
+    da, db = [a], [b]
+
+    def d(ds: list[State], k: int) -> State:
+        while len(ds) <= k:
+            ds.append(derive(ds[-1]))
+        return ds[k]
 
     # :(:ab:)c: - :abc: = sum_k 1/(k+1)! ( :(d^{k+1}a)(b o_k c): + sgn :(d^{k+1}b)(a o_k c): )
     lhs = wick(wick(a, b), c) - iterated_wick([a, b, c])
@@ -476,10 +489,10 @@ def check_identities(a: State, b: State, c: State, n: int) -> IdentityReport:
         coef = Fraction(1, math.factorial(k + 1))
         bc = circle(b, k, c)
         if bc:
-            rhs = rhs + coef * wick(derive(a, k + 1), bc)
+            rhs = rhs + coef * wick(d(da, k + 1), bc)
         ac = circle(a, k, c)
         if ac:
-            rhs = rhs + sab * coef * wick(derive(b, k + 1), ac)
+            rhs = rhs + sab * coef * wick(d(db, k + 1), ac)
     defects["nested_wick"] = lhs - rhs
 
     # :ab: - sgn :ba: = sum_k (-1)^k/(k+1)! d^{k+1}(a o_k b)
@@ -506,7 +519,7 @@ def check_identities(a: State, b: State, c: State, n: int) -> IdentityReport:
     for k in range(locality_bound(b, c)):
         bc = circle(b, n + k, c)
         if bc:
-            rhs = rhs + Fraction(1, math.factorial(k)) * wick(derive(a, k), bc)
+            rhs = rhs + Fraction(1, math.factorial(k)) * wick(d(da, k), bc)
     for k in range(locality_bound(a, c)):
         ac = circle(a, k, c)
         if ac:

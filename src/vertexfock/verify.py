@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .fock import AlgebraDescriptor, State, basis, mono_parity, state_to_text
-from .ope import check_identities
+from .ope import check_identities, clear_cache
 
 
 def random_homogeneous_state(
@@ -49,7 +49,8 @@ def identity_suite(
     seed: int,
 ) -> dict:
     """Run the four-identity check on random homogeneous triples, each
-    with a random n in 1..3.
+    with a random n in 1..3.  Each trial empties the product caches
+    first: its fresh triple shares almost no product with the others.
 
     Returns {"trials": ..., "mismatches": [...]}; the mismatch list must
     be empty.  A mismatch names the failed identities and carries the
@@ -59,6 +60,7 @@ def identity_suite(
     rng = random.Random(seed)
     mismatches = []
     for t in range(trials):
+        clear_cache()
         a = random_homogeneous_state(rng, alg, max_weight, max_degree)
         b = random_homogeneous_state(rng, alg, max_weight, max_degree)
         c = random_homogeneous_state(rng, alg, max_weight, max_degree)

@@ -76,15 +76,17 @@ def vacuum_module_basis(weight_n: int) -> list[Word]:
     return words_of_weight(letters, [k for _, k in letters], weight_n)
 
 
-_ACT_MEMO: dict[tuple[int, int, Word, Scalar], dict[Word, Scalar]] = {}
+# (l, k, word, c) -> (word, coefficient, word, coefficient, ...)
+_ACT_MEMO: dict[tuple[int, int, Word, Scalar], tuple] = {}
 
 
 def clear_cache() -> None:
     _ACT_MEMO.clear()
 
 
-def _act_basis(l: int, k: int, word: Word, c: Scalar) -> dict[Word, Scalar]:
-    """J^l_k applied to a PBW word, straightened back into PBW form.
+def _act_basis(l: int, k: int, word: Word, c: Scalar) -> tuple:
+    """J^l_k applied to a PBW word, straightened back into PBW form, as
+    the flat tuple (word, coefficient, word, ...) that ``_ACT_MEMO`` keeps.
 
     Creation letters (l+k < 0) insert in order; everything else
     commutes rightward via the bracket until it kills the vacuum.
@@ -93,31 +95,28 @@ def _act_basis(l: int, k: int, word: Word, c: Scalar) -> dict[Word, Scalar]:
     hit = _ACT_MEMO.get(key)
     if hit is not None:
         return hit
-    if not word:
-        res = {} if l + k >= 0 else {((l, -k),): 1}
-        _ACT_MEMO[key] = res
+    if not word or l + k < 0 and letter_key((l, -k)) >= letter_key(word[0]):
+        res = _ACT_MEMO[key] = () if l + k >= 0 else (((l, -k),) + word, 1)
         return res
     lead = word[0]
-    if l + k < 0 and letter_key((l, -k)) >= letter_key(lead):
-        res = {((l, -k),) + word: 1}
-        _ACT_MEMO[key] = res
-        return res
     rest = word[1:]
     acc: dict[Word, Scalar] = {}
     # g (h w') = h (g w') + [g, h] w'
-    inner = _act_basis(l, k, rest, c)
+    inner = iter(_act_basis(l, k, rest, c))
     l1, k1 = lead
-    for w2, c2 in inner.items():
-        for w3, c3 in _act_basis(l1, -k1, w2, c).items():
+    for w2, c2 in zip(inner, inner):
+        img = iter(_act_basis(l1, -k1, w2, c))
+        for w3, c3 in zip(img, img):
             add_into(acc, w3, c2 * c3)
     br = bracket_basis(l, k, l1, -k1)
     for (l2, k2), coef in br.terms.items():
-        for w3, c3 in _act_basis(l2, k2, rest, c).items():
+        img = iter(_act_basis(l2, k2, rest, c))
+        for w3, c3 in zip(img, img):
             add_into(acc, w3, coef * c3)
     if br.kappa != 0:
         add_into(acc, rest, br.kappa * c)
-    _ACT_MEMO[key] = acc
-    return acc
+    res = _ACT_MEMO[key] = tuple([x for item in acc.items() for x in item])
+    return res
 
 
 def act(x, v: VermaElement, c) -> VermaElement:
@@ -127,7 +126,8 @@ def act(x, v: VermaElement, c) -> VermaElement:
     acc: dict[Word, Scalar] = {}
     for word, coef in v.terms.items():
         for (l, k), xc in x.terms.items():
-            for w2, c2 in _act_basis(l, k, word, c).items():
+            img = iter(_act_basis(l, k, word, c))
+            for w2, c2 in zip(img, img):
                 add_into(acc, w2, xc * coef * c2)
         if x.kappa != 0:
             add_into(acc, word, x.kappa * c * coef)
@@ -178,10 +178,12 @@ def singular_vectors(
         return []
 
     def kernel(conditions):
-        columns = [
-            {(l, j, w2): v for l, j in conditions for w2, v in _act_basis(l, j, word, c).items()}
-            for word in words
-        ]
+        columns = [{} for _ in words]
+        for column, word in zip(columns, words):
+            for l, j in conditions:
+                img = iter(_act_basis(l, j, word, c))
+                for w2, v in zip(img, img):
+                    column[l, j, w2] = v
         return [
             VermaElement({words[i]: v for i, v in rel.items()})
             for rel in linalg.kernel_of_columns(columns)

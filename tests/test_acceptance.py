@@ -9,6 +9,8 @@ with no tolerances anywhere.
 import time
 from fractions import Fraction
 
+import pytest
+
 from oracles import circle_oracle
 from vertexfock.fock import (
     B,
@@ -127,6 +129,7 @@ def test_criterion_3_conformal_structure():
               "L o_3 L = n vacuum, confirmed by the mode-convolution oracle")
 
 
+@pytest.mark.slow
 def test_criterion_4_representation_check():
     from vertexfock.ope import clear_cache
 
@@ -298,6 +301,7 @@ def _gl_currents_check(kind, n, top, cap):
     return span_check(gens, gl_standard(n), alg, cap, cap)
 
 
+@pytest.mark.slow
 def test_criterion_12_gl2_on_beta_gamma():
     # Linshaw (arXiv:0811.4067): J^0..J^{n^2+2n-1} strongly generate the
     # GL_n-invariants of the rank-n bg system; at n = 2 the last one, J^7,
@@ -328,6 +332,7 @@ def test_criterion_12_gl_on_bc():
                "the GL_3-invariants of bc:3 at every weight <= 7")
 
 
+@pytest.mark.slow
 def test_criterion_12_vacuum_module_at_n_2():
     # W_{1+inf,-2}: the vacuum module at c = -2 has its first singular
     # vector at weight (n+1)^2 = 9, it spans the projection kernel onto

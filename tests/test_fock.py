@@ -291,6 +291,7 @@ def test_words_of_weight_matches_brute_force(problem):
 ENUMERATED = [AlgebraDescriptor(kind, rank) for kind in ("bg", "bc", "bcbg") for rank in (1, 2)]
 
 
+@pytest.mark.slow
 def test_basis_by_degree_matches_brute_force():
     for alg in ENUMERATED:
         # w, d <= 6 would be 36M candidate words for bcbg rank 2

@@ -280,6 +280,7 @@ def integer_first(values) -> bool:
     return all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values)
 
 
+@pytest.mark.slow
 @settings(deadline=None, max_examples=150)
 @given(st.one_of(exact_matrices(), st.integers(1, 5).flatmap(exact_matrices),
                  tall_sparse_matrices(), interleaved_block_matrices()), st.data())

@@ -368,30 +368,83 @@ def test_identities_hold_on_generated_triples(inputs):
     assert rep.ok, (alg.kind, n, rep.mismatch_names())
 
 
-def test_memo_holds_no_vacuum_products():
-    ope.clear_cache()
-    report = identity_suite(MIX1, 4, 3, 2, seed=1)
-    assert report["mismatches"] == []
-    assert ope._MEMO and all(ma for ma, _, _ in ope._MEMO)
-    assert ope._CONTRACTIONS and all(ma for ma, _ in ope._CONTRACTIONS)
+def _each_trial(monkeypatch, after=lambda: None) -> list[tuple]:
+    """Run a 4-trial identity suite on MIX1, calling ``after()`` on the
+    caches as each trial leaves them; returns each trial's (a, b, c, n)."""
+    trials = []
 
+    def check(*args):
+        rep = check_identities(*args)
+        trials.append(args)
+        after()
+        return rep
 
-def test_caches_hold_one_copy_of_each_word():
-    ope.clear_cache()
+    monkeypatch.setattr("vertexfock.verify.check_identities", check)
     assert identity_suite(MIX1, 4, 3, 2, seed=1)["mismatches"] == []
-    # the memo's words, each the one decoding of its code word
-    words = [w for value in ope._MEMO.values() for w in value]
-    assert words and all(ope._WORDS[ope._encode(w)] is w for w in words)
-    assert len({id(w) for w in words}) == len(ope._WORDS)
-    # and their letters, one tuple per letter
-    letters = {id(g) for w in words for g in w}
-    assert letters and len(letters) == len({g for w in words for g in w})
-    # the contraction words and creator tuples
-    # (four items per term: word, coefficient, q, creators)
-    codes = [x for value in ope._CONTRACTIONS.values() for i in (0, 3) for x in value[i::4]]
-    assert any(cr for value in ope._CONTRACTIONS.values() for cr in value[3::4])
-    assert all(ope._CODES[x] is x for x in codes)
-    assert len({id(x) for x in codes}) == len(ope._CODES)
+    return trials
+
+
+def test_memo_holds_no_vacuum_products(monkeypatch):
+    def after():
+        assert ope._MEMO and all(ma for ma, _, _ in ope._MEMO)
+        assert ope._CONTRACTIONS and all(ma for ma, _ in ope._CONTRACTIONS)
+
+    _each_trial(monkeypatch, after)
+
+
+def test_caches_hold_one_copy_of_each_word(monkeypatch):
+    def after():
+        # the memo's words, each the one decoding of its code word
+        # (two items per term: word, coefficient)
+        words = [w for value in ope._MEMO.values() for w in value[::2]]
+        assert words and all(ope._WORDS[ope._encode(w)] is w for w in words)
+        assert len({id(w) for w in words}) == len(ope._WORDS)
+        # and their letters, one tuple per letter
+        letters = {id(g) for w in words for g in w}
+        assert letters and len(letters) == len({g for w in words for g in w})
+        # the contraction words and creator tuples
+        # (four items per term: word, coefficient, q, creators)
+        codes = [x for value in ope._CONTRACTIONS.values() for i in (0, 3) for x in value[i::4]]
+        assert any(cr for value in ope._CONTRACTIONS.values() for cr in value[3::4])
+        assert all(ope._CODES[x] is x for x in codes)
+        assert len({id(x) for x in codes}) == len(ope._CODES)
+
+    _each_trial(monkeypatch, after)
+
+
+def test_cache_entries_are_flat_tuples(monkeypatch):
+    verma.clear_cache()
+    assert verma.singular_vectors(-1, 4)
+    assert verma._ACT_MEMO and all(
+        type(v) is tuple and len(v) % 2 == 0 and all(type(w) is tuple for w in v[::2])
+        for v in verma._ACT_MEMO.values()
+    )
+
+    def after():
+        assert ope._MEMO and all(
+            type(v) is tuple and len(v) % 2 == 0 and all(type(c) is int for c in v[1::2])
+            for v in ope._MEMO.values()
+        )
+        assert ope._CONTRACTIONS and all(
+            type(v) is tuple and len(v) % 4 == 0 for v in ope._CONTRACTIONS.values()
+        )
+
+    _each_trial(monkeypatch, after)
+
+
+def test_identity_suite_keeps_one_trial_of_products(monkeypatch):
+    trials = _each_trial(monkeypatch)
+    left = set(ope._MEMO)
+
+    def alone(args) -> set:
+        ope.clear_cache()
+        assert check_identities(*args).ok
+        return set(ope._MEMO)
+
+    last = alone(trials[-1])
+    assert left == last
+    # the earlier trials had products of their own, and none is left
+    assert all(alone(args) - last for args in trials[:-1])
 
 
 def test_clear_cache_empties_both_caches():
