@@ -266,7 +266,7 @@ def _mode_alphabet(alg: AlgebraDescriptor, max_weight: int) -> list[GeneratorMod
     return out
 
 
-def words_of_weight(letters, weights, total, max_len=None, repeats=None, charges=None) -> list[tuple]:
+def words_of_weight(letters, weights, total, max_len=None, repeats=None) -> list[tuple]:
     """Every multiset of letters of the given total weight with at most
     max_len letters, as a tuple in list order.
 
@@ -274,29 +274,20 @@ def words_of_weight(letters, weights, total, max_len=None, repeats=None, charges
     p.  Words come depth first: lexicographic in the letter positions,
     a word before its extensions.  Weights are >= 0, and must be > 0
     unless max_len is given.  A total of 0 yields the empty word.
-
-    With integer ``charges``, only words whose letters' charges sum to
-    0 are kept; given max_len too, a branch is cut once the letters it
-    may still take can no longer bring its running sum back to 0.
     """
     n = len(letters)
-    charged = charges is not None
-    if not charged:
-        charges = [0] * n
-    # per suffix of the alphabet: the largest weight, for pruning by
-    # length, and the least and greatest charge, widened to 0
-    suffix_max, low, high = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    # per suffix of the alphabet: the largest weight, for pruning by length
+    suffix_max = [0] * (n + 1)
     for p in range(n - 1, -1, -1):
         suffix_max[p] = max(suffix_max[p + 1], weights[p])
-        low[p], high[p] = min(low[p + 1], charges[p]), max(high[p + 1], charges[p])
     # where the next letter's search starts after taking position p
     nxt = [p if repeats is None or repeats[p] else p + 1 for p in range(n)]
     out: list[tuple] = []
     stack: list = []
 
-    def dfs(pos: int, rem: int, value: int):
+    def dfs(pos: int, rem: int):
         depth = len(stack)
-        if rem == 0 and value == 0:
+        if rem == 0:
             out.append(tuple(stack))
         if depth == max_len:
             return
@@ -304,20 +295,14 @@ def words_of_weight(letters, weights, total, max_len=None, repeats=None, charges
             w = weights[p]
             if w > rem:
                 continue
-            if max_len is not None:
-                left = max_len - depth - 1
-                if rem - w > left * suffix_max[p]:
-                    continue
-                if charged and not (
-                    left * low[nxt[p]] <= -(value + charges[p]) <= left * high[nxt[p]]
-                ):
-                    continue
+            if max_len is not None and rem - w > (max_len - depth - 1) * suffix_max[p]:
+                continue
             stack.append(letters[p])
-            dfs(nxt[p], rem - w, value + charges[p])
+            dfs(nxt[p], rem - w)
             stack.pop()
 
     if total >= 0:
-        dfs(0, total, 0)
+        dfs(0, total)
     return out
 
 
@@ -329,27 +314,21 @@ def basis(alg: AlgebraDescriptor, weight: int, degree: int) -> list[Monomial]:
     return basis_by_degree(alg, weight, degree)[degree]
 
 
-def basis_by_degree(
-    alg: AlgebraDescriptor, weight: int, degree_cap: int, functional=None
-) -> list[list[Monomial]]:
+def basis_by_degree(alg: AlgebraDescriptor, weight: int, degree_cap: int) -> list[list[Monomial]]:
     """The canonical monomials of the given weight, bucketed by degree
     0..degree_cap, each bucket in lexicographic order of the canonical
     key.
 
     One depth-first walk over the creation modes (``words_of_weight``)
     yields every degree; fermions may not repeat a mode, bosons may.
-    An integer vector ``functional`` over the indices keeps only the
-    monomials with sum_i functional_i q_i = 0, q their ``mono_charge``.
     """
     out: list[list[Monomial]] = [[] for _ in range(degree_cap + 1)]
     if weight < 0 or degree_cap < 0:
         return out
     alphabet = _mode_alphabet(alg, weight)
-    charges = None if functional is None else [
-        SPECIES_CHARGE[sp] * functional[idx - 1] for sp, idx, _ in alphabet]
     for word in words_of_weight(
         alphabet, [mode_weight(g) for g in alphabet], weight, max_len=degree_cap,
-        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet], charges=charges,
+        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet],
     ):
         out[len(word)].append(word)
     return out

@@ -24,12 +24,12 @@ for invariance under a torus or finite group, the sign of a Weyl shift
 for sl2 and gl_n) and adds up.  The symbol side only counts, and
 refuses any other action.  The state side eliminates the other
 Lie-algebra actions: it enumerates a weight once, every degree up to
-the cap from one walk (``fock.basis_by_degree``) that lists only the
-monomials the diagonal matrices kill, and an entry is the size of an
-exact joint kernel of the other matrices, one exact system per
-bidegree: the number of those monomials minus the rank of their
-images.  The command line runs as ``vertexfock inv-dims`` or
-``python -m vertexfock inv-dims``.
+the cap from one walk (``fock.basis_by_degree``), keeps the monomials
+the diagonal matrices kill, and an entry is the size of an exact joint
+kernel of the other matrices, one exact system per bidegree: the
+number of those monomials minus the rank of their images.  The
+command line runs as ``vertexfock inv-dims`` or ``python -m
+vertexfock inv-dims``.
 
 Strong-generation checks compare the exact span of normally ordered
 words in a generator list against the invariant dimensions, weight by
@@ -39,9 +39,7 @@ list of currents, zero modes first.
 
 from __future__ import annotations
 
-import math
 import warnings
-from fractions import Fraction
 
 from . import linalg
 from .fock import (
@@ -59,7 +57,7 @@ from .fock import (
     mono_degree,
     weight as state_weight,
 )
-from .linalg import Frozen, Record, Scalar, SparseMatrix, add_into, scalar
+from .linalg import Frozen, Record, Scalar, SparseMatrix, add_into, exact_terms, scalar
 from .ope import (
     CodeWord,
     _code,
@@ -184,14 +182,17 @@ def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Scalar]:
 
 def extend_action(X, alg: AlgebraDescriptor):
     """The weight- and degree-preserving derivation of a single matrix
-    on states."""
+    on states, with integer-first coefficients (``linalg.scalar``)."""
     mats = tuple(tuple(scalar(x) for x in row) for row in X)
+    frac = any(x.__class__ is not int for row in mats for x in row)
 
     def op(s: State) -> State:
         acc: dict[Monomial, Scalar] = {}
         for mono, c in s.terms.items():
             for mono2, v in _derive_mono(mats, mono, alg.rank).items():
                 add_into(acc, mono2, c * v)
+        if frac or any(c.__class__ is not int for c in s.terms.values()):
+            acc = exact_terms(acc)
         return State._raw(acc)
 
     return op
@@ -207,25 +208,17 @@ def _is_diagonal(X) -> bool:
     return all(X[i][j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
-def _split_diagonal(mats, rank_n: int, degree_cap: int):
-    """The matrices that are not diagonal, and an integer vector f (or
-    None) with sum_i f_i q_i = 0 iff every diagonal matrix X kills the
-    monomial of charge q and degree <= degree_cap.  X multiplies it by
-    sum_i X_ii q_i; each such diagonal, cleared of denominators, is one
-    digit of f in a base above any digit's size (sum_i |q_i| <= degree).
-    """
-    rows: list[list[int]] = []
-    for X in mats:
-        if _is_diagonal(X):
-            den = math.lcm(*(Fraction(X[i][i]).denominator for i in range(rank_n)))
-            row = [int(X[i][i] * den) for i in range(rank_n)]
-            if any(row) and row not in rows:
-                rows.append(row)
-    rest = [X for X in mats if not _is_diagonal(X)]
-    if not rows:
-        return rest, None
-    base = degree_cap * max(abs(x) for row in rows for x in row) + 1
-    return rest, [sum(row[i] * base**t for t, row in enumerate(rows)) for i in range(rank_n)]
+def _split_diagonal(mats, rank_n: int):
+    """The matrices that are not diagonal, and a predicate on monomials:
+    every diagonal matrix X kills the monomial, that is multiplies it
+    by sum_i X_ii q_i = 0, q its ``mono_charge``."""
+    diagonals = {tuple(X[i][i] for i in range(rank_n)) for X in mats if _is_diagonal(X)}
+
+    def killed(mono: Monomial) -> bool:
+        q = mono_charge(mono, rank_n)
+        return all(sum(x * c for x, c in zip(v, q)) == 0 for v in diagonals)
+
+    return [X for X in mats if not _is_diagonal(X)], killed
 
 
 def _lie_columns(monos, rest, rank_n):
@@ -264,8 +257,8 @@ def invariant_basis(
         return []
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         return [State({m: 1}) for m in basis(alg, weight, degree) if sign(mono_charge(m, alg.rank))]
-    rest, functional = _split_diagonal(action.matrices, alg.rank, degree)
-    monos = basis_by_degree(alg, weight, degree, functional)[degree]
+    rest, killed = _split_diagonal(action.matrices, alg.rank)
+    monos = [m for m in basis(alg, weight, degree) if killed(m)]
     return [State(c) for c in _lie_kernel(monos, rest, alg.rank)]
 
 
@@ -352,10 +345,10 @@ def dim_table(
     sign = _charge_sign(action, alg.rank)
     if sign is not None:
         return _invariant_table(sign, charge_counts(alg, weight_cap, degree_cap), weight_cap, degree_cap)
-    rest, functional = _split_diagonal(action.matrices, alg.rank, degree_cap)
-    return DimTable({(w, d): _lie_dim(monos, rest, alg.rank)
+    rest, killed = _split_diagonal(action.matrices, alg.rank)
+    return DimTable({(w, d): _lie_dim([m for m in monos if killed(m)], rest, alg.rank)
                      for w in range(weight_cap + 1)
-                     for d, monos in enumerate(basis_by_degree(alg, w, degree_cap, functional))},
+                     for d, monos in enumerate(basis_by_degree(alg, w, degree_cap))},
                     weight_cap, degree_cap)
 
 

@@ -84,7 +84,7 @@ from .fock import (
     weight,
     words_of_weight,
 )
-from .linalg import Record, add_into
+from .linalg import Record, Scalar, add_into, exact_terms
 
 # The code of a letter (sp, idx, mode), mode < 0: see the module docstring.
 _IDX_SHIFT = 18
@@ -339,18 +339,23 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> tuple:
 
 
 def circle(a: State, n: int, b: State) -> State:
-    """The n-th circle product of two states, exactly."""
-    acc: dict[Monomial, Fraction] = {}
+    """The n-th circle product of two states, exactly.  Coefficients
+    are integer-first (``linalg.scalar``): only a Fraction input pays
+    the pass that turns integral ones into ints."""
+    acc: dict[Monomial, Scalar] = {}
+    frac = False
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             inner = _circle_mono(ma, n, mb)
             if not inner:
                 continue
             c = ca * cb
+            if c.__class__ is not int:
+                frac = True
             flat = iter(inner)
             for mono, v in zip(flat, flat):
                 add_into(acc, mono, c * v)
-    return State._raw(acc)
+    return State._raw(exact_terms(acc) if frac else acc)
 
 
 def wick(a: State, b: State) -> State:
@@ -391,18 +396,22 @@ def word_products(generators, words) -> list[State]:
 
 def derive(a: State, times: int = 1) -> State:
     """Translation operator: on a word, sum over factors of
-    u(-m) -> m u(-m-1).  Equals a o_{-2} vacuum."""
-    if times < 1:
+    u(-m) -> m u(-m-1).  Equals a o_{-2} vacuum.  Coefficients are
+    integer-first, as for ``circle``."""
+    if times < 0:
+        raise ValueError("the number of derivatives must be >= 0")
+    if times == 0:
         return a
+    frac = any(c.__class__ is not int for c in a.terms.values())
     terms = {_encode(mono): c for mono, c in a.terms.items()}
     for _ in range(times):
-        acc: dict[CodeWord, Fraction] = {}
+        acc: dict[CodeWord, Scalar] = {}
         for word, c in terms.items():
             for pos, g in enumerate(word):
                 r = _replace_factor(word, pos, _lower(g, 1))
                 if r is not None:
                     add_into(acc, r[1], r[0] * c * (g & _MODE_MASK))
-        terms = acc
+        terms = exact_terms(acc) if frac else acc
     return State._raw({_decode(word): c for word, c in terms.items()})
 
 

@@ -181,6 +181,8 @@ def realize_current(l: int, alg: AlgebraDescriptor) -> State:
     (kind bg) or sum_i :c^i d^l b^i: (kind bc)."""
     if alg.kind not in ("bg", "bc"):
         raise ValueError("currents are realized in the bg or bc system only")
+    if l < 0:
+        raise ValueError("differential order l must be >= 0")
     key = (alg.kind, alg.rank, l)
     hit = _REALIZE_CACHE.get(key)
     if hit is not None:

@@ -286,20 +286,21 @@ def diagonal_matrices(draw):
 
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(("bg", "bc", "bcbg")), diagonal_matrices(), st.integers(0, 4), st.integers(0, 3))
-# q = (-1, -2) (gamma^1 gamma^2 gamma^2) gives the digits -3 and 1: a
-# base of 3 would fold them to 0
+# q = (-1, -2) (gamma^1 gamma^2 gamma^2) gives -3 and 1: folded into
+# one base-3 integer they would cancel
 @example("bg", (2, [((1, 0), (0, 1)), ((1, 0), (0, -1))]), 0, 3)
-def test_pruned_walks_are_the_filtered_walks(kind, rank_mats, w, cap):
+def test_split_diagonal_keeps_the_killed_monomials(kind, rank_mats, w, cap):
     rank, mats = rank_mats
     alg = AlgebraDescriptor(kind, rank)
-    _, functional = invariants._split_diagonal(mats, rank, cap)
+    rest, killed = invariants._split_diagonal(mats, rank)
+    assert rest == []
 
-    def killed(m):
+    def direct(m):
         q = mono_charge(m, rank)
         return all(sum(X[i][i] * q[i] for i in range(rank)) == 0 for X in mats)
 
-    want = [[m for m in bucket if killed(m)] for bucket in fock.basis_by_degree(alg, w, cap)]
-    assert fock.basis_by_degree(alg, w, cap, functional) == want
+    for bucket in fock.basis_by_degree(alg, w, cap):
+        assert [killed(m) for m in bucket] == [direct(m) for m in bucket]
 
 
 def test_sl2_tables_walk_no_words(monkeypatch):
@@ -311,21 +312,15 @@ def test_sl2_tables_walk_no_words(monkeypatch):
     monkeypatch.setattr(invariants, "basis_by_degree", refused)
     monkeypatch.setattr(fock, "gr_basis_by_degree", refused)
     assert dim_table(act, BG2, 7, 7) == gr_dim_table(act, BG2, 7, 7)
-    # invariant_basis still walks, pruned to the h-weight-0 words: 2,310
-    # of the 21,604 words of weight and degree <= 7
-    _, h = invariants._split_diagonal(act.matrices, 2, 7)
-    for functional, emitted in ((None, 21604), (h, 2310)):
-        assert sum(len(bucket) for w in range(8)
-                   for bucket in fock.basis_by_degree(BG2, w, 7, functional)) == emitted
 
 
 def _kernel_table(act, alg, cap):
     """The exact joint-kernel dimension of each bidegree, by the state
     side's route for the actions that are not counted."""
-    rest, functional = invariants._split_diagonal(act.matrices, alg.rank, cap)
-    return {(w, d): invariants._lie_dim(monos, rest, alg.rank)
+    rest, killed = invariants._split_diagonal(act.matrices, alg.rank)
+    return {(w, d): invariants._lie_dim([m for m in monos if killed(m)], rest, alg.rank)
             for w in range(cap + 1)
-            for d, monos in enumerate(fock.basis_by_degree(alg, w, cap, functional))}
+            for d, monos in enumerate(fock.basis_by_degree(alg, w, cap))}
 
 
 # each side's Weyl count against the state side's kernels (the symbol

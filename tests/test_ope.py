@@ -31,6 +31,7 @@ from vertexfock.fock import (
     vacuum,
     weight,
 )
+from vertexfock.invariants import extend_action
 from vertexfock.ope import (
     IdentityReport,
     _contraction_partners,
@@ -42,6 +43,7 @@ from vertexfock.ope import (
     locality_bound,
     ope_table,
     wick,
+    word_products,
 )
 from vertexfock.verify import identity_suite, random_homogeneous_state
 
@@ -104,6 +106,31 @@ def test_derive():
     s = State({((BETA, 1, -1), (GAMMA, 1, -3)): Fraction(1)})
     assert weight(derive(s)) == weight(s) + 1
     assert derive(s) == circle(s, -2, vacuum())
+    assert derive(s, 0) is s
+    with pytest.raises(ValueError, match="derivatives"):
+        derive(s, -1)
+
+
+def test_engine_exits_are_integer_first():
+    # a Fraction coefficient in, integral coefficients out: each exit
+    # hands them back as ints, the others stay Fractions
+    half = State({((BETA, 1, -1),): Fraction(1, 2)})
+    two_gammas = State({((GAMMA, 1, -1),): 2})
+    integral = [
+        wick(half, two_gammas),
+        iterated_wick([half, two_gammas]),
+        circle(half, -1, two_gammas),
+        ope_table(half, two_gammas).poles[0][1],
+        derive(half, 2),
+        *word_products([half, two_gammas], [((0, 2),), ((0, 0), (1, 0))]),
+        extend_action(((0, 0), (2, 0)), BG2)(half),
+        extend_action(((0, 0), (Fraction(1, 2), 0)), BG2)(2 * beta()),
+    ]
+    for s in integral:
+        assert s and all(type(c) is int for c in s.terms.values()), s
+    fractional = [wick(half, gamma()), derive(half), extend_action(((0, 0), (1, 0)), BG2)(half)]
+    for s in fractional:
+        assert s and all(c == Fraction(1, 2) and type(c) is Fraction for c in s.terms.values()), s
 
 
 def test_iterated_wick():

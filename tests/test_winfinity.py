@@ -10,6 +10,7 @@ from vertexfock.linalg import det, rank
 from vertexfock.ope import circle
 from vertexfock.winfinity import (
     DOp,
+    _REALIZE_CACHE,
     action_block_matrix,
     action_coeffs,
     apply_current_mode,
@@ -91,6 +92,13 @@ def test_realization_states():
             assert weight(realize_current(l, alg)) == l + 1
     with pytest.raises(ValueError):
         realize_current(0, AlgebraDescriptor("bcbg", 1))
+
+
+def test_negative_levels_are_refused_and_not_cached():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="l must be >= 0"):
+            realize_current(-1, BG1)
+    assert ("bg", 1, -1) not in _REALIZE_CACHE
 
 
 def test_mode_index_conversion():
