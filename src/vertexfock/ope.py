@@ -455,6 +455,17 @@ def _sign_factor(a: State, b: State) -> int:
     return -1 if parity(a) and parity(b) else 1
 
 
+def _defect(lhs, rhs) -> State:
+    """sum(lhs) - sum(rhs) for two lists of (coefficient, State) pairs,
+    summed in one dict."""
+    acc: dict[Monomial, Scalar] = {}
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for coef, s in side:
+            for mono, c in s.terms.items():
+                add_into(acc, mono, sign * coef * c)
+    return State._raw(exact_terms(acc))
+
+
 class IdentityReport(Record):
     """Exact evaluation of both sides of the four Wick/circle identities:
     defects maps each identity's name to the State lhs - rhs."""
@@ -483,56 +494,59 @@ def check_identities(a: State, b: State, c: State, n: int) -> IdentityReport:
         parity(s)  # raises on mixed parity
     sab = _sign_factor(a, b)
     defects: dict[str, State] = {}
-    # d^k a and d^k b by ascending k, each one derivation of the one before
-    da, db = [a], [b]
-
-    def d(ds: list[State], k: int) -> State:
-        while len(ds) <= k:
-            ds.append(derive(ds[-1]))
-        return ds[k]
-
     # :(:ab:)c: - :abc: = sum_k 1/(k+1)! ( :(d^{k+1}a)(b o_k c): + sgn :(d^{k+1}b)(a o_k c): )
-    lhs = wick(wick(a, b), c) - iterated_wick([a, b, c])
-    rhs = State()
+    #                   = sum_k ( a o_{-k-2} (b o_k c) + sgn b o_{-k-2} (a o_k c) ),
+    # by the translation rule (d^j a) o_n = (-1)^j n(n-1)...(n-j+1) a o_{n-j},
+    # which at n = -1 reads (d^j a) o_{-1} = j! a o_{-j-1}
+    lhs = [(1, wick(wick(a, b), c)), (-1, iterated_wick([a, b, c]))]
+    rhs = []
     for k in range(max(locality_bound(b, c), locality_bound(a, c))):
-        coef = Fraction(1, math.factorial(k + 1))
         bc = circle(b, k, c)
         if bc:
-            rhs = rhs + coef * wick(d(da, k + 1), bc)
+            rhs.append((1, circle(a, -k - 2, bc)))
         ac = circle(a, k, c)
         if ac:
-            rhs = rhs + sab * coef * wick(d(db, k + 1), ac)
-    defects["nested_wick"] = lhs - rhs
+            rhs.append((sab, circle(b, -k - 2, ac)))
+    defects["nested_wick"] = _defect(lhs, rhs)
 
     # :ab: - sgn :ba: = sum_k (-1)^k/(k+1)! d^{k+1}(a o_k b)
-    lhs = wick(a, b) - sab * wick(b, a)
-    rhs = State()
+    lhs = [(1, wick(a, b)), (-sab, wick(b, a))]
+    rhs = []
     for k in range(locality_bound(a, b)):
         ab = circle(a, k, b)
         if ab:
-            rhs = rhs + Fraction((-1) ** k, math.factorial(k + 1)) * derive(ab, k + 1)
-    defects["wick_commutator"] = lhs - rhs
+            rhs.append((Fraction((-1) ** k, math.factorial(k + 1)), derive(ab, k + 1)))
+    defects["wick_commutator"] = _defect(lhs, rhs)
 
     # a o_n :bc: - :(a o_n b)c: - sgn :b(a o_n c): = sum_{k=1}^n C(n,k) (a o_{n-k} b) o_{k-1} c
-    lhs = circle(a, n, wick(b, c)) - wick(circle(a, n, b), c) - sab * wick(b, circle(a, n, c))
-    rhs = State()
+    lhs = [(1, circle(a, n, wick(b, c))), (-1, wick(circle(a, n, b), c)),
+           (-sab, wick(b, circle(a, n, c)))]
+    rhs = []
     for k in range(1, n + 1):
         ab = circle(a, n - k, b)
         if ab:
-            rhs = rhs + math.comb(n, k) * circle(ab, k - 1, c)
-    defects["derivation_defect"] = lhs - rhs
+            rhs.append((math.comb(n, k), circle(ab, k - 1, c)))
+    defects["derivation_defect"] = _defect(lhs, rhs)
+
+    # d^k a by ascending k, each one derivation of the one before
+    da = [a]
+
+    def d(k: int) -> State:
+        while len(da) <= k:
+            da.append(derive(da[-1]))
+        return da[k]
 
     # (:ab:) o_n c = sum_k 1/k! :(d^k a)(b o_{n+k} c): + sgn sum_k b o_{n-k-1} (a o_k c)
-    lhs = circle(wick(a, b), n, c)
-    rhs = State()
+    lhs = [(1, circle(wick(a, b), n, c))]
+    rhs = []
     for k in range(locality_bound(b, c)):
         bc = circle(b, n + k, c)
         if bc:
-            rhs = rhs + Fraction(1, math.factorial(k)) * wick(d(da, k), bc)
+            rhs.append((Fraction(1, math.factorial(k)), wick(d(k), bc)))
     for k in range(locality_bound(a, c)):
         ac = circle(a, k, c)
         if ac:
-            rhs = rhs + circle(b, n - k - 1, sab * ac)
-    defects["iterate"] = lhs - rhs
+            rhs.append((sab, circle(b, n - k - 1, ac)))
+    defects["iterate"] = _defect(lhs, rhs)
 
     return IdentityReport(n, defects)

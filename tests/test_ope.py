@@ -2,6 +2,7 @@ import ast
 import random
 import re
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -28,10 +29,12 @@ from vertexfock.fock import (
     mode_sort_key,
     mono_parity,
     mono_weight,
+    state_to_text,
     vacuum,
     weight,
 )
 from vertexfock.invariants import extend_action
+from vertexfock.linalg import add_into
 from vertexfock.ope import (
     IdentityReport,
     _contraction_partners,
@@ -192,6 +195,32 @@ def test_identities_randomized():
             assert rep.ok, (alg.kind, n, rep.mismatch_names())
 
 
+def _derive_without_mode_factor(a: State, times: int = 1) -> State:
+    """``derive`` with each factor's mode dropped from its coefficient:
+    u(-m) -> u(-m-1) in place of m u(-m-1)."""
+    terms = {ope._encode(mono): c for mono, c in a.terms.items()}
+    for _ in range(times):
+        acc = {}
+        for word, c in terms.items():
+            for pos, g in enumerate(word):
+                r = ope._replace_factor(word, pos, ope._lower(g, 1))
+                if r is not None:
+                    add_into(acc, r[1], r[0] * c)
+        terms = acc
+    return State({ope._decode(word): c for word, c in terms.items()})
+
+
+def test_identities_catch_a_wrong_derivation(monkeypatch):
+    # the Wick-commutator and iterate identities run derive inside Wick
+    # products, so a derive that drops its mode factor must fail both
+    a = gamma()
+    b = State({((BETA, 1, -1), (GAMMA, 1, -2)): 1})
+    c = State({((BETA, 1, -3),): 1})
+    assert check_identities(a, b, c, 1).ok
+    monkeypatch.setattr("vertexfock.ope.derive", _derive_without_mode_factor)
+    assert check_identities(a, b, c, 1).mismatch_names() == ["wick_commutator", "iterate"]
+
+
 def test_identities_reject_mixed_parity():
     mixed = generator_state(B, 1) + wick(generator_state(B, 1), generator_state(C, 1))
     with pytest.raises(ValueError):
@@ -243,17 +272,34 @@ def test_engine_matches_mode_oracle_exhaustively(alg, monkeypatch):
 
 
 def test_translation_properties():
+    # fermions too: the nested-Wick right side rests on the second rule
     rng = random.Random(23)
-    pool = []
-    for w in range(0, 4):
-        for d in range(1, 3):
-            pool += basis(BG2, w, d)
-    for _ in range(30):
-        a = State({rng.choice(pool): Fraction(rng.randint(1, 3))})
-        b = State({rng.choice(pool): Fraction(rng.randint(1, 3))})
-        n = rng.randint(-3, 3)
-        assert derive(circle(a, n, b)) == circle(derive(a), n, b) + circle(a, n, derive(b))
-        assert circle(derive(a), n, b) == Fraction(-n) * circle(a, n - 1, b)
+    for alg in (BG2, BC2, MIX1):
+        pool = []
+        for w in range(0, 4):
+            for d in range(1, 3):
+                pool += basis(alg, w, d)
+        for _ in range(30):
+            a = State({rng.choice(pool): Fraction(rng.randint(1, 3))})
+            b = State({rng.choice(pool): Fraction(rng.randint(1, 3))})
+            n = rng.randint(-3, 3)
+            assert derive(circle(a, n, b)) == circle(derive(a), n, b) + circle(a, n, derive(b))
+            assert circle(derive(a), n, b) == Fraction(-n) * circle(a, n - 1, b)
+
+
+@pytest.mark.parametrize("alg", [BG2, BC2, MIX1], ids=["bg2", "bc2", "bcbg1"])
+def test_nested_wick_terms_are_circle_products(alg):
+    # the nested-Wick right side, term by term: (d^{k+1}a) o_{-1} x equals
+    # (k+1)! a o_{-k-2} x by the translation rule
+    rng = random.Random(31)
+    for t in range(12):
+        a = random_homogeneous_state(rng, alg, 3, 2)
+        x = random_homogeneous_state(rng, alg, 3, 2)
+        if t % 2:
+            a = Fraction(2, 3) * a
+        for k in range(locality_bound(a, x)):
+            lhs = Fraction(1, factorial(k + 1)) * wick(derive(a, k + 1), x)
+            assert lhs == circle(a, -k - 2, x), (state_to_text(a), k, state_to_text(x))
 
 
 def test_weight_additivity_and_locality():
