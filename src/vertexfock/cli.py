@@ -14,6 +14,10 @@ memory), a --gens file that cannot be read, an --out path that
 cannot be written, and --format csv for a subcommand without a CSV form
 (only ope, inv-dims and commutant have one); the --out path and the
 format are checked before any computation.
+A JSON document is written in batches as it is encoded: a failure
+before the first batch writes nothing (no --out file is created or
+truncated), and one after it leaves the batches written, a truncated
+document that does not parse; both exit as any other failure would.
 Caps, --rank, --n, --lcap, --jcap and --g included, are guarded by a
 configurable hard ceiling, and so are the D^k powers, J[l] levels and
 CP indices |n| of every expression the CLI evaluates.  What these build
@@ -36,8 +40,10 @@ Action mini-language for group actions:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -86,6 +92,8 @@ EXIT_NOT_FOUND = 3
 EXIT_DEFICIENT = 4
 EXIT_BROKEN_PIPE = 141
 
+JSON_BATCH = 512  # encoder chunks per write
+
 CSV_COMMANDS = ("ope", "inv-dims", "commutant")
 
 
@@ -93,24 +101,24 @@ class UsageError(ValueError):
     pass
 
 
-def _emit(args, obj, text_fn=None, csv_rows=None, csv_header=None) -> None:
-    fmt = args.format
-    if fmt == "json":
-        payload = json.dumps(obj, indent=2, sort_keys=True)
-    elif fmt == "csv":
+def _emit(args, obj, text_fn, csv_rows=None, csv_header=None) -> None:
+    if args.format == "json":
+        # joined per write, so the document is never held whole
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+        parts = iter(lambda: "".join(itertools.islice(chunks, JSON_BATCH)), "")
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         if csv_header:
             w.writerow(csv_header)
         w.writerows(csv_rows)
-        payload = buf.getvalue().rstrip("\n")
+        parts = iter([buf.getvalue().rstrip("\n")])
     else:
-        payload = text_fn() if text_fn is not None else json.dumps(obj, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+        parts = iter([text_fn()])
+    first = next(parts)  # what fails up to here has written nothing
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for part in itertools.chain([first], parts, ["\n"]):
+            fh.write(part)
 
 
 def _alg(args) -> AlgebraDescriptor:

@@ -6,12 +6,15 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexfock import cli
 from vertexfock.cli import main
 from vertexfock.fock import AlgebraDescriptor, state_to_json
 from vertexfock.ope import IdentityReport
@@ -267,18 +270,106 @@ def test_file_errors_are_usage_errors(capsys, tmp_path):
 
 
 def test_closed_stdout_is_not_a_usage_error(capsys, monkeypatch):
-    # a reader that went away (`| head`) is 128 + SIGPIPE, with no error line
-    class ClosedPipe:
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+    # a reader that went away (`| head`) is 128 + SIGPIPE, with no error
+    # line, whether it left before the first write or partway through a
+    # document of many batches (375 kB, about 40 batches)
+    class ClosingPipe:
+        def __init__(self, accepts):
+            self.accepts, self.written = accepts, []
 
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    rc = main(["inv-dims", "--action", "torus:1", "--max-weight", "2", "--max-degree", "2"])
-    replaced = sys.stdout
-    replaced.close()
-    assert rc == 141
-    assert replaced.name == os.devnull
-    assert capsys.readouterr().err == ""
+        def write(self, text):
+            if len(self.written) == self.accepts:
+                raise BrokenPipeError(32, "Broken pipe")
+            self.written.append(text)
+
+    for accepts, argv in (
+        (0, ["inv-dims", "--action", "torus:1", "--max-weight", "2", "--max-degree", "2"]),
+        (3, ["ideal-kernel", "--n", "1", "--weight", "8"]),
+    ):
+        pipe = ClosingPipe(accepts)
+        monkeypatch.setattr(sys, "stdout", pipe)
+        rc = main(argv)
+        replaced = sys.stdout
+        replaced.close()
+        assert rc == 141
+        assert replaced.name == os.devnull
+        assert capsys.readouterr().err == ""
+        assert len(pipe.written) == accepts
+
+
+# more digits than int -> str converts, so the JSON encoder refuses it
+_UNPRINTABLE = 10 ** 5000
+
+
+def _document(unprintable_at: int | None) -> dict:
+    """Three batches' worth of chunks, with one item the encoder refuses
+    at the given position (None: a document that encodes)."""
+    items = ["x"] * (3 * cli.JSON_BATCH)
+    if unprintable_at is not None:
+        items.insert(unprintable_at, _UNPRINTABLE)
+    return {"items": items}
+
+
+def _refusal() -> str:
+    """The error line for the encoder's refusal."""
+    with pytest.raises(ValueError) as refused:
+        json.dumps(_UNPRINTABLE)
+    return f"error: {refused.value}\n"
+
+
+def _emit_document(capsys, monkeypatch, doc, *out):
+    monkeypatch.setattr("vertexfock.cli.state_to_json", lambda s: doc)
+    return run(capsys, "eval", "vac", *out)
+
+
+def test_encoder_failure_before_the_first_batch_writes_nothing(capsys, monkeypatch, tmp_path):
+    line = _refusal()
+    doc = _document(0)
+    assert _emit_document(capsys, monkeypatch, doc) == (2, "", line)
+    missing, kept = tmp_path / "missing.json", tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    for path in (missing, kept):
+        assert _emit_document(capsys, monkeypatch, doc, "--out", str(path)) == (2, "", line)
+    assert not missing.exists()
+    assert kept.read_text() == "kept\n"
+
+
+def test_encoder_failure_after_the_first_batch_leaves_a_truncated_document(
+    capsys, monkeypatch, tmp_path
+):
+    line = _refusal()
+    doc = _document(-1)
+    whole = json.dumps(_document(None), indent=2, sort_keys=True)
+    rc, out, err = _emit_document(capsys, monkeypatch, doc)
+    assert (rc, err) == (2, line)
+    assert len(out) > len(whole) // 2 and whole.startswith(out)
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+    path = tmp_path / "out.json"
+    assert _emit_document(capsys, monkeypatch, doc, "--out", str(path)) == (2, "", line)
+    assert path.read_text() == out
+
+
+def test_emitting_a_document_holds_a_batch_not_the_document(capsys, monkeypatch, tmp_path):
+    # json.dumps with an indent joins a list of every chunk, about 6x the
+    # document's length; batched writes hold about a seventh of it here
+    real, peaks = cli._emit, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            real(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr("vertexfock.cli._emit", traced)
+    path = tmp_path / "kernel.json"
+    rc, out, err = run(capsys, "ideal-kernel", "--n", "1", "--weight", "8", "--out", str(path))
+    assert (rc, out, err) == (0, "", "")
+    size = path.stat().st_size
+    assert size > 300_000 and json.loads(path.read_text())["dimension"] == 54
+    assert peaks[0] < size / 4, (peaks, size)
 
 
 def test_negative_caps_and_trials_are_usage_errors(capsys):
@@ -516,3 +607,35 @@ def test_exit_codes_keep_their_contract(cli_files, argv):
             rc = exc.code
     assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€😀'))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+# a value repeated 2-4 batches' worth of times crosses several boundaries
+_JSON_DOCUMENTS = _JSON_VALUES | st.builds(
+    lambda value, times: [value] * times,
+    _JSON_VALUES,
+    st.integers(2 * cli.JSON_BATCH, 4 * cli.JSON_BATCH),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=_JSON_DOCUMENTS)
+def test_json_is_written_as_dumps_would_write_it(cli_files, obj):
+    class Writes(list):
+        write = list.append
+
+    expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj))
+    writes = Writes()
+    with contextlib.redirect_stdout(writes):
+        cli._emit(Namespace(format="json", out=None), obj, None)
+    assert "".join(writes) == expected
+    # one write per batch, then the newline
+    assert len(writes) == -(-chunks // cli.JSON_BATCH) + 1
+    cli._emit(Namespace(format="json", out=cli_files["OUT"]), obj, None)
+    assert Path(cli_files["OUT"]).read_text() == expected
