@@ -21,6 +21,7 @@ from .fock import (
     generator_state,
     gr_basis,
     gr_symbol,
+    letters,
     mono_charge,
     mono_degree,
     mono_weight,
@@ -30,6 +31,7 @@ from .fock import (
     state_to_text,
     vacuum,
     weight,
+    word,
 )
 from .invariants import (
     DimTable,

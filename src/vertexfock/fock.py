@@ -21,6 +21,19 @@ number of modes.  The weight-0 subspace is infinite-dimensional
 Monomials are kept in a canonical order: species beta < gamma < b < c,
 then index ascending, then mode descending.  Fermionic reordering
 signs are transposition counts; a repeated fermionic mode is zero.
+
+Words are spelled in integers.  The creation letter (sp, idx, mode),
+mode < 0, has the code sp << 28 | idx << 18 | -mode, so ascending code
+is canonical order, and a canonical word (a ``Monomial``) is an
+ascending tuple of codes; the vacuum is ().  The fermions b and c have
+the top species codes, so the odd letters of a canonical word are a
+suffix.  ``State.terms`` and every computation hold words so; only
+where a word is read or written (JSON, text, ``repr``, symbols, the
+letter of ``apply_mode``) do ``word`` and ``letters`` convert between
+letter triples and codes.  ``word`` refuses a letter that a field
+cannot hold (a mode >= 0 or below -(2^18 - 1), an index above 1023),
+so two letters never share a code and no word holds an annihilation
+mode.
 """
 
 from __future__ import annotations
@@ -49,10 +62,20 @@ CONTRACTION = {(BETA, GAMMA): 1, (GAMMA, BETA): -1, (B, C): 1, (C, B): 1}
 KINDS = ("bg", "bc", "bcbg")
 KIND_SPECIES = {"bg": (BETA, GAMMA), "bc": (B, C), "bcbg": (BETA, GAMMA, B, C)}
 
-# A generator mode is a triple (species, index, mode); a monomial is a
-# tuple of modes in canonical order, applied to the vacuum.
+# A generator mode is a triple (species, index, mode), the letter that
+# ``word`` and ``letters`` read and write; a monomial is the ascending
+# tuple of the codes of its creation modes, applied to the vacuum.
 GeneratorMode = tuple[int, int, int]
-Monomial = tuple[GeneratorMode, ...]
+Monomial = tuple[int, ...]
+
+# The code of a creation letter (sp, idx, mode), mode < 0: see the module
+# docstring.
+_IDX_SHIFT = 18
+_SP_SHIFT = 28
+_MODE_MASK = (1 << _IDX_SHIFT) - 1
+_IDX_MASK = (1 << _SP_SHIFT - _IDX_SHIFT) - 1
+# every b and c letter codes at or above this, and no beta or gamma letter
+_ODD = B << _SP_SHIFT
 
 VACUUM_MONO: Monomial = ()
 
@@ -80,21 +103,37 @@ class AlgebraDescriptor(Frozen):
             raise ValueError(f"index {idx} out of range 1..{self.rank}")
 
 
-def mode_sort_key(g: GeneratorMode) -> tuple[int, int, int]:
+def _code(g: GeneratorMode) -> int:
+    """The code of a creation letter; ValueError if a field cannot hold it."""
     sp, idx, mode = g
-    return (sp, idx, -mode)
+    if not (0 <= sp < len(SPECIES_PARITY) and 0 <= idx <= _IDX_MASK and 0 < -mode <= _MODE_MASK):
+        raise ValueError(f"letter {g} has no code: the engine needs a mode in "
+                         f"-1..-{_MODE_MASK} and an index in 0..{_IDX_MASK}")
+    return sp << _SP_SHIFT | idx << _IDX_SHIFT | -mode
 
 
-def mode_weight(g: GeneratorMode) -> int:
-    sp, _, m = g
-    return SPECIES_WEIGHT[sp] - m - 1
+def word(gs) -> Monomial:
+    """The codes of the creation letters gs, in their order (the State
+    constructor puts a word in canonical order); ValueError for a letter
+    that has no code."""
+    return tuple(map(_code, gs))
+
+
+def letters(mono: Monomial) -> tuple[GeneratorMode, ...]:
+    """The letters (species, index, mode) of a word, in its order."""
+    return tuple((g >> _SP_SHIFT, g >> _IDX_SHIFT & _IDX_MASK, -(g & _MODE_MASK)) for g in mono)
+
+
+def mode_weight(g: int) -> int:
+    """The weight of the creation mode with code g."""
+    return SPECIES_WEIGHT[g >> _SP_SHIFT] + (g & _MODE_MASK) - 1
 
 
 def mono_weight(mono: Monomial) -> int:
     # the sum of mode_weight over the factors, inlined
     w = -len(mono)
-    for sp, _, m in mono:
-        w += SPECIES_WEIGHT[sp] - m
+    for g in mono:
+        w += SPECIES_WEIGHT[g >> _SP_SHIFT] + (g & _MODE_MASK)
     return w
 
 
@@ -103,14 +142,14 @@ def mono_degree(mono: Monomial) -> int:
 
 
 def mono_parity(mono: Monomial) -> int:
-    return sum(SPECIES_PARITY[g[0]] for g in mono) & 1
+    return sum(g >= _ODD for g in mono) & 1
 
 
 def mono_charge(mono: Monomial, rank: int) -> tuple[int, ...]:
     """Net vector-minus-covector count per index, as a vector in Z^rank."""
     q = [0] * rank
-    for sp, idx, _ in mono:
-        q[idx - 1] += SPECIES_CHARGE[sp]
+    for g in mono:
+        q[(g >> _IDX_SHIFT & _IDX_MASK) - 1] += SPECIES_CHARGE[g >> _SP_SHIFT]
     return tuple(q)
 
 
@@ -122,20 +161,20 @@ def canonicalize(factors) -> tuple[int, Monomial] | None:
     """
     arr = list(factors)
     sign = 1
-    # insertion sort; only odd-odd swaps contribute a sign
+    # insertion sort of the codes; only odd-odd swaps contribute a sign,
+    # and a code above an odd one is odd
     for i in range(1, len(arr)):
         g = arr[i]
-        key = mode_sort_key(g)
-        odd = SPECIES_PARITY[g[0]]
+        odd = g >= _ODD
         j = i - 1
-        while j >= 0 and mode_sort_key(arr[j]) > key:
-            if odd and SPECIES_PARITY[arr[j][0]]:
+        while j >= 0 and arr[j] > g:
+            if odd:
                 sign = -sign
             arr[j + 1] = arr[j]
             j -= 1
         arr[j + 1] = g
     for a, b in zip(arr, arr[1:]):
-        if a == b and SPECIES_PARITY[a[0]]:
+        if a == b and a >= _ODD:
             return None
     return sign, tuple(arr)
 
@@ -143,9 +182,11 @@ def canonicalize(factors) -> tuple[int, Monomial] | None:
 class State(Combination):
     """Finite rational combination of canonical monomials.
 
-    The arithmetic comes from ``Combination``; the constructor also
-    puts every monomial into canonical order, combining duplicates and
-    dropping repeated fermionic modes.  Coefficients are exact
+    The arithmetic comes from ``Combination``; the constructor takes
+    words as ``terms`` holds them, tuples of codes, so that
+    ``State(s.terms) == s``, and also puts every word into canonical
+    order, combining duplicates and dropping repeated fermionic modes
+    (``word`` spells a word from letters).  Coefficients are exact
     rationals: ints wherever they are integral (see
     ``linalg.scalar``), Fractions otherwise.
     """
@@ -172,11 +213,16 @@ class State(Combination):
         if not self.terms:
             return "State(0)"
         bits = []
-        for m in sorted(self.terms, key=lambda mm: (len(mm), mm)):
-            c = self.terms[m]
-            word = " ".join(f"{SPECIES_NAMES[sp]}{idx}({mode})" for sp, idx, mode in m) or "|0>"
-            bits.append(f"{format_scalar(c)}*{word}")
+        for m, c in _by_letters(self):
+            text = " ".join(f"{SPECIES_NAMES[sp]}{idx}({mode})" for sp, idx, mode in letters(m))
+            bits.append(f"{format_scalar(c)}*{text or '|0>'}")
         return "State(" + " + ".join(bits) + ")"
+
+
+def _by_letters(s: State) -> list:
+    """The terms of s by word length, then by letters: the order of
+    every emission of a state."""
+    return sorted(s.terms.items(), key=lambda kv: (len(kv[0]), letters(kv[0])))
 
 
 def vacuum() -> State:
@@ -185,33 +231,41 @@ def vacuum() -> State:
 
 def generator_state(species: int, index: int = 1) -> State:
     """The state of the generator field itself: a(-1) applied to the vacuum."""
-    return State({((species, index, -1),): 1})
+    return State({word([(species, index, -1)]): 1})
 
 
 def _apply_annihilation(g: GeneratorMode, mono: Monomial) -> dict[Monomial, int]:
-    """Commute g rightward through mono, collecting contraction terms."""
+    """Commute the annihilation letter g = (sp, idx, m), m >= 0, rightward
+    through mono, collecting contraction terms: its partner is the
+    letter (dual species, idx, -m-1), when that has a code."""
     sp, idx, m = g
-    odd = SPECIES_PARITY[sp]
     dual = SPECIES_DUAL[sp]
     out: dict[Monomial, int] = {}
+    try:
+        (partner,) = word([(dual, idx, -m - 1)])
+    except ValueError:  # no word holds the partner
+        return out
+    odd = SPECIES_PARITY[sp]
     sign = 1
     for pos, h in enumerate(mono):
-        hsp, hidx, hm = h
-        if hsp == dual and hidx == idx and m + hm + 1 == 0:
-            add_into(out, mono[:pos] + mono[pos + 1:], sign * CONTRACTION[(sp, hsp)])
-        if odd and SPECIES_PARITY[hsp]:
+        if h == partner:
+            add_into(out, mono[:pos] + mono[pos + 1:], sign * CONTRACTION[(sp, dual)])
+        if odd and h >= _ODD:
             sign = -sign
     # after passing every factor the annihilator hits the vacuum
     return out
 
 
 def apply_mode(g: GeneratorMode, s: State) -> State:
-    """Apply a single generator mode operator to a state, exactly."""
+    """Apply a single generator mode operator, the letter g, to a state,
+    exactly."""
     acc: dict[Monomial, Scalar] = {}
     creating = g[2] < 0
+    if creating:
+        (code,) = word([g])
     for mono, c in s.terms.items():
         if creating:
-            r = canonicalize((g,) + mono)
+            r = canonicalize((code,) + mono)
             if r is None:
                 continue
             sg, m2 = r
@@ -244,26 +298,25 @@ def parity(s: State) -> int:
 
 
 def charge(s: State, charge_matrix) -> tuple[int, ...]:
-    """Torus charge A q of a charge-homogeneous state, for an m x n matrix A."""
-    rank_n = len(charge_matrix[0])
+    """Torus charge A q of a charge-homogeneous state, for an m x n
+    matrix A; the trivial torus, m = 0, gives ()."""
     def torus(mono):
-        q = mono_charge(mono, rank_n)
-        return tuple(sum(row[i] * q[i] for i in range(rank_n)) for row in charge_matrix)
+        if not charge_matrix:
+            return ()
+        q = mono_charge(mono, len(charge_matrix[0]))
+        return tuple(sum(a * x for a, x in zip(row, q)) for row in charge_matrix)
     return _homogeneous_value(s, torus, "charge")
 
 
-def _mode_alphabet(alg: AlgebraDescriptor, max_weight: int) -> list[GeneratorMode]:
-    """All creation modes of weight <= max_weight, in canonical order."""
-    out = []
-    for sp in alg.species:
-        delta = SPECIES_WEIGHT[sp]
-        for idx in range(1, alg.rank + 1):
-            # mode -k has weight delta + k - 1
-            for k in range(1, max_weight - delta + 2):
-                if delta + k - 1 <= max_weight:
-                    out.append((sp, idx, -k))
-    out.sort(key=mode_sort_key)
-    return out
+def _mode_alphabet(alg: AlgebraDescriptor, max_weight: int) -> list[int]:
+    """The codes of all creation modes of weight <= max_weight,
+    ascending, which is canonical order: the species and indices are
+    visited in ascending order."""
+    # the mode -k of species sp has weight SPECIES_WEIGHT[sp] + k - 1
+    return [_code((sp, idx, -k))
+            for sp in alg.species
+            for idx in range(1, alg.rank + 1)
+            for k in range(1, max_weight - SPECIES_WEIGHT[sp] + 2)]
 
 
 def words_of_weight(letters, weights, total, max_len=None, repeats=None) -> list[tuple]:
@@ -326,11 +379,11 @@ def basis_by_degree(alg: AlgebraDescriptor, weight: int, degree_cap: int) -> lis
     if weight < 0 or degree_cap < 0:
         return out
     alphabet = _mode_alphabet(alg, weight)
-    for word in words_of_weight(
+    for mono in words_of_weight(
         alphabet, [mode_weight(g) for g in alphabet], weight, max_len=degree_cap,
-        repeats=[not SPECIES_PARITY[g[0]] for g in alphabet],
+        repeats=[g < _ODD for g in alphabet],
     ):
-        out[len(word)].append(word)
+        out[len(mono)].append(mono)
     return out
 
 
@@ -359,7 +412,7 @@ def charge_counts(
     ]
     cells[0][0][zero] = 1
     for g in _mode_alphabet(alg, weight_cap):
-        sp, idx, _ = g
+        sp, idx = g >> _SP_SHIFT, g >> _IDX_SHIFT & _IDX_MASK
         wt = mode_weight(g)
         step = SPECIES_CHARGE[sp] * base ** (idx - 1)
         # a boson may repeat, so its factor reads cells it has already
@@ -417,7 +470,7 @@ def gr_symbol(s: State) -> dict[GrMonomial, Fraction]:
     for mono, c in s.terms.items():
         coeff = Fraction(c)
         syms = []
-        for sp, idx, mode in mono:
+        for sp, idx, mode in letters(mono):
             k = -mode - 1
             syms.append((sp, idx, k))
             if k > 1:
@@ -529,16 +582,15 @@ def gr_charge_counts(
 
 
 def mono_to_json(mono: Monomial) -> list:
-    return [[SPECIES_NAMES[sp], idx, mode] for sp, idx, mode in mono]
+    return [[SPECIES_NAMES[sp], idx, mode] for sp, idx, mode in letters(mono)]
 
 
 def mono_from_json(obj) -> Monomial:
-    return tuple((SPECIES_BY_NAME[name], int(idx), int(mode)) for name, idx, mode in obj)
+    return word((SPECIES_BY_NAME[name], int(idx), int(mode)) for name, idx, mode in obj)
 
 
 def state_to_json(s: State) -> dict:
-    items = sorted(s.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return {"terms": [[mono_to_json(m), format_scalar(c)] for m, c in items]}
+    return {"terms": [[mono_to_json(m), format_scalar(c)] for m, c in _by_letters(s)]}
 
 
 def state_from_json(obj: dict) -> State:
@@ -550,7 +602,7 @@ def mono_to_text(mono: Monomial) -> str:
     if not mono:
         return "vac"
     parts = []
-    for sp, idx, mode in mono:
+    for sp, idx, mode in letters(mono):
         k = -mode - 1
         gen = f"{'bb' if sp == B else 'cc' if sp == C else SPECIES_NAMES[sp]}[{idx}]"
         if k == 0:
@@ -575,10 +627,10 @@ def state_to_text(s: State) -> str:
     if not s.terms:
         return "0"
     out = ""
-    for mono in sorted(s.terms, key=lambda m: (len(m), m)):
-        c = Fraction(s.terms[mono])
-        for sp, idx, mode in mono:
-            k = -mode - 1
+    for mono, c in _by_letters(s):
+        c = Fraction(c)
+        for g in mono:
+            k = (g & _MODE_MASK) - 1
             if k > 1:
                 c /= math.factorial(k)
         sign = "-" if c < 0 else "+"

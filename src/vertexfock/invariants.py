@@ -43,6 +43,9 @@ import warnings
 
 from . import linalg
 from .fock import (
+    _IDX_MASK,
+    _IDX_SHIFT,
+    _SP_SHIFT,
     B,
     BETA,
     GAMMA,
@@ -52,23 +55,14 @@ from .fock import (
     basis,
     basis_by_degree,
     charge_counts,
+    generator_state,
     gr_charge_counts,
     mono_charge,
     mono_degree,
     weight as state_weight,
 )
 from .linalg import Frozen, Record, Scalar, SparseMatrix, add_into, exact_terms, scalar
-from .ope import (
-    CodeWord,
-    _code,
-    _decode,
-    _encode,
-    _replace_factor,
-    circle,
-    derivative_words,
-    wick,
-    word_products,
-)
+from .ope import _replace_factor, circle, derivative_words, wick, word_products
 
 VECTOR_SPECIES = (BETA, B)
 
@@ -164,20 +158,20 @@ GroupAction = TorusAction | FiniteAbelianAction | LieAlgebraAction
 def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Scalar]:
     """Mode-wise derivation of a single matrix on a monomial.
 
-    Only one factor changes per term; ``ope._replace_factor`` puts the
-    new factor in its place, in the engine's code spelling.
+    Only one factor changes per term, the letter's index moving from
+    idx to j; ``ope._replace_factor`` puts the new factor in its place.
     """
-    word = _encode(mono)
-    out: dict[CodeWord, Scalar] = {}
-    for pos, (sp, idx, mode) in enumerate(mono):
+    out: dict[Monomial, Scalar] = {}
+    for pos, g in enumerate(mono):
+        sp, idx = g >> _SP_SHIFT, g >> _IDX_SHIFT & _IDX_MASK
         for j in range(1, rank_n + 1):
             coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
             if coef == 0:
                 continue
-            r = _replace_factor(word, pos, _code((sp, j, mode)))
+            r = _replace_factor(mono, pos, g + ((j - idx) << _IDX_SHIFT))
             if r is not None:
                 add_into(out, r[1], r[0] * coef)
-    return {_decode(w): c for w, c in out.items()}
+    return out
 
 
 def extend_action(X, alg: AlgebraDescriptor):
@@ -502,9 +496,7 @@ def heisenberg_current(xi, charge_rows, alg: AlgebraDescriptor) -> State:
         coef = sum(scalar(xi[t]) * charge_rows[t][i - 1] for t in range(m))
         if coef == 0:
             continue
-        out = out + coef * wick(
-            State({((GAMMA, i, -1),): 1}), State({((BETA, i, -1),): 1})
-        )
+        out = out + coef * wick(generator_state(GAMMA, i), generator_state(BETA, i))
     return out
 
 

@@ -11,8 +11,9 @@ primitive (each divided by the gcd of its entries) and makes a
 end: int arithmetic is several times faster than Fraction arithmetic,
 and the rows it holds are nonzero multiples of the rows elimination
 over the rationals would hold, so the answers are the same.  A rank
-or a determinant takes the forward elimination alone; kernels and
-solves back-substitute to the reduced row echelon form.  Vectors are
+takes the forward elimination alone; kernels and solves
+back-substitute to the reduced row echelon form.  A determinant has
+its own fraction-free (Bareiss) elimination.  Vectors are
 ``{index: scalar}`` dicts without zeros; ``Combination`` is the base of
 the package's other sparse combinations (Fock states, vacuum-module
 elements).
@@ -229,7 +230,7 @@ def _row_dicts(m: SparseMatrix) -> list[dict[int, Scalar]]:
     return rows
 
 
-def _clear(rows, prow: int, col: int, targets, scales) -> None:
+def _clear(rows, prow: int, col: int, targets) -> None:
     """Clear column col from each target row with pivot row prow, whose
     pivot is positive.  A target row with entry f in col becomes
     (pv/g) row - (f/g) pivot row, where pv is the pivot and
@@ -252,14 +253,10 @@ def _clear(rows, prow: int, col: int, targets, scales) -> None:
         c = gcd(*row.values()) or 1
         if c != 1:
             row = {j: v // c for j, v in row.items()}
-        if scales is not None and a != c:
-            scales.append((a, c))
         rows[r] = row
 
 
-def _echelon(
-    rows: list[dict[int, Scalar]], ncols: int, scales: list | None = None
-) -> list[tuple[int, int]]:
+def _echelon(rows: list[dict[int, Scalar]], ncols: int) -> list[tuple[int, int]]:
     """In-place forward elimination; returns (row, col) per pivot.
 
     Pivot selection is deterministic: for each column in ascending
@@ -281,9 +278,6 @@ def _echelon(
     the input; a cleared row can fill in only where the pivot row has
     entries (none left of the pivot), so those columns get the cleared
     rows.  Each lookup checks the row itself; a visited column is dropped.
-
-    When ``scales`` is a list, every factor num/den that multiplied a
-    row is appended to it as (num, den).
     """
     where: list[set[int] | None] = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
@@ -292,8 +286,6 @@ def _echelon(
         c = gcd(*row.values()) or 1
         if c != 1:
             row = {j: v // c for j, v in row.items()}
-        if scales is not None and den != c:
-            scales.append((den, c))
         rows[r] = row
         for j in row:
             where[j].add(r)
@@ -307,10 +299,8 @@ def _echelon(
             pivots.append((prow, col))
             if rows[prow][col] < 0:
                 rows[prow] = {j: -v for j, v in rows[prow].items()}
-                if scales is not None:
-                    scales.append((-1, 1))
             hits.remove(prow)
-            _clear(rows, prow, col, hits, scales)
+            _clear(rows, prow, col, hits)
             for j in rows[prow]:
                 where[j].update(hits)
         where[col] = None
@@ -338,7 +328,7 @@ def _rref(rows: list[dict[int, Scalar]], ncols: int) -> list[tuple[int, int]]:
             if c != col and c in holders:
                 holders[c].append(prow)
     for prow, col in reversed(pivots):
-        _clear(rows, prow, col, holders[col], None)
+        _clear(rows, prow, col, holders[col])
     for prow, col in pivots:
         row = rows[prow]
         pv = row[col]
@@ -397,33 +387,44 @@ def solve(m: SparseMatrix, b: dict[int, Scalar]) -> dict[int, Scalar] | None:
 
 
 def det(m: SparseMatrix) -> Scalar:
-    """Exact determinant of a square matrix.
+    """Exact determinant of a square matrix, by fraction-free (Bareiss)
+    elimination.
 
-    At full rank ``_echelon`` leaves a triangular matrix up to the row
-    permutation the pivot rows form, so its determinant is the sign of
-    that permutation times the product of the pivots; ``_echelon``
-    reports the factors by which it scaled rows, and the determinant is
-    that product divided by theirs.
+    Each row is first multiplied by the common denominator of its
+    entries.  Step k takes as pivot the first row at or below k with an
+    entry in column k (a swap negates the determinant), and replaces
+    every entry (i, j) below and right of it by (pivot * a_ij - a_ik *
+    a_kj) / (the previous pivot), an exact integer division (Sylvester's
+    identity); the last pivot is the determinant of the scaled rows.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = _row_dicts(m)
-    scales: list[tuple[int, int]] = []
-    pivots = _echelon(rows, m.cols, scales)
-    if len(pivots) < m.rows:
-        return 0
-    perm = [prow for prow, _ in pivots]
-    num, den = 1, 1
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            num = -num
-    for prow, col in pivots:
-        num *= rows[prow][col]
-    for a, c in scales:
-        num, den = num * c, den * a
-    return scalar(Fraction(num, den))
+    rows = []
+    den = 1
+    for row in _row_dicts(m):
+        d = lcm(*[v.denominator for v in row.values()])
+        den *= d
+        rows.append({j: v.numerator * (d // v.denominator) for j, v in row.items()})
+    sign, prev = 1, 1
+    for k in range(m.rows):
+        p = next((r for r in range(k, m.rows) if k in rows[r]), None)
+        if p is None:
+            return 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pv = pivot_row[k]
+        for r in range(k + 1, m.rows):
+            f = rows[r].pop(k, 0)
+            row = {j: pv * v for j, v in rows[r].items()}
+            if f:
+                for j, v in pivot_row.items():
+                    if j != k:
+                        row[j] = row.get(j, 0) - f * v
+            rows[r] = {j: v // prev for j, v in row.items() if v}
+        prev = pv
+    return scalar(Fraction(sign * prev, den))
 
 
 def _column_matrix(columns: list[dict], keys: list | None = None) -> tuple[SparseMatrix, dict]:

@@ -29,34 +29,26 @@ Entries with K < 0 contribute nothing, so products past the locality
 bound vanish without work.  n = -1 is the Wick product, n = -2 against
 the vacuum is the derivative; n >= 0 are the OPE pole coefficients.
 
-Both stages spell words in integers.  The letter (sp, idx, mode),
-mode < 0, has the code sp << 28 | idx << 18 | -mode (``_code``), so
-ascending code is canonical order (sp, idx, -mode), and a canonical
-word is an ascending tuple of codes.  The fermions b and c have the top
-species codes, so the odd letters of a canonical word are a suffix.
-Inserting a letter is then one ``bisect_left``: a repeated fermion is
-equality at that place, and an odd letter's sign is the parity of the
-odd letters before it.  The partners of a letter are one bisected block
-of codes, and lowering a creator's mode by k adds k to its code.
-``_code`` refuses a letter that a field cannot hold (a mode >= 0 or
-below -(2^18 - 1), an index above 1023), and ``_lower`` a lowering past
-the mode field, so two letters never share a code.
+Both stages edit words in the integer spelling of ``fock``: a
+canonical word is an ascending tuple of letter codes, whose odd letters
+are a suffix.  Inserting a letter is then one ``bisect_left``: a
+repeated fermion is equality at that place, and an odd letter's sign is
+the parity of the odd letters before it.  The partners of a letter are
+one bisected block of codes, and lowering a creator's mode by k adds k
+to its code; ``_lower`` refuses a lowering past the mode field, so two
+letters never share a code.
 
 What is memoized, in module dicts that ``clear_cache`` empties:
 ``_CONTRACTIONS`` holds the contraction list of every pair (ma, mb) with
-a nonempty first word, in codes, and ``_MEMO`` every product ma o_n mb
-with a nonempty first word, keyed by (ma, n, mb), with its integer
-structure constants as the value.  Every entry is an immutable flat
-tuple, (monomial, int, monomial, int, ...) in ``_MEMO``, so a hit is
-handed out as it is.  Both are keyed by Monomials, so a hit neither
-encodes nor decodes; a miss encodes ma and mb once.  Vacuum products
-1 o_n mb are returned directly and memoized in neither.  The caches hold
-one shared copy of each word: ``_CODES`` holds the code words and
-creator tuples of the contraction lists, ``_WORDS`` maps each code word
-of a memo value to the one Monomial that spells it, ``_LETTERS`` each
-code to the one letter tuple of decoded words, and ``_CODE_OF`` each
-letter to the one int of its code; stage 2 builds a fresh tuple for
-every output word, and the same few thousand words recur across many
+a nonempty first word, and ``_MEMO`` every product ma o_n mb with a
+nonempty first word, keyed by (ma, n, mb), with its integer structure
+constants as the value.  Every entry is an immutable flat tuple,
+(monomial, int, monomial, int, ...) in ``_MEMO``, so a hit is handed out
+as it is.  Vacuum products 1 o_n mb are returned directly and memoized
+in neither.  The caches hold one shared copy of each word: ``_CODES``
+interns the words and creator tuples of the contraction lists and the
+words of the memo's values; stage 2 builds a fresh tuple for every
+output word, and the same few thousand words recur across many
 products.  Nothing bounds the caches, but ``verify.identity_suite``
 empties them at each trial, whose fresh triple shares almost no product
 with the others.  The caches are semantically invisible (idempotent
@@ -71,102 +63,55 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .fock import (
-    B,
+    _MODE_MASK,
+    _ODD,
+    _SP_SHIFT,
     CONTRACTION,
     SPECIES_DUAL,
-    SPECIES_PARITY,
-    GeneratorMode,
     Monomial,
     State,
+    letters,
     parity,
     state_to_json,
     state_to_text,
     weight,
+    word,
     words_of_weight,
 )
 from .linalg import Record, Scalar, add_into, exact_terms
 
-# The code of a letter (sp, idx, mode), mode < 0: see the module docstring.
-_IDX_SHIFT = 18
-_SP_SHIFT = 28
-_MODE_MASK = (1 << _IDX_SHIFT) - 1
-_IDX_MASK = (1 << _SP_SHIFT - _IDX_SHIFT) - 1
-# every b and c letter codes at or above this, and no beta or gamma letter
-_ODD = B << _SP_SHIFT
 # code of the first letter of the dual species with the same index, minus
 # the letter's own code with its mode field cleared
 _DUAL_SHIFT = tuple((dual - sp) << _SP_SHIFT for sp, dual in enumerate(SPECIES_DUAL))
 _PAIRING = tuple(CONTRACTION[(sp, dual)] for sp, dual in enumerate(SPECIES_DUAL))
 
-CodeWord = tuple[int, ...]
-
 # (ma, n, mb) -> (monomial, integer structure constant, monomial, ...)
 _MEMO: dict[tuple[Monomial, int, Monomial], tuple] = {}
-# (ma, mb) -> (code word, coefficient, pole order q, creator codes (rightmost
-# first), code word, ...): four items per term, flat, which saves a tuple each
+# (ma, mb) -> (word, coefficient, pole order q, creator codes (rightmost
+# first), word, ...): four items per term, flat, which saves a tuple each
 _CONTRACTIONS: dict[tuple[Monomial, Monomial], tuple] = {}
-# the one copy of each code word and creator tuple that _CONTRACTIONS holds
-_CODES: dict[CodeWord, CodeWord] = {}
-# code word -> the one Monomial of it that _MEMO's values hold
-_WORDS: dict[CodeWord, Monomial] = {}
-# code -> the one letter tuple of it that decoded words hold
-_LETTERS: dict[int, GeneratorMode] = {}
-# letter -> its code, computed once, so that encoded words share their ints
-_CODE_OF: dict[GeneratorMode, int] = {}
+# the one copy of each word and creator tuple that _CONTRACTIONS and
+# _MEMO's values hold
+_CODES: dict[Monomial, Monomial] = {}
 
 
 def clear_cache() -> None:
     _MEMO.clear()
     _CONTRACTIONS.clear()
     _CODES.clear()
-    _WORDS.clear()
-    _LETTERS.clear()
-    _CODE_OF.clear()
-
-
-def _code(g: GeneratorMode) -> int:
-    """The code of a creation letter; ValueError if a field cannot hold it."""
-    sp, idx, mode = g
-    if not (0 <= sp < len(SPECIES_PARITY) and 0 <= idx <= _IDX_MASK and 0 < -mode <= _MODE_MASK):
-        raise ValueError(f"letter {g} has no code: the engine needs a mode in "
-                         f"-1..-{_MODE_MASK} and an index in 0..{_IDX_MASK}")
-    return sp << _SP_SHIFT | idx << _IDX_SHIFT | -mode
-
-
-def _encode(mono: Monomial) -> CodeWord:
-    """The code word of a canonical Monomial; ValueError as ``_code``."""
-    try:
-        return tuple(map(_CODE_OF.__getitem__, mono))
-    except KeyError:
-        for g in mono:
-            if g not in _CODE_OF:
-                _CODE_OF[g] = _code(g)
-        return tuple(map(_CODE_OF.__getitem__, mono))
-
-
-def _letter(c: int) -> GeneratorMode:
-    g = _LETTERS.get(c)
-    if g is None:
-        g = _LETTERS[c] = (c >> _SP_SHIFT, c >> _IDX_SHIFT & _IDX_MASK, -(c & _MODE_MASK))
-    return g
-
-
-def _decode(word: CodeWord) -> Monomial:
-    """The Monomial of a code word, its letters shared through ``_LETTERS``."""
-    return tuple(map(_letter, word))
 
 
 def _lower(g: int, k: int) -> int:
     """The code of letter g with its mode lowered by k >= 0; ValueError
     past the mode field."""
     if (g & _MODE_MASK) + k > _MODE_MASK:
-        sp, idx, mode = _letter(g)
-        _code((sp, idx, mode - k))
+        ((sp, idx, mode),) = letters((g,))
+        word([(sp, idx, mode - k)])  # refuses the letter, naming it
     return g + k
 
 
-def _insert_creation(g: int, word: CodeWord) -> tuple[int, CodeWord] | None:
-    """canonicalize((g,) + word) for a canonical code word, by bisection.
+def _insert_creation(g: int, word: Monomial) -> tuple[int, Monomial] | None:
+    """canonicalize((g,) + word) for a canonical word, by bisection.
 
     An odd g passes the odd letters before its place, and those are a
     suffix of the word, so the sign is the parity of their count.  None
@@ -181,7 +126,7 @@ def _insert_creation(g: int, word: CodeWord) -> tuple[int, CodeWord] | None:
     return sign, word[:pos] + (g,) + word[pos:]
 
 
-def _replace_factor(word: CodeWord, pos: int, g: int) -> tuple[int, CodeWord] | None:
+def _replace_factor(word: Monomial, pos: int, g: int) -> tuple[int, Monomial] | None:
     """canonicalize of word with the letter at pos replaced by g, of the
     same parity: the old letter moves to the front past the prefix (a
     sign if both are odd) and g is inserted by ``_insert_creation``."""
@@ -191,7 +136,7 @@ def _replace_factor(word: CodeWord, pos: int, g: int) -> tuple[int, CodeWord] | 
     return r
 
 
-def _contraction_partners(g: int, word: CodeWord) -> list[tuple[int, CodeWord, int]]:
+def _contraction_partners(g: int, word: Monomial) -> list[tuple[int, Monomial, int]]:
     """Every nonzero u(j) word, u the species and index of the code g
     (its mode field is ignored), as (j, word, coefficient) by ascending j.
 
@@ -208,7 +153,7 @@ def _contraction_partners(g: int, word: CodeWord) -> list[tuple[int, CodeWord, i
     pairing = _PAIRING[sp]
     if g >= _ODD and (lo - bisect_left(word, _ODD, 0, lo)) & 1:
         pairing = -pairing
-    out: list[tuple[int, CodeWord, int]] = []
+    out: list[tuple[int, Monomial, int]] = []
     prev = None
     for pos in range(lo, hi):
         h = word[pos]
@@ -233,11 +178,11 @@ def _contractions(ma: Monomial, mb: Monomial) -> tuple:
     comb = math.comb
     # (word, q, creators) -> coefficient; when the next (leftward) letter
     # is odd, every creator is odd, so it passes len(creators) of them
-    layer: dict[tuple[CodeWord, int, CodeWord], int] = {(_encode(mb), 0, ()): 1}
-    for g in reversed(_encode(ma)):
+    layer: dict[tuple[Monomial, int, Monomial], int] = {(mb, 0, ()): 1}
+    for g in reversed(ma):
         m = (g & _MODE_MASK) - 1
         odd = g >= _ODD
-        nxt: dict[tuple[CodeWord, int, CodeWord], int] = {}
+        nxt: dict[tuple[Monomial, int, Monomial], int] = {}
         get = nxt.get
         for (word, q, creators), c in layer.items():
             t = (word, q, creators + (g,))
@@ -265,7 +210,7 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> tuple:
     if hit is not None:
         return hit
     comb = math.comb
-    acc: dict[CodeWord, int] = {}
+    acc: dict[Monomial, int] = {}
     get = acc.get
     flat = iter(_contractions(ma, mb))
     for word, coef, q, creators in zip(flat, flat, flat, flat):
@@ -296,7 +241,7 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> tuple:
             m = (g & _MODE_MASK) - 1
             row = [comb(k + m, m) for k in range(rest + 1)]
             odd = g >= _ODD
-            nxt: dict[tuple[int, CodeWord], int] = {}
+            nxt: dict[tuple[int, Monomial], int] = {}
             nget = nxt.get
             for (r, w), c in layer.items():
                 first = bisect_left(w, _ODD) if odd else 0
@@ -326,15 +271,8 @@ def _circle_mono(ma: Monomial, n: int, mb: Monomial) -> tuple:
                     c = -c
             t = w[:pos] + (h,) + w[pos:]
             acc[t] = get(t, 0) + row[r] * c
-    words = _WORDS
-    out = []
-    for w, c in acc.items():
-        if c:
-            mono = words.get(w)
-            if mono is None:
-                mono = words[w] = _decode(w)
-            out += (mono, c)
-    out = _MEMO[key] = tuple(out)
+    share = _CODES.setdefault
+    out = _MEMO[key] = tuple([x for w, c in acc.items() if c for x in (share(w, w), c)])
     return out
 
 
@@ -403,16 +341,16 @@ def derive(a: State, times: int = 1) -> State:
     if times == 0:
         return a
     frac = any(c.__class__ is not int for c in a.terms.values())
-    terms = {_encode(mono): c for mono, c in a.terms.items()}
+    terms = a.terms
     for _ in range(times):
-        acc: dict[CodeWord, Scalar] = {}
+        acc: dict[Monomial, Scalar] = {}
         for word, c in terms.items():
             for pos, g in enumerate(word):
                 r = _replace_factor(word, pos, _lower(g, 1))
                 if r is not None:
                     add_into(acc, r[1], r[0] * c * (g & _MODE_MASK))
         terms = exact_terms(acc) if frac else acc
-    return State._raw({_decode(word): c for word, c in terms.items()})
+    return State._raw(terms)
 
 
 def locality_bound(a: State, b: State) -> int:

@@ -15,7 +15,7 @@ weight k (= minus the conformal shift of J^l(k+l)).
 The realizations send J^l to sum_i :gamma^i d^l beta^i: (bosonic, the
 central element acting by -n) and to sum_i :c^i d^l b^i: (fermionic,
 central element +n).  ``realize_current`` builds the current as a
-state; ``apply_current_mode`` applies its mode J^l(k) straight to a
+state; ``_current_mode_codes`` applies its mode J^l(k) straight to a
 canonical word as the bilinear sum_i sum_m f_l(m) :u^i(k-m-l-1) v^i(m):
 in the generator modes, with the annihilator applied first, and agrees
 with the circle product of the realized current.  ``verify_rep``, the
@@ -44,19 +44,10 @@ from .fock import (
     basis,
     generator_state,
     state_to_text,
+    word,
 )
 from .linalg import Record, Scalar, SparseMatrix, add_into, exact_terms, format_scalar, scalar
-from .ope import (
-    CodeWord,
-    _code,
-    _contraction_partners,
-    _decode,
-    _encode,
-    _insert_creation,
-    _lower,
-    derive,
-    iterated_wick,
-)
+from .ope import _contraction_partners, _insert_creation, _lower, derive, iterated_wick
 
 # ---------------------------------------------------------------------------
 # the Lie algebra
@@ -205,11 +196,11 @@ def default_central_value(alg: AlgebraDescriptor) -> Fraction:
     raise ValueError("no realized central value for kind " + alg.kind)
 
 
-def apply_current_mode(
-    l: int, k: int, word: Monomial, alg: AlgebraDescriptor
+def _current_mode_codes(
+    l: int, k: int, mono: Monomial, alg: AlgebraDescriptor
 ) -> dict[Monomial, int]:
-    """J^l(k) word as {word: int}, for a canonical word: the same map as
-    ``circle(realize_current(l, alg), k, State({word: 1}))``, applied
+    """J^l(k) mono as {word: int}, for a canonical word: the same map as
+    ``circle(realize_current(l, alg), k, State({mono: 1}))``, applied
     straight to the word.
 
     The field of the current is :u(z) d^l v(z):, (u, v) = (gamma, beta)
@@ -227,25 +218,17 @@ def apply_current_mode(
     created, k-l <= m <= -1, where f_l vanishes on -l..-1, so only
     m <= -l-1 is visited.
     """
-    return {_decode(w): c for w, c in _current_mode_codes(l, k, _encode(word), alg).items()}
-
-
-def _current_mode_codes(
-    l: int, k: int, word: CodeWord, alg: AlgebraDescriptor
-) -> dict[CodeWord, int]:
-    """``apply_current_mode`` on the engine's code spelling of words
-    (see ``ope``)."""
     if alg.kind not in ("bg", "bc"):
         raise ValueError("currents are realized in the bg or bc system only")
     u, v = (GAMMA, BETA) if alg.kind == "bg" else (C, B)
     reorder = -1 if alg.kind == "bc" else 1
     shift = k - l - 1  # u(p) v(m) with p + m = shift
-    out: dict[CodeWord, int] = {}
+    out: dict[Monomial, int] = {}
     for i in range(1, alg.rank + 1):
         # u^i(-1) and v^i(-1); lowering by t gives mode -1-t
-        cu, cv = _code((u, i, -1)), _code((v, i, -1))
-        # v(m) annihilates: u(p) (v(m) word)
-        for m, w1, c1 in _contraction_partners(cv, word):
+        cu, cv = word([(u, i, -1), (v, i, -1)])
+        # v(m) annihilates: u(p) (v(m) mono)
+        for m, w1, c1 in _contraction_partners(cv, mono):
             c1 *= _falling(-m - 1, l)
             p = shift - m
             if p < 0:
@@ -256,17 +239,17 @@ def _current_mode_codes(
                 for j, w2, c2 in _contraction_partners(cu, w1):
                     if j == p:
                         add_into(out, w2, c1 * c2)
-        # u(p) annihilates, v(m) is created: (+/-) v(m) (u(p) word)
-        for p, w1, c1 in _contraction_partners(cu, word):
+        # u(p) annihilates, v(m) is created: (+/-) v(m) (u(p) mono)
+        for p, w1, c1 in _contraction_partners(cu, mono):
             m = shift - p
             if m >= 0:
                 continue
             r = _insert_creation(_lower(cv, -m - 1), w1)
             if r is not None:
                 add_into(out, r[1], reorder * r[0] * _falling(-m - 1, l) * c1)
-        # both created: u(p) v(m) word
+        # both created: u(p) v(m) mono
         for m in range(k - l, -l):
-            r = _insert_creation(_lower(cv, -m - 1), word)
+            r = _insert_creation(_lower(cv, -m - 1), mono)
             if r is None:
                 continue
             r2 = _insert_creation(_lower(cu, m - shift - 1), r[1])
@@ -288,9 +271,8 @@ def verify_rep(
 
     ``pairs`` is a sequence of (l1, k1, l2, k2), one per bracket
     [J^{l1}_{k1}, J^{l2}_{k2}].  Modes act through
-    ``apply_current_mode``, word by word, with integer coefficients, on
-    the engine's code spelling of words: each basis word is encoded
-    once.  The image of each word under each mode is computed once per call
+    ``_current_mode_codes``, word by word, with integer coefficients.
+    The image of each word under each mode is computed once per call
     (in a dict local to the call) and shared by every pair, every
     bracket term and every basis state that meets it.  For each pair
     and basis word s, J_a(J_b s) - J_b(J_a s) - central s - sum c J_m s
@@ -302,14 +284,13 @@ def verify_rep(
     """
     if kappa_value is None:
         kappa_value = default_central_value(alg)
-    # images[mode][word] = J^l(k) word, mode = (l, field index), on the
-    # code spelling of words (see ``ope``); the images hold one copy of
-    # each word, the one in ``words``
-    images: dict[tuple[int, int], dict[CodeWord, dict[CodeWord, int]]] = {}
-    words: dict[CodeWord, CodeWord] = {}
+    # images[mode][word] = J^l(k) word, mode = (l, field index); the
+    # images hold one copy of each word, the one in ``words``
+    images: dict[tuple[int, int], dict[Monomial, dict[Monomial, int]]] = {}
+    words: dict[Monomial, Monomial] = {}
 
-    def image(mode, word):
-        return {words.setdefault(w, w): c for w, c in _current_mode_codes(*mode, word, alg).items()}
+    def image(mode, mono):
+        return {words.setdefault(w, w): c for w, c in _current_mode_codes(*mode, mono, alg).items()}
 
     # per pair: the two modes, the central scalar, the bracket's image
     # caches with their coefficients, and the pair's mismatches
@@ -329,17 +310,16 @@ def verify_rep(
     for w in range(max_weight + 1):
         for d in range(max_degree + 1):
             for mono in basis(alg, w, d):
-                word = _encode(mono)
                 for mode, cache in images.items():
-                    if word not in cache:
-                        cache[word] = image(mode, word)
+                    if mono not in cache:
+                        cache[mono] = image(mode, mono)
                 for a, b, central, terms, found in checks:
-                    acc = {word: -central}
+                    acc = {mono: -central}
                     get = acc.get
                     # J_a (J_b s) - J_b (J_a s)
                     for outer, inner, sign in ((a, b, 1), (b, a, -1)):
                         cache = images[outer]
-                        for w1, c1 in images[inner][word].items():
+                        for w1, c1 in images[inner][mono].items():
                             img = cache.get(w1)
                             if img is None:
                                 img = cache[w1] = image(outer, w1)
@@ -347,7 +327,7 @@ def verify_rep(
                             for w2, c2 in img.items():
                                 acc[w2] = get(w2, 0) + c1 * c2
                     for cache, c in terms:
-                        for w1, c1 in cache[word].items():
+                        for w1, c1 in cache[mono].items():
                             acc[w1] = get(w1, 0) - c * c1
                     if any(acc.values()):
                         found.append(
@@ -356,8 +336,7 @@ def verify_rep(
                                 "l2": b[0], "k2": sub_index(*b),
                                 "weight": w, "degree": d,
                                 "state": state_to_text(State._raw({mono: 1})),
-                                "difference": state_to_text(
-                                    State({_decode(w): c for w, c in acc.items()})),
+                                "difference": state_to_text(State(acc)),
                             }
                         )
                 checked += len(checks)

@@ -13,11 +13,13 @@ import math
 from fractions import Fraction
 
 from vertexfock.fock import (
+    SPECIES_CHARGE,
     SPECIES_PARITY,
     SPECIES_WEIGHT,
     AlgebraDescriptor,
     State,
     apply_mode,
+    letters,
     weight,
 )
 
@@ -59,7 +61,7 @@ def _field_mode_apply(factors, n, x: State) -> State:
             out = out + coeff * apply_mode(g, inner)
     # annihilation part: the falling factorial kills 0 <= j < m, and
     # u(j-m) annihilates beyond the deepest mode of x
-    jmax = m + max([-f[2] - 1 for mono in x.terms for f in mono], default=-1)
+    jmax = m + max([-f[2] - 1 for mono in x.terms for f in letters(mono)], default=-1)
     for j in range(m, jmax + 1):
         coeff, g = _gen_field_mode(sp, idx, m, j)
         if coeff == 0:
@@ -74,9 +76,18 @@ def circle_oracle(a: State, n: int, b: State) -> State:
     """a o_n b evaluated by field-mode convolution."""
     out = State()
     for mono, c in a.terms.items():
-        factors = tuple((sp, idx, -mode - 1) for sp, idx, mode in mono)
+        factors = tuple((sp, idx, -mode - 1) for sp, idx, mode in letters(mono))
         out = out + c * _field_mode_apply(factors, n, b)
     return out
+
+
+def symbol_charge(mono, rank: int) -> tuple[int, ...]:
+    """``fock.mono_charge`` of a monomial in the graded symbols (species,
+    index, k): the net vector-minus-covector count per index."""
+    q = [0] * rank
+    for sp, idx, _ in mono:
+        q[idx - 1] += SPECIES_CHARGE[sp]
+    return tuple(q)
 
 
 def graded_dimensions(alg: AlgebraDescriptor, weight_cap: int, degree_cap: int):

@@ -15,6 +15,7 @@ from vertexfock.fock import (
     degree,
     state_to_text,
     vacuum,
+    word,
 )
 from vertexfock.ope import circle
 from vertexfock.verify import random_homogeneous_state
@@ -34,8 +35,8 @@ def test_parse_examples():
 
 def test_parse_rationals_and_sums():
     s = evaluate(parse("3/2 * beta[1] - 2 * gamma[1] + vac"), BG1)
-    assert s.terms[((BETA, 1, -1),)] == Fraction(3, 2)
-    assert s.terms[((GAMMA, 1, -1),)] == Fraction(-2)
+    assert s.terms[word([(BETA, 1, -1)])] == Fraction(3, 2)
+    assert s.terms[word([(GAMMA, 1, -1)])] == Fraction(-2)
     assert s.terms[()] == Fraction(1)
     s2 = evaluate(parse("-1 * vac"), BG1)
     assert s2 == Fraction(-1) * vacuum()
@@ -43,15 +44,15 @@ def test_parse_rationals_and_sums():
 
 def test_parse_derivative_powers():
     s = evaluate(parse("D^3(gamma[1])"), BG1)
-    assert s == State({((GAMMA, 1, -4),): Fraction(6)})
+    assert s == State({word([(GAMMA, 1, -4)]): Fraction(6)})
     assert evaluate(parse("D(D(D(gamma[1])))"), BG1) == s
 
 
 def test_negative_circle_index():
     s = evaluate(parse("CP(beta[1], -1, gamma[1])"), BG1)
-    assert s == State({((BETA, 1, -1), (GAMMA, 1, -1)): Fraction(1)})
+    assert s == State({word([(BETA, 1, -1), (GAMMA, 1, -1)]): Fraction(1)})
     t = evaluate(parse("CP(beta[1], -2, vac)"), BG1)
-    assert t == State({((BETA, 1, -2),): Fraction(1)})
+    assert t == State({word([(BETA, 1, -2)]): Fraction(1)})
 
 
 def test_roundtrip_canonical_forms():

@@ -1,13 +1,19 @@
+import ast
 import itertools
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import graded_dimensions
+from oracles import graded_dimensions, symbol_charge
+from vertexfock import fock
 from vertexfock.fock import (
     B,
     BETA,
@@ -29,13 +35,14 @@ from vertexfock.fock import (
     gr_charge_counts,
     gr_symbol,
     mono_charge,
+    letters,
     mono_parity,
-    mode_sort_key,
     state_from_json,
     state_to_json,
     state_to_text,
     vacuum,
     weight,
+    word,
     words_of_weight,
 )
 from vertexfock.ope import circle, derive
@@ -56,9 +63,9 @@ def test_vacuum():
 
 
 def test_apply_mode_contractions():
-    g = State({((GAMMA, 1, -1),): Fraction(1)})
+    g = State({word([(GAMMA, 1, -1)]): Fraction(1)})
     assert apply_mode((BETA, 1, 0), g) == vacuum()
-    c = State({((C, 1, -1),): Fraction(1)})
+    c = State({word([(C, 1, -1)]): Fraction(1)})
     assert apply_mode((B, 1, 0), c) == vacuum()
     assert apply_mode((BETA, 1, 5), vacuum()) == State()
     # dual-order contraction carries the opposite sign for bosons only
@@ -72,7 +79,7 @@ def test_gradings():
     assert (weight(b), degree(b)) == (1, 1)
     g = generator_state(GAMMA, 1)
     assert (weight(g), degree(g)) == (0, 1)
-    g3 = State({((GAMMA, 1, -3),): Fraction(1)})
+    g3 = State({word([(GAMMA, 1, -3)]): Fraction(1)})
     assert weight(g3) == 2
     mixed = b + g
     with pytest.raises(ValueError):
@@ -105,9 +112,9 @@ def test_supercommutators_of_modes():
 
 def test_basis_examples():
     bd11 = basis(BG1, 1, 1)
-    assert bd11 == [((BETA, 1, -1),), ((GAMMA, 1, -2),)]
+    assert bd11 == [word([(BETA, 1, -1)]), word([(GAMMA, 1, -2)])]
     bd03 = basis(BG1, 0, 3)
-    assert bd03 == [((GAMMA, 1, -1), (GAMMA, 1, -1), (GAMMA, 1, -1))]
+    assert bd03 == [word([(GAMMA, 1, -1), (GAMMA, 1, -1), (GAMMA, 1, -1)])]
     assert basis(BC1, 0, 2) == []  # fermionic square vanishes
 
 
@@ -125,7 +132,7 @@ def test_charge_counters_against_listed_monomials():
         for w in range(5):
             for d in range(5):
                 want.update((w, d, mono_charge(m, alg.rank)) for m in basis(alg, w, d))
-                gr_want.update((w, d, mono_charge(m, alg.rank)) for m in gr_basis(alg, w, d))
+                gr_want.update((w, d, symbol_charge(m, alg.rank)) for m in gr_basis(alg, w, d))
         assert charge_counts(alg, 4, 4) == want, alg
         assert gr_charge_counts(alg, 4, 4) == gr_want, alg
     assert charge_counts(BG1, -1, 3) == gr_charge_counts(BG1, 2, -1) == {}
@@ -133,8 +140,8 @@ def test_charge_counters_against_listed_monomials():
 
 def test_gr_symbol():
     assert gr_symbol(generator_state(BETA, 1)) == {((BETA, 1, 0),): Fraction(1)}
-    assert gr_symbol(State({((BETA, 1, -2),): Fraction(1)})) == {((BETA, 1, 1),): Fraction(1)}
-    assert gr_symbol(State({((BETA, 1, -3),): Fraction(1)})) == {((BETA, 1, 2),): Fraction(1, 2)}
+    assert gr_symbol(State({word([(BETA, 1, -2)]): Fraction(1)})) == {((BETA, 1, 1),): Fraction(1)}
+    assert gr_symbol(State({word([(BETA, 1, -3)]): Fraction(1)})) == {((BETA, 1, 2),): Fraction(1, 2)}
     assert gr_symbol(vacuum()) == {(): Fraction(1)}
 
 
@@ -154,21 +161,143 @@ def test_gr_symbol_is_bidegree_bijection():
 def test_fermionic_signs_in_canonical_order():
     # c(-1) b(-1) reorders to -(b(-1) c(-1))
     s = apply_mode((C, 1, -1), generator_state(B, 1))
-    assert s == State({((B, 1, -1), (C, 1, -1)): Fraction(-1)})
+    assert s == State({word([(B, 1, -1), (C, 1, -1)]): Fraction(-1)})
     # repeated fermionic mode dies
     assert apply_mode((B, 1, -1), generator_state(B, 1)) == State()
 
 
 def test_state_json_roundtrip():
-    s = State({((BETA, 1, -2), (GAMMA, 1, -1)): Fraction(-3, 2), (): Fraction(1)})
+    s = State({word([(BETA, 1, -2), (GAMMA, 1, -1)]): Fraction(-3, 2), (): Fraction(1)})
     obj = state_to_json(s)
     assert state_from_json(obj) == s
     assert obj["terms"][0] == [[], "1"]
 
 
+def test_word_refuses_letters_without_a_code():
+    # a word holding an annihilation mode is not a Fock state: there is
+    # no way to spell one, in a State or on the wire
+    for g in ((BETA, 1, 0), (GAMMA, 1, 3), (B, 1, -262144), (C, 1024, -1), (BETA, -1, -1)):
+        with pytest.raises(ValueError, match=re.escape(f"letter {g} has no code")):
+            word([g])
+        with pytest.raises(ValueError, match="has no code"):
+            state_from_json({"terms": [[[[fock.SPECIES_NAMES[g[0]], g[1], g[2]]], "1"]]})
+    for g in ((BETA, 1, -1), (C, 1023, -262143)):
+        assert letters(word([g])) == (g,)
+    # a mode >= 0 still acts on states as an operator
+    assert apply_mode((BETA, 1, 0), generator_state(GAMMA, 1)) == vacuum()
+
+
+def test_charge_under_the_trivial_torus():
+    s = generator_state(BETA, 1) + 2 * State({word([(GAMMA, 1, -2), (BETA, 1, -1)]): 1})
+    assert charge(s, ()) == ()
+    assert charge(vacuum(), ()) == ()
+    with pytest.raises(ValueError, match="zero state"):
+        charge(State(), ())
+    with pytest.raises(ValueError, match="zero state"):
+        charge(State(), ((1,),))
+
+
+@pytest.mark.parametrize("alg", [BG2, AlgebraDescriptor("bc", 2), MIX1],
+                         ids=lambda a: f"{a.kind}{a.rank}")
+def test_code_order_is_canonical_order(alg):
+    words = [m for w in range(6) for d in range(6) for m in basis(alg, w, d)]
+    ls = sorted({g for m in words for g in letters(m)})
+    assert sorted(ls, key=lambda g: word([g])) == sorted(ls, key=_canonical_key)
+    # so a canonical word is an ascending tuple of codes
+    assert all(list(m) == sorted(m) for m in words)
+    assert all(word(letters(m)) == m for m in words)
+
+
+def test_odd_codes_lie_above_every_even_code():
+    # the sign of an odd insertion counts the odd letters as a suffix
+    top_idx, top_mode = fock._IDX_MASK, fock._MODE_MASK
+    even = word([(sp, i, -m) for sp in (BETA, GAMMA) for i in (0, top_idx) for m in (1, top_mode)])
+    odd = word([(sp, i, -m) for sp in (B, C) for i in (0, top_idx) for m in (1, top_mode)])
+    assert max(even) < fock._ODD <= min(odd)
+    assert all((word([(sp, 1, -1)])[0] >= fock._ODD) == bool(SPECIES_PARITY[sp])
+               for sp in (BETA, GAMMA, B, C))
+
+
+def _canonical_key(g):
+    """Canonical order of letters: species, then index, then mode descending."""
+    sp, idx, mode = g
+    return (sp, idx, -mode)
+
+
+def _state(terms: dict) -> State:
+    return State({word(ls): c for ls, c in terms.items()})
+
+
+def test_emissions_list_terms_in_letter_order():
+    # code order and letter order differ between modes of one letter:
+    # beta1(-1) codes below beta1(-4), and sorts after it as a letter;
+    # every emission keeps the letter order
+    bosons = _state({
+        ((BETA, 1, -1), (BETA, 1, -3)): 2, ((BETA, 1, -2), (BETA, 1, -2)): Fraction(-1, 2),
+        ((BETA, 1, -4),): 3, ((BETA, 1, -1),): 1,
+    })
+    assert state_to_json(bosons) == {"terms": [
+        [[["beta", 1, -4]], "3"], [[["beta", 1, -1]], "1"],
+        [[["beta", 1, -2], ["beta", 1, -2]], "-1/2"], [[["beta", 1, -1], ["beta", 1, -3]], "2"],
+    ]}
+    assert state_to_text(bosons) == ("1/2 * D^3(beta[1]) + beta[1] - 1/2 * NO(D(beta[1]), "
+                                     "D(beta[1])) + NO(beta[1], D^2(beta[1]))")
+    assert repr(bosons) == ("State(3*beta1(-4) + 1*beta1(-1) + -1/2*beta1(-2) beta1(-2) + "
+                            "2*beta1(-1) beta1(-3))")
+    mixed = _state({
+        ((GAMMA, 2, -1), (BETA, 1, -2)): 1, ((BETA, 2, -1), (GAMMA, 1, -3)): -2,
+        ((B, 1, -2), (C, 2, -1)): Fraction(1, 3), ((C, 1, -1), (B, 1, -1), (BETA, 1, -3)): 4, (): 5,
+    })
+    assert state_to_json(mixed) == {"terms": [
+        [[], "5"], [[["beta", 1, -2], ["gamma", 2, -1]], "1"],
+        [[["beta", 2, -1], ["gamma", 1, -3]], "-2"], [[["b", 1, -2], ["c", 2, -1]], "1/3"],
+        [[["beta", 1, -3], ["b", 1, -1], ["c", 1, -1]], "-4"],
+    ]}
+    assert state_to_text(mixed) == ("5 * vac + NO(D(beta[1]), gamma[2]) - NO(beta[2], D^2(gamma[1])) "
+                                    "+ 1/3 * NO(D(bb[1]), cc[2]) - 2 * NO(D^2(beta[1]), bb[1], cc[1])")
+    assert repr(mixed) == ("State(5*|0> + 1*beta1(-2) gamma2(-1) + -2*beta2(-1) gamma1(-3) + "
+                           "1/3*b1(-2) c2(-1) + -4*beta1(-3) b1(-1) c1(-1))")
+    fermions = _state({
+        ((B, 1, -1), (B, 1, -3), (C, 1, -2)): 1, ((B, 1, -2), (C, 1, -1), (C, 1, -3)): -1,
+        ((B, 2, -1), (B, 1, -1), (B, 1, -2)): 7, ((C, 1, -4),): 1,
+    })
+    assert state_to_json(fermions) == {"terms": [
+        [[["c", 1, -4]], "1"], [[["b", 1, -2], ["c", 1, -1], ["c", 1, -3]], "-1"],
+        [[["b", 1, -1], ["b", 1, -3], ["c", 1, -2]], "1"],
+        [[["b", 1, -1], ["b", 1, -2], ["b", 2, -1]], "7"],
+    ]}
+    assert state_to_text(fermions) == (
+        "1/6 * D^3(cc[1]) - 1/2 * NO(D(bb[1]), cc[1], D^2(cc[1])) + 1/2 * NO(bb[1], D^2(bb[1]), "
+        "D(cc[1])) + 7 * NO(bb[1], D(bb[1]), bb[2])")
+    assert repr(fermions) == ("State(1*c1(-4) + -1*b1(-2) c1(-1) c1(-3) + 1*b1(-1) b1(-3) c1(-2) + "
+                              "7*b1(-1) b1(-2) b2(-1))")
+
+
+def test_basis_lists_words_in_canonical_order():
+    assert [letters(m) for m in basis(BG1, 4, 2)] == [
+        ((0, 1, -1), (0, 1, -3)), ((0, 1, -1), (1, 1, -4)), ((0, 1, -2), (0, 1, -2)),
+        ((0, 1, -2), (1, 1, -3)), ((0, 1, -3), (1, 1, -2)), ((0, 1, -4), (1, 1, -1)),
+        ((1, 1, -1), (1, 1, -5)), ((1, 1, -2), (1, 1, -4)), ((1, 1, -3), (1, 1, -3)),
+    ]
+    assert [letters(m) for m in basis(MIX1, 2, 2)] == [
+        ((0, 1, -1), (0, 1, -1)), ((0, 1, -1), (1, 1, -2)), ((0, 1, -1), (2, 1, -1)),
+        ((0, 1, -1), (3, 1, -2)), ((0, 1, -2), (1, 1, -1)), ((0, 1, -2), (3, 1, -1)),
+        ((1, 1, -1), (1, 1, -3)), ((1, 1, -1), (2, 1, -2)), ((1, 1, -1), (3, 1, -3)),
+        ((1, 1, -2), (1, 1, -2)), ((1, 1, -2), (2, 1, -1)), ((1, 1, -2), (3, 1, -2)),
+        ((1, 1, -3), (3, 1, -1)), ((2, 1, -1), (3, 1, -2)), ((2, 1, -2), (3, 1, -1)),
+        ((3, 1, -1), (3, 1, -3)),
+    ]
+    assert [letters(m) for m in basis(BC1, 4, 3)] == [
+        ((2, 1, -1), (2, 1, -2), (3, 1, -2)), ((2, 1, -1), (2, 1, -3), (3, 1, -1)),
+        ((2, 1, -1), (3, 1, -1), (3, 1, -4)), ((2, 1, -1), (3, 1, -2), (3, 1, -3)),
+        ((2, 1, -2), (3, 1, -1), (3, 1, -3)), ((2, 1, -3), (3, 1, -1), (3, 1, -2)),
+        ((3, 1, -1), (3, 1, -2), (3, 1, -4)),
+    ]
+
+
 def test_parity():
-    assert mono_parity(((B, 1, -1), (C, 1, -2))) == 0
-    assert mono_parity(((B, 1, -1),)) == 1
+    assert mono_parity(word([(B, 1, -1), (C, 1, -2)])) == 0
+    assert mono_parity(word([(B, 1, -1)])) == 1
 
 
 def _all_int(s: State) -> bool:
@@ -186,7 +315,7 @@ def test_integral_coefficients_are_ints():
     for n in (-2, -1, 0, 1, 2):
         assert _all_int(circle(j1, n, j2))
     assert _all_int(derive(j2, 3))
-    m = ((BETA, 1, -2), (GAMMA, 1, -1))
+    m = word([(BETA, 1, -2), (GAMMA, 1, -1)])
     s = State({m: 5})
     assert _all_int(Fraction(2) * s) and (Fraction(2) * s).terms == {m: 10}
     assert _all_int(State({m: Fraction(3, 1)}))
@@ -222,7 +351,7 @@ def test_integral_coefficients_are_ints_beyond_states():
     # sums and multiples of Fractions that come out integral are ints
     v = VermaElement({(): Fraction(1, 2)})
     assert (v + v).terms == {(): 1} and type((v + v).terms[()]) is int
-    s = State({((BETA, 1, -1),): 1})
+    s = State({word([(BETA, 1, -1)]): 1})
     t = Fraction(1, 2) * (2 * s)
     assert t == s and _int_first(t.terms)
     assert _int_first((Fraction(1, 2) * s + Fraction(1, 2) * s).terms)
@@ -230,9 +359,9 @@ def test_integral_coefficients_are_ints_beyond_states():
 
 def test_mixed_state_serialization_is_unchanged():
     s = State({
-        ((BETA, 1, -3), (GAMMA, 1, -1)): 2,
-        ((BETA, 1, -1),): Fraction(1, 2),
-        ((GAMMA, 1, -4),): Fraction(-3),
+        word([(BETA, 1, -3), (GAMMA, 1, -1)]): 2,
+        word([(BETA, 1, -1)]): Fraction(1, 2),
+        word([(GAMMA, 1, -4)]): Fraction(-3),
         (): Fraction(6, 4),
     })
     assert state_to_json(s) == {"terms": [
@@ -299,11 +428,11 @@ def test_basis_by_degree_matches_brute_force():
                  for idx in range(1, alg.rank + 1)
                  for k in range(1, w + 2)
                  if SPECIES_WEIGHT[sp] + k - 1 <= w),
-                key=mode_sort_key,
+                key=_canonical_key,
             )
             want = [
                 [
-                    mono
+                    word(mono)
                     for mono in itertools.combinations_with_replacement(modes, d)
                     if sum(SPECIES_WEIGHT[sp] - m - 1 for sp, _, m in mono) == w
                     and not any(a == b and SPECIES_PARITY[a[0]] for a, b in zip(mono, mono[1:]))
@@ -366,3 +495,61 @@ def test_state_module_laws(states, a, b):
     # integer-first: every integral coefficient of a result is an int
     for r in (s + t, s - t, -s, a * s, (a + b) * s, a * (s + t)):
         assert _int_first(r.terms)
+
+
+SRC = Path(__file__).parent.parent / "src" / "vertexfock"
+LAYOUT = {"_SP_SHIFT", "_IDX_SHIFT", "_MODE_MASK", "_IDX_MASK", "_ODD"}
+CONVERTERS = {"_code", "word", "letters", "_encode", "_decode", "_letter"}
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _operands(node: ast.AST, op: type) -> set[str]:
+    """The names that appear as the right operand of ``op`` in node."""
+    return {_name(n.right) for n in ast.walk(node) if isinstance(n, ast.BinOp) and isinstance(n.op, op)}
+
+
+def layout_breaches(tree: ast.AST) -> list[str]:
+    """Where a module sets the code layout or converts between letters
+    and codes on its own: assigns a layout constant, defines a
+    conversion or calls ``_code``, builds a code from the species and
+    index fields, or builds a tuple from the species and mode fields."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"assigns {n.id}" for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and n.id in LAYOUT]
+        elif isinstance(node, ast.FunctionDef) and node.name in CONVERTERS:
+            found.append(f"defines {node.name}")
+        elif _name(node) == "_code" or isinstance(node, ast.alias) and node.name == "_code":
+            found.append("uses _code")
+        elif isinstance(node, ast.expr) and {"_SP_SHIFT", "_IDX_SHIFT"} <= _operands(node, ast.LShift):
+            found.append(f"builds a code at line {node.lineno}")
+        elif (isinstance(node, ast.Tuple) and "_SP_SHIFT" in _operands(node, ast.RShift)
+              and "_MODE_MASK" in _operands(node, ast.BitAnd)):
+            found.append(f"builds a letter at line {node.lineno}")
+    return found
+
+
+def test_only_fock_spells_letters_as_codes():
+    assert layout_breaches(ast.parse((SRC / "fock.py").read_text()))  # the rule sees the layout
+    breaches = {path.name: found for path in sorted(SRC.glob("*.py")) if path.name != "fock.py"
+                if (found := layout_breaches(ast.parse(path.read_text())))}
+    assert breaches == {}
+
+
+def test_the_package_imports_only_the_standard_library():
+    # -S: no site-packages, so a third-party import would fail outright;
+    # the listing also catches one that happens to be importable without it
+    code = ("import sys, vertexfock.cli\n"
+            "allowed = sys.stdlib_module_names | {'vertexfock', '__main__'}\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] not in allowed))")
+    env = {"PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

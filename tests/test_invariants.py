@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import symbol_charge
 from vertexfock import fock, invariants, linalg
 from vertexfock.exprlang import evaluate, parse
 from vertexfock.fock import (
@@ -16,9 +17,11 @@ from vertexfock.fock import (
     State,
     basis,
     generator_state,
+    letters,
     mono_charge,
     vacuum,
     weight,
+    word,
 )
 from vertexfock.invariants import (
     FiniteAbelianAction,
@@ -71,20 +74,21 @@ def test_extend_action_matches_resorting_the_word():
                 for m in basis(alg, w, d):
                     want = State()
                     want_derive = State()
-                    for pos, (sp, idx, mode) in enumerate(m):
+                    ls = letters(m)
+                    for pos, (sp, idx, mode) in enumerate(ls):
                         for j in (1, 2):
                             coef = X[j - 1][idx - 1] if sp in (BETA, B) else -X[idx - 1][j - 1]
-                            word = m[:pos] + ((sp, j, mode),) + m[pos + 1:]
-                            want = want + coef * State({word: 1})
-                        word = m[:pos] + ((sp, idx, mode - 1),) + m[pos + 1:]
-                        want_derive = want_derive + (-mode) * State({word: 1})
+                            new = ls[:pos] + ((sp, j, mode),) + ls[pos + 1:]
+                            want = want + coef * State({word(new): 1})
+                        new = ls[:pos] + ((sp, idx, mode - 1),) + ls[pos + 1:]
+                        want_derive = want_derive + (-mode) * State({word(new): 1})
                     assert op(State({m: 1})) == want, m
                     assert derive(State({m: 1})) == want_derive, m
 
 
 def test_extend_action_preserves_bidegree():
     op = extend_action(((0, 1), (1, 0)), BG2)
-    s = State({((BETA, 1, -2), (GAMMA, 2, -1)): Fraction(1)})
+    s = State({word([(BETA, 1, -2), (GAMMA, 2, -1)]): Fraction(1)})
     img = op(s)
     assert weight(img) == weight(s)
     assert all(len(m) == 2 for m in img.terms)
@@ -92,7 +96,7 @@ def test_extend_action_preserves_bidegree():
 
 def test_invariant_basis_torus():
     iv = invariant_basis(TORUS1, BG1, 1, 2)
-    assert iv == [State({((BETA, 1, -1), (GAMMA, 1, -1)): Fraction(1)})]
+    assert iv == [State({word([(BETA, 1, -1), (GAMMA, 1, -1)]): Fraction(1)})]
     for d in range(1, 5):
         assert invariant_basis(TORUS1, BG1, 0, d) == []
 
@@ -102,7 +106,7 @@ def _sl2_weight_multiplicity_oracle(alg, w, d):
 
     def h_weight(mono):
         q = 0
-        for sp, idx, _ in mono:
+        for sp, idx, _ in letters(mono):
             s = 1 if sp in (BETA, B) else -1
             q += s * (1 if idx == 1 else -1)
         return q
@@ -240,13 +244,15 @@ def charge_actions(draw, rank):
 def test_charge_counts_match_the_walks(alg_action, weight_cap, degree_cap):
     alg, act = alg_action
 
-    def invariant_words(enumerate_words):
-        return {(w, d): sum(act.is_invariant_charge(mono_charge(m, alg.rank))
+    def invariant_words(enumerate_words, charge):
+        return {(w, d): sum(act.is_invariant_charge(charge(m, alg.rank))
                             for m in enumerate_words(alg, w, d))
                 for w in range(weight_cap + 1) for d in range(degree_cap + 1)}
 
-    assert dim_table(act, alg, weight_cap, degree_cap).entries == invariant_words(fock.basis)
-    assert gr_dim_table(act, alg, weight_cap, degree_cap).entries == invariant_words(fock.gr_basis)
+    assert (dim_table(act, alg, weight_cap, degree_cap).entries
+            == invariant_words(fock.basis, mono_charge))
+    assert (gr_dim_table(act, alg, weight_cap, degree_cap).entries
+            == invariant_words(fock.gr_basis, symbol_charge))
 
 
 def test_torus_tables_agree_beyond_the_reach_of_the_walks():

@@ -218,6 +218,7 @@ def test_int_input_gives_exact_results(columns, coeffs, square, n):
 
 
 # sympy is a test-only oracle: the package itself is stdlib only
+# (test_fock.py::test_the_package_imports_only_the_standard_library)
 exact_values = st.one_of(st.integers(-9, 9),
                          st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
 

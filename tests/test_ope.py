@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import circle_oracle
-from vertexfock import ope, verma
+from vertexfock import fock, ope, verma
 from vertexfock.exprlang import evaluate, parse
 from vertexfock.fock import (
     B,
     BETA,
     C,
     GAMMA,
-    SPECIES_PARITY,
     AlgebraDescriptor,
     State,
     _apply_annihilation,
@@ -26,12 +25,13 @@ from vertexfock.fock import (
     canonicalize,
     degree,
     generator_state,
-    mode_sort_key,
+    letters,
     mono_parity,
     mono_weight,
     state_to_text,
     vacuum,
     weight,
+    word,
 )
 from vertexfock.invariants import extend_action
 from vertexfock.linalg import add_into
@@ -89,7 +89,7 @@ def test_free_field_poles():
 
 
 def test_unit_laws():
-    s = State({((BETA, 1, -2), (GAMMA, 1, -1)): Fraction(2)})
+    s = State({word([(BETA, 1, -2), (GAMMA, 1, -1)]): Fraction(2)})
     for n in range(-4, 4):
         assert circle(vacuum(), n, s) == (s if n == -1 else State())
     for n in range(-1, 4):
@@ -97,16 +97,16 @@ def test_unit_laws():
 
 
 def test_wick_examples():
-    assert wick(beta(), gamma()) == State({((BETA, 1, -1), (GAMMA, 1, -1)): Fraction(1)})
-    b = State({((B, 1, -1), (C, 1, -2)): Fraction(1)})
+    assert wick(beta(), gamma()) == State({word([(BETA, 1, -1), (GAMMA, 1, -1)]): Fraction(1)})
+    b = State({word([(B, 1, -1), (C, 1, -2)]): Fraction(1)})
     assert wick(vacuum(), b) == b
     assert wick(gamma(), beta()) - wick(beta(), gamma()) == State()
 
 
 def test_derive():
     assert derive(vacuum()) == State()
-    assert derive(beta()) == State({((BETA, 1, -2),): Fraction(1)})
-    s = State({((BETA, 1, -1), (GAMMA, 1, -3)): Fraction(1)})
+    assert derive(beta()) == State({word([(BETA, 1, -2)]): Fraction(1)})
+    s = State({word([(BETA, 1, -1), (GAMMA, 1, -3)]): Fraction(1)})
     assert weight(derive(s)) == weight(s) + 1
     assert derive(s) == circle(s, -2, vacuum())
     assert derive(s, 0) is s
@@ -117,8 +117,8 @@ def test_derive():
 def test_engine_exits_are_integer_first():
     # a Fraction coefficient in, integral coefficients out: each exit
     # hands them back as ints, the others stay Fractions
-    half = State({((BETA, 1, -1),): Fraction(1, 2)})
-    two_gammas = State({((GAMMA, 1, -1),): 2})
+    half = State({word([(BETA, 1, -1)]): Fraction(1, 2)})
+    two_gammas = State({word([(GAMMA, 1, -1)]): 2})
     integral = [
         wick(half, two_gammas),
         iterated_wick([half, two_gammas]),
@@ -140,7 +140,7 @@ def test_iterated_wick():
     a = beta()
     assert iterated_wick([a]) == a
     L = iterated_wick([beta(), derive(gamma())])
-    assert L == State({((BETA, 1, -1), (GAMMA, 1, -2)): Fraction(1)})
+    assert L == State({word([(BETA, 1, -1), (GAMMA, 1, -2)]): Fraction(1)})
     b, c = gamma(), derive(beta())
     assert iterated_wick([a, b, c]) == wick(a, wick(b, c))
     with pytest.raises(ValueError):
@@ -198,24 +198,24 @@ def test_identities_randomized():
 def _derive_without_mode_factor(a: State, times: int = 1) -> State:
     """``derive`` with each factor's mode dropped from its coefficient:
     u(-m) -> u(-m-1) in place of m u(-m-1)."""
-    terms = {ope._encode(mono): c for mono, c in a.terms.items()}
+    terms = a.terms
     for _ in range(times):
         acc = {}
-        for word, c in terms.items():
-            for pos, g in enumerate(word):
-                r = ope._replace_factor(word, pos, ope._lower(g, 1))
+        for mono, c in terms.items():
+            for pos, g in enumerate(mono):
+                r = ope._replace_factor(mono, pos, ope._lower(g, 1))
                 if r is not None:
                     add_into(acc, r[1], r[0] * c)
         terms = acc
-    return State({ope._decode(word): c for word, c in terms.items()})
+    return State(terms)
 
 
 def test_identities_catch_a_wrong_derivation(monkeypatch):
     # the Wick-commutator and iterate identities run derive inside Wick
     # products, so a derive that drops its mode factor must fail both
     a = gamma()
-    b = State({((BETA, 1, -1), (GAMMA, 1, -2)): 1})
-    c = State({((BETA, 1, -3),): 1})
+    b = State({word([(BETA, 1, -1), (GAMMA, 1, -2)]): 1})
+    c = State({word([(BETA, 1, -3)]): 1})
     assert check_identities(a, b, c, 1).ok
     monkeypatch.setattr("vertexfock.ope.derive", _derive_without_mode_factor)
     assert check_identities(a, b, c, 1).mismatch_names() == ["wick_commutator", "iterate"]
@@ -346,65 +346,39 @@ def test_insertion_and_partner_walk_match_fock(alg):
     words = [m for w in range(5) for d in range(5) for m in basis(alg, w, d)]
     gens = [(sp, idx) for sp in alg.species for idx in range(1, alg.rank + 1)]
     repeats = 0
-
-    def decoded(r):
-        return r if r is None else (r[0], ope._decode(r[1]))
-
-    for word in words:
-        code = ope._encode(word)
+    for mono in words:
         for sp, idx in gens:
             for k in range(1, 7):
-                g = (sp, idx, -k)
-                got = decoded(_insert_creation(ope._code(g), code))
-                assert got == canonicalize((g,) + word), (g, word)
+                (g,) = word([(sp, idx, -k)])
+                got = _insert_creation(g, mono)
+                assert got == canonicalize((g,) + mono), (g, mono)
                 repeats += got is None
             want = [(j, w2, c) for j in range(8)
-                    for w2, c in _apply_annihilation((sp, idx, j), word).items()]
-            got = [(j, ope._decode(w2), c)
-                   for j, w2, c in _contraction_partners(ope._code((sp, idx, -1)), code)]
-            assert got == want, (sp, idx, word)
+                    for w2, c in _apply_annihilation((sp, idx, j), mono).items()]
+            got = list(_contraction_partners(word([(sp, idx, -1)])[0], mono))
+            assert got == want, (sp, idx, mono)
     assert repeats > 0 if alg.kind != "bg" else repeats == 0
 
 
 def test_letter_codes_hold_their_fields_and_refuse_the_rest():
-    top_idx, top_mode = ope._IDX_MASK, ope._MODE_MASK
+    top_idx, top_mode = fock._IDX_MASK, fock._MODE_MASK
     for sp in (BETA, GAMMA, B, C):
         for g in ((sp, 0, -1), (sp, top_idx, -1), (sp, 1, -top_mode), (sp, top_idx, -top_mode)):
-            assert ope._decode(ope._encode((g,))) == (g,)
+            assert letters(word([g])) == (g,)
         for g in ((sp, top_idx + 1, -1), (sp, -1, -1), (sp, 1, -top_mode - 1), (sp, 1, 0),
                   (sp, 1, 3)):
             with pytest.raises(ValueError, match=re.escape(str(g))):
-                ope._encode((g,))
+                word([g])
     # lowering a mode past its field is refused too, also inside a product
-    beta_top = ope._code((BETA, 1, -top_mode))
-    assert ope._lower(ope._code((BETA, 1, -1)), top_mode - 1) == beta_top
+    (beta_top,) = word([(BETA, 1, -top_mode)])
+    assert ope._lower(word([(BETA, 1, -1)])[0], top_mode - 1) == beta_top
     with pytest.raises(ValueError, match="mode"):
         ope._lower(beta_top, 1)
-    assert circle(beta(), -top_mode, vacuum()) == State({((BETA, 1, -top_mode),): 1})
+    assert circle(beta(), -top_mode, vacuum()) == State({word([(BETA, 1, -top_mode)]): 1})
     with pytest.raises(ValueError, match=str(-top_mode - 1)):
         circle(beta(), -top_mode - 1, vacuum())
     with pytest.raises(ValueError, match=str(-top_mode - 1)):
-        derive(State({((BETA, 1, -top_mode),): 1}))
-
-
-@pytest.mark.parametrize("alg", [BG2, BC2, MIX1], ids=lambda a: f"{a.kind}{a.rank}")
-def test_code_order_is_canonical_order(alg):
-    words = [m for w in range(6) for d in range(6) for m in basis(alg, w, d)]
-    letters = sorted({g for m in words for g in m})
-    assert sorted(letters, key=ope._code) == sorted(letters, key=mode_sort_key)
-    # so a canonical word encodes to an ascending tuple
-    assert all(list(ope._encode(m)) == sorted(ope._encode(m)) for m in words)
-
-
-def test_odd_codes_lie_above_every_even_code():
-    # the sign of an odd insertion counts the odd letters as a suffix
-    top_idx, top_mode = ope._IDX_MASK, ope._MODE_MASK
-    even = [ope._code((sp, i, -m)) for sp in (BETA, GAMMA) for i in (0, top_idx)
-            for m in (1, top_mode)]
-    odd = [ope._code((sp, i, -m)) for sp in (B, C) for i in (0, top_idx) for m in (1, top_mode)]
-    assert max(even) < ope._ODD <= min(odd)
-    assert all((ope._code((sp, 1, -1)) >= ope._ODD) == bool(SPECIES_PARITY[sp])
-               for sp in (BETA, GAMMA, B, C))
+        derive(State({word([(BETA, 1, -top_mode)]): 1}))
 
 
 _SLICES = {
@@ -467,20 +441,16 @@ def test_memo_holds_no_vacuum_products(monkeypatch):
 
 def test_caches_hold_one_copy_of_each_word(monkeypatch):
     def after():
-        # the memo's words, each the one decoding of its code word
-        # (two items per term: word, coefficient)
+        # the memo's words (two items per term: word, coefficient)
         words = [w for value in ope._MEMO.values() for w in value[::2]]
-        assert words and all(ope._WORDS[ope._encode(w)] is w for w in words)
-        assert len({id(w) for w in words}) == len(ope._WORDS)
-        # and their letters, one tuple per letter
-        letters = {id(g) for w in words for g in w}
-        assert letters and len(letters) == len({g for w in words for g in w})
+        assert words
         # the contraction words and creator tuples
         # (four items per term: word, coefficient, q, creators)
         codes = [x for value in ope._CONTRACTIONS.values() for i in (0, 3) for x in value[i::4]]
         assert any(cr for value in ope._CONTRACTIONS.values() for cr in value[3::4])
-        assert all(ope._CODES[x] is x for x in codes)
-        assert len({id(x) for x in codes}) == len(ope._CODES)
+        # each the one copy of its value in _CODES
+        assert all(ope._CODES[x] is x for x in words + codes)
+        assert len({id(x) for x in words + codes}) == len(ope._CODES)
 
     _each_trial(monkeypatch, after)
 
@@ -523,7 +493,7 @@ def test_identity_suite_keeps_one_trial_of_products(monkeypatch):
 def test_clear_cache_empties_both_caches():
     j = current(BG2)
     assert circle(j, 1, j) == Fraction(-2) * vacuum()
-    tables = (ope._MEMO, ope._CONTRACTIONS, ope._CODES, ope._WORDS, ope._LETTERS, ope._CODE_OF)
+    tables = (ope._MEMO, ope._CONTRACTIONS, ope._CODES)
     assert all(tables)
     ope.clear_cache()
     assert not any(tables)

@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, generator_state, vacuum, weight
+from vertexfock.fock import (
+    BETA,
+    GAMMA,
+    AlgebraDescriptor,
+    State,
+    generator_state,
+    vacuum,
+    weight,
+    word,
+)
 from vertexfock.linalg import kernel_of_columns, rank_of_columns
 from vertexfock.ope import circle, wick, word_products
 from vertexfock.verma import (
@@ -51,10 +60,10 @@ def test_induced_action():
 def test_projection():
     assert project_word((), BG1) == vacuum()
     assert project_word(((0, 1),), BG1) == State(
-        {((BETA, 1, -1), (GAMMA, 1, -1)): Fraction(1)}
+        {word([(BETA, 1, -1), (GAMMA, 1, -1)]): Fraction(1)}
     )
-    for word in vacuum_module_basis(3):
-        s = project_word(word, BG1)
+    for pbw in vacuum_module_basis(3):
+        s = project_word(pbw, BG1)
         if s:
             assert weight(s) == 3
 

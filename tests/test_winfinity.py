@@ -5,15 +5,15 @@ from fractions import Fraction
 import pytest
 
 from vertexfock.exprlang import evaluate, parse
-from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, basis, weight
+from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, basis, weight, word
 from vertexfock.linalg import det, rank
 from vertexfock.ope import circle
 from vertexfock.winfinity import (
     DOp,
     _REALIZE_CACHE,
+    _current_mode_codes,
     action_block_matrix,
     action_coeffs,
-    apply_current_mode,
     cocycle,
     d_bracket,
     express_diagonal_map,
@@ -85,8 +85,8 @@ def test_cocycle_identity_on_bracket():
 
 
 def test_realization_states():
-    assert realize_current(0, BG1) == State({((BETA, 1, -1), (GAMMA, 1, -1)): Fraction(1)})
-    assert realize_current(1, BG1) == State({((BETA, 1, -2), (GAMMA, 1, -1)): Fraction(1)})
+    assert realize_current(0, BG1) == State({word([(BETA, 1, -1), (GAMMA, 1, -1)]): Fraction(1)})
+    assert realize_current(1, BG1) == State({word([(BETA, 1, -2), (GAMMA, 1, -1)]): Fraction(1)})
     for l in range(0, 4):
         for alg in (BG2, BC1):
             assert weight(realize_current(l, alg)) == l + 1
@@ -116,7 +116,7 @@ def _assert_modes_agree_with_circle(alg, max_weight, max_degree) -> int:
                 for l in range(4):
                     for k in range(-3, 4):
                         want = circle(realize_current(l, alg), k, s).terms
-                        assert apply_current_mode(l, k, mono, alg) == want, (alg, mono, l, k)
+                        assert _current_mode_codes(l, k, mono, alg) == want, (alg, mono, l, k)
                         images += 1
     return images
 
@@ -139,7 +139,7 @@ def test_verify_rep_heisenberg_pair():
     assert rep["mismatches"] == []
     # the commutator is -1 times the identity
     j = realize_current(0, BG1)
-    s = State({((GAMMA, 1, -2), (BETA, 1, -1)): Fraction(1)})
+    s = State({word([(GAMMA, 1, -2), (BETA, 1, -1)]): Fraction(1)})
     comm = circle(j, 1, circle(j, -1, s)) - circle(j, -1, circle(j, 1, s))
     assert comm == Fraction(-1) * s
     # nonpaired zero modes commute
@@ -210,11 +210,11 @@ def test_action_coeffs_match_realization():
             for l in range(0, 7):
                 lam, mu = action_coeffs(w, k, l)
                 for i in (1, 2):
-                    sb = State({((BETA, i, -l - 1),): Fraction(math.factorial(l))})
-                    want = State({((BETA, i, -l - w - 1),): lam * math.factorial(l + w)})
+                    sb = State({word([(BETA, i, -l - 1)]): Fraction(math.factorial(l))})
+                    want = State({word([(BETA, i, -l - w - 1)]): lam * math.factorial(l + w)})
                     assert circle(cur, k, sb) == want
-                    sg = State({((GAMMA, i, -l - 1),): Fraction(math.factorial(l))})
-                    wantg = State({((GAMMA, i, -l - w - 1),): mu * math.factorial(l + w)})
+                    sg = State({word([(GAMMA, i, -l - 1)]): Fraction(math.factorial(l))})
+                    wantg = State({word([(GAMMA, i, -l - w - 1)]): mu * math.factorial(l + w)})
                     assert circle(cur, k, sg) == wantg
 
 
@@ -222,7 +222,7 @@ def test_mode_weight_shift():
     # J^l(k) maps weight w to weight w + l - k, preserving degree on
     # the degree-1 slice
     cur = realize_current(2, BG1)
-    s = State({((GAMMA, 1, -3),): Fraction(1)})
+    s = State({word([(GAMMA, 1, -3)]): Fraction(1)})
     img = circle(cur, 1, s)
     assert weight(img) == weight(s) + 2 - 1
     assert all(len(m) == 1 for m in img.terms)
