@@ -31,9 +31,9 @@ suffix.  ``State.terms`` and every computation hold words so; only
 where a word is read or written (JSON, text, ``repr``, symbols, the
 letter of ``apply_mode``) do ``word`` and ``letters`` convert between
 letter triples and codes.  ``word`` refuses a letter that a field
-cannot hold (a mode >= 0 or below -(2^18 - 1), an index above 1023),
-so two letters never share a code and no word holds an annihilation
-mode.
+cannot hold (a mode >= 0 or below -(2^18 - 1), an index outside
+1..1023), so two letters never share a code and no word holds an
+annihilation mode.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class AlgebraDescriptor(Frozen):
 def _code(g: GeneratorMode) -> int:
     """The code of a creation letter; ValueError if a field cannot hold it."""
     sp, idx, mode = g
-    if not (0 <= sp < len(SPECIES_PARITY) and 0 <= idx <= _IDX_MASK and 0 < -mode <= _MODE_MASK):
+    if not (0 <= sp < len(SPECIES_PARITY) and 0 < idx <= _IDX_MASK and 0 < -mode <= _MODE_MASK):
         raise ValueError(f"letter {g} has no code: the engine needs a mode in "
-                         f"-1..-{_MODE_MASK} and an index in 0..{_IDX_MASK}")
+                         f"-1..-{_MODE_MASK} and an index in 1..{_IDX_MASK}")
     return sp << _SP_SHIFT | idx << _IDX_SHIFT | -mode
 
 
@@ -148,8 +148,11 @@ def mono_parity(mono: Monomial) -> int:
 def mono_charge(mono: Monomial, rank: int) -> tuple[int, ...]:
     """Net vector-minus-covector count per index, as a vector in Z^rank."""
     q = [0] * rank
-    for g in mono:
-        q[(g >> _IDX_SHIFT & _IDX_MASK) - 1] += SPECIES_CHARGE[g >> _SP_SHIFT]
+    try:
+        for g in mono:
+            q[(g >> _IDX_SHIFT & _IDX_MASK) - 1] += SPECIES_CHARGE[g >> _SP_SHIFT]
+    except IndexError:
+        raise ValueError(f"word {letters(mono)} has an index above {rank}") from None
     return tuple(q)
 
 
@@ -298,13 +301,13 @@ def parity(s: State) -> int:
 
 
 def charge(s: State, charge_matrix) -> tuple[int, ...]:
-    """Torus charge A q of a charge-homogeneous state, for an m x n
-    matrix A; the trivial torus, m = 0, gives ()."""
+    """Torus charge A q of a charge-homogeneous state for an m x n matrix
+    A that fits it (else ValueError); the trivial torus, m = 0, gives ()."""
     def torus(mono):
         if not charge_matrix:
             return ()
         q = mono_charge(mono, len(charge_matrix[0]))
-        return tuple(sum(a * x for a, x in zip(row, q)) for row in charge_matrix)
+        return tuple(sum(a * x for a, x in zip(row, q, strict=True)) for row in charge_matrix)
     return _homogeneous_value(s, torus, "charge")
 
 

@@ -81,8 +81,7 @@ class TorusAction(Frozen):
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        mat = SparseMatrix.from_rows(rows)
-        if rows and linalg.rank(mat) < len(rows):
+        if rows and linalg.rank(SparseMatrix.from_rows(rows)) < len(rows):
             warnings.warn("charge matrix is not of full rank: the torus does not act faithfully")
 
     @property
@@ -124,10 +123,8 @@ class LieAlgebraAction(Frozen):
     def __post_init__(self):
         mats = tuple(tuple(tuple(scalar(x) for x in row) for row in m) for m in self.matrices)
         object.__setattr__(self, "matrices", mats)
-        for m in mats:
-            n = len(m)
-            if any(len(row) != n for row in m):
-                raise ValueError("action matrices must be square")
+        if any(len(row) != len(m) for m in mats for row in m):
+            raise ValueError("action matrices must be square")
 
 
 def sl2_standard() -> LieAlgebraAction:
@@ -378,10 +375,7 @@ def is_invariant_state(action: GroupAction, alg: AlgebraDescriptor, s: State) ->
     sign = _charge_sign(action, alg.rank)
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         return all(sign(mono_charge(m, alg.rank)) for m in s.terms)
-    for X in action.matrices:
-        if extend_action(X, alg)(s):
-            return False
-    return True
+    return not any(extend_action(X, alg)(s) for X in action.matrices)
 
 
 class SpanCheckReport(Record):
@@ -421,9 +415,11 @@ def span_check(
     The invariant side is summed over degrees up to a window of
     2*weight_cap, widened to cover every monomial the words produce,
     and read from one ``dim_table`` whose degree cap bounds every word.
-    Reports the first deficient bidegree through the degree filtration.
-    Generators must have positive weight: weight 0 is checked against
-    the vacuum alone.
+    Each weight's word states are eliminated once, as rows, with their
+    monomials by falling degree (``linalg.pivot_keys``): the span within
+    degree <= d has one dimension per pivot of degree <= d, which finds
+    the first deficient bidegree.  Generators must have positive weight:
+    weight 0 is checked against the vacuum alone.
     """
     for g in generators:
         if not is_invariant_state(action, alg, g):
@@ -442,32 +438,20 @@ def span_check(
     first_def = None
     for w in range(weight_cap + 1):
         if w == 0:
-            vecs = [State({(): 1})]
+            have = [{(): 1}]
         else:
             words = derivative_words(gen_weights, w, max_word_length)
-            vecs = [s for s in word_products(generators, words) if s]
-        w_window = window
-        for s in vecs:
-            for m in s.terms:
-                w_window = max(w_window, mono_degree(m))
-        have_cols = [s.terms for s in vecs]
-        dim_have = linalg.rank_of_columns(have_cols)
-        inv_by_degree = [table[(w, d)] for d in range(w_window + 1)]
-        dim_need = sum(inv_by_degree)
-        dims[w] = (dim_have, dim_need)
-        if dim_have < dim_need and first_def is None:
-            # localize along the degree filtration: dim(span within
-            # degree <= d) = dim(span) - rank(components above d); at
-            # d = w_window nothing lies above, so the loop always breaks
-            cum_need = 0
-            for d in range(w_window + 1):
-                cum_need += inv_by_degree[d]
-                above = [
-                    {m: c for m, c in s.terms.items() if mono_degree(m) > d} for s in vecs
-                ]
-                have_d = dim_have - linalg.rank_of_columns([a for a in above if a])
-                if have_d < cum_need:
-                    first_def = (w, d, have_d, cum_need)
+            have = [s.terms for s in word_products(generators, words) if s]
+        keys = sorted({m for v in have for m in v}, key=mono_degree, reverse=True)
+        pivot_degrees = [mono_degree(m) for m in linalg.pivot_keys(have, keys)]
+        need = [table[(w, d)] for d in range(max(window, mono_degree(keys[0]) if keys else 0) + 1)]
+        dims[w] = (len(pivot_degrees), sum(need))
+        if len(pivot_degrees) < sum(need) and first_def is None:
+            # at the top degree every pivot counts, so some d falls short
+            for d in range(len(need)):
+                have_d, need_d = sum(e <= d for e in pivot_degrees), sum(need[:d + 1])
+                if have_d < need_d:
+                    first_def = (w, d, have_d, need_d)
                     break
     status = "success" if first_def is None else "deficient"
     return SpanCheckReport(status, dims, first_def, window)

@@ -11,12 +11,13 @@ primitive (each divided by the gcd of its entries) and makes a
 end: int arithmetic is several times faster than Fraction arithmetic,
 and the rows it holds are nonzero multiples of the rows elimination
 over the rationals would hold, so the answers are the same.  A rank
-takes the forward elimination alone; kernels and solves
-back-substitute to the reduced row echelon form.  A determinant has
-its own fraction-free (Bareiss) elimination.  Vectors are
-``{index: scalar}`` dicts without zeros; ``Combination`` is the base of
-the package's other sparse combinations (Fock states, vacuum-module
-elements).
+takes the forward elimination alone, and ``pivot_keys`` reads from one
+elimination of vectors as rows the rank of every leading block of
+columns; kernels and solves back-substitute to the reduced row echelon
+form.  A determinant has its own fraction-free (Bareiss) elimination.
+Vectors are ``{index: scalar}`` dicts without zeros; ``Combination``
+is the base of the package's other sparse combinations (Fock states,
+vacuum-module elements).
 
 Scalars serialize as ``"p/q"`` (or ``"p"`` when the denominator is 1);
 matrices serialize as ``{"rows": r, "cols": c, "entries": [[i, j, "p/q"], ...]}``.
@@ -435,6 +436,15 @@ def _column_matrix(columns: list[dict], keys: list | None = None) -> tuple[Spars
     index = {k: i for i, k in enumerate(keys)}
     entries = {(index[k], j): v for j, c in enumerate(columns) for k, v in c.items()}
     return SparseMatrix(max(len(keys), 1), len(columns), entries), index
+
+
+def pivot_keys(vectors: list[dict], keys: list) -> list:
+    """The keys of the pivot columns of the key->value dicts eliminated
+    as rows, with the keys (all of them) as columns in the given order:
+    those among the first c keys number the rank of those columns."""
+    col = {k: j for j, k in enumerate(keys)}
+    rows = [{col[k]: v for k, v in x.items()} for x in vectors]
+    return [keys[j] for _, j in _echelon(rows, len(keys))]
 
 
 def rank_of_columns(columns: list[dict]) -> int:

@@ -165,6 +165,7 @@ def sub_index(l: int, k_field: int) -> int:
 # ---------------------------------------------------------------------------
 
 _REALIZE_CACHE: dict[tuple[str, int, int], State] = {}
+_FIELD_CODES: dict[tuple[str, int], list[Monomial]] = {}
 
 
 def realize_current(l: int, alg: AlgebraDescriptor) -> State:
@@ -224,9 +225,11 @@ def _current_mode_codes(
     reorder = -1 if alg.kind == "bc" else 1
     shift = k - l - 1  # u(p) v(m) with p + m = shift
     out: dict[Monomial, int] = {}
-    for i in range(1, alg.rank + 1):
-        # u^i(-1) and v^i(-1); lowering by t gives mode -1-t
-        cu, cv = word([(u, i, -1), (v, i, -1)])
+    key = (alg.kind, alg.rank)
+    if key not in _FIELD_CODES:
+        _FIELD_CODES[key] = [word([(u, i, -1), (v, i, -1)]) for i in range(1, alg.rank + 1)]
+    # u^i(-1) and v^i(-1) per index i; lowering by t gives mode -1-t
+    for cu, cv in _FIELD_CODES[key]:
         # v(m) annihilates: u(p) (v(m) mono)
         for m, w1, c1 in _contraction_partners(cv, mono):
             c1 *= _falling(-m - 1, l)

@@ -301,7 +301,6 @@ def _gl_currents_check(kind, n, top, cap):
     return span_check(gens, gl_standard(n), alg, cap, cap)
 
 
-@pytest.mark.slow
 def test_criterion_12_gl2_on_beta_gamma():
     # Linshaw (arXiv:0811.4067): J^0..J^{n^2+2n-1} strongly generate the
     # GL_n-invariants of the rank-n bg system; at n = 2 the last one, J^7,

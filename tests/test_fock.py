@@ -197,6 +197,15 @@ def test_charge_under_the_trivial_torus():
         charge(State(), ((1,),))
 
 
+def test_charge_refuses_a_matrix_that_does_not_fit():
+    # an index above the width of the rows, and rows of unequal length
+    with pytest.raises(ValueError, match="index above 1"):
+        charge(generator_state(BETA, 2), ((1,),))
+    for rows in (((1, 0), (1,)), ((1,), (1, 0))):
+        with pytest.raises(ValueError):
+            charge(generator_state(BETA, 1), rows)
+
+
 @pytest.mark.parametrize("alg", [BG2, AlgebraDescriptor("bc", 2), MIX1],
                          ids=lambda a: f"{a.kind}{a.rank}")
 def test_code_order_is_canonical_order(alg):
@@ -211,8 +220,8 @@ def test_code_order_is_canonical_order(alg):
 def test_odd_codes_lie_above_every_even_code():
     # the sign of an odd insertion counts the odd letters as a suffix
     top_idx, top_mode = fock._IDX_MASK, fock._MODE_MASK
-    even = word([(sp, i, -m) for sp in (BETA, GAMMA) for i in (0, top_idx) for m in (1, top_mode)])
-    odd = word([(sp, i, -m) for sp in (B, C) for i in (0, top_idx) for m in (1, top_mode)])
+    even = word([(sp, i, -m) for sp in (BETA, GAMMA) for i in (1, top_idx) for m in (1, top_mode)])
+    odd = word([(sp, i, -m) for sp in (B, C) for i in (1, top_idx) for m in (1, top_mode)])
     assert max(even) < fock._ODD <= min(odd)
     assert all((word([(sp, 1, -1)])[0] >= fock._ODD) == bool(SPECIES_PARITY[sp])
                for sp in (BETA, GAMMA, B, C))

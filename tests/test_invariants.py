@@ -41,7 +41,7 @@ from vertexfock.invariants import (
     trivial_action,
     validate_heisenberg,
 )
-from vertexfock.ope import circle, derive, locality_bound, wick
+from vertexfock.ope import circle, derivative_words, derive, locality_bound, wick, word_products
 from vertexfock.winfinity import realize_current
 
 BG1 = AlgebraDescriptor("bg", 1)
@@ -456,6 +456,48 @@ def test_span_check_empty_generators():
 def test_span_check_rejects_noninvariant():
     with pytest.raises(ValueError):
         span_check([generator_state(BETA, 1)], TORUS1, BG1, 2, 2)
+
+
+def _currents(alg, top):
+    return [realize_current(l, alg) for l in range(top + 1)]
+
+
+# the four l = 0 GL_2-invariant currents of bcbg:2, u^i v^i summed over i
+MIXED_GL2 = [evaluate(parse(f"NO({u}[1], {v}[1]) + NO({u}[2], {v}[2])"),
+                      AlgebraDescriptor("bcbg", 2))
+             for u, v in (("gamma", "beta"), ("cc", "bb"), ("gamma", "bb"), ("cc", "beta"))]
+
+
+@pytest.mark.parametrize("gens, w", [
+    (_currents(BG1, 0), 3), (_currents(BG2, 3), 5), (_currents(BG2, 2), 3), (MIXED_GL2, 2),
+    # a repeated generator makes the words dependent
+    (_currents(BG1, 0) + _currents(BG1, 1), 4),
+], ids=["torus-bg1-J0", "gl2-bg2-J0..J3", "sl2-bg2-J0..J2", "gl2-bcbg2-l0", "repeated-J0"])
+def test_pivot_readout_gives_the_degree_filtration(gens, w):
+    # one elimination, monomials by falling degree: the pivots of degree
+    # <= d number the span within degree <= d, which is the dimension
+    # minus the rank of the components above d, one rank per degree
+    vecs = [s.terms for s in word_products(gens, derivative_words([weight(g) for g in gens], w, w))]
+    keys = sorted({m for v in vecs for m in v}, key=len, reverse=True)
+    degrees = [len(m) for m in linalg.pivot_keys(vecs, keys)]
+    dim = linalg.rank_of_columns(vecs)
+    assert len(degrees) == dim
+    for d in range(len(keys[0]) + 1):
+        above = [{m: c for m, c in v.items() if len(m) > d} for v in vecs]
+        assert sum(e <= d for e in degrees) == dim - linalg.rank_of_columns([a for a in above if a])
+
+
+@pytest.mark.parametrize("gens, action, alg, cap, first", [
+    (_currents(BG1, 2), TORUS1, BG1, 5, None),
+    (_currents(BG1, 0), TORUS1, BG1, 5, (2, 2, 1, 2)),
+    (_currents(BG2, 3), gl_standard(2), BG2, 6, (5, 2, 4, 5)),
+], ids=["torus-success", "torus-deficient", "gl2-deficient"])
+def test_span_check_eliminates_once_per_weight(monkeypatch, gens, action, alg, cap, first):
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, ncols: calls.append(ncols) or echelon(rows, ncols))
+    assert span_check(gens, action, alg, cap, cap).first_deficiency == first
+    assert len(calls) == cap + 1
 
 
 def test_heisenberg_current():

@@ -14,6 +14,7 @@ from vertexfock.linalg import (
     kernel_basis,
     kernel_of_columns,
     parse_scalar,
+    pivot_keys,
     rank,
     rank_of_columns,
     solve,
@@ -305,6 +306,17 @@ def test_elimination_matches_sympy(rows, data):
     if m.rows == m.cols:
         d = det(m)
         assert d == from_sympy(sm.det()) and integer_first([d])
+    # the pivot readout under a drawn column order is the leftmost
+    # independent columns, the pivots of sympy's RREF of the reordered
+    # matrix, so those among the first c number the rank of those columns
+    order = data.draw(st.permutations(range(m.cols)))
+    got = pivot_keys([{j: v for j, v in enumerate(row) if v} for row in rows], order)
+    every_row = list(range(m.rows))
+    assert got == [order[k] for k in sm.extract(every_row, order).rref()[1]]
+    c = data.draw(st.integers(1, m.cols))
+    assert len(set(got) & set(order[:c])) == sm.extract(every_row, order[:c]).rank()
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(m.cols)]
+    assert rank_of_columns(columns) == sm.rank()
 
 
 @settings(deadline=None)

@@ -363,10 +363,10 @@ def test_insertion_and_partner_walk_match_fock(alg):
 def test_letter_codes_hold_their_fields_and_refuse_the_rest():
     top_idx, top_mode = fock._IDX_MASK, fock._MODE_MASK
     for sp in (BETA, GAMMA, B, C):
-        for g in ((sp, 0, -1), (sp, top_idx, -1), (sp, 1, -top_mode), (sp, top_idx, -top_mode)):
+        for g in ((sp, 1, -1), (sp, top_idx, -1), (sp, 1, -top_mode), (sp, top_idx, -top_mode)):
             assert letters(word([g])) == (g,)
-        for g in ((sp, top_idx + 1, -1), (sp, -1, -1), (sp, 1, -top_mode - 1), (sp, 1, 0),
-                  (sp, 1, 3)):
+        for g in ((sp, top_idx + 1, -1), (sp, 0, -1), (sp, -1, -1), (sp, 1, -top_mode - 1),
+                  (sp, 1, 0), (sp, 1, 3)):
             with pytest.raises(ValueError, match=re.escape(str(g))):
                 word([g])
     # lowering a mode past its field is refused too, also inside a product

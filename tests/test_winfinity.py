@@ -121,7 +121,6 @@ def _assert_modes_agree_with_circle(alg, max_weight, max_degree) -> int:
     return images
 
 
-@pytest.mark.slow
 def test_current_mode_agrees_with_circle_product():
     # J^l(k) applied word by word against the circle product of the
     # realized current, on every basis state; rank 3 interleaves indices
