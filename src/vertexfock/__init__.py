@@ -64,6 +64,7 @@ from .ope import (
     OpeTable,
     check_identities,
     circle,
+    current_mode,
     derive,
     iterated_wick,
     locality_bound,

@@ -523,12 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _glue_rational_values(argv: list[str]) -> list[str]:
-    """Attach a value such as -1/2 or -1,2/3 to the --c or --d before it
-    (--c -1/2 -> --c=-1/2): argparse reads a token that starts with '-'
-    as an option unless it is a plain negative number."""
+    """Attach a value such as -1/2, -1,2/3 or -1,2;0,1 to the --c, --d
+    or --charges before it (--c -1/2 -> --c=-1/2): argparse reads a
+    token that starts with '-' as an option unless it is a plain
+    negative number."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in ("--c", "--d") and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and out[-1] in ("--c", "--d", "--charges") and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -8,9 +8,11 @@ space:
   * FiniteAbelianAction: diagonal characters with orders; invariance
     is a congruence on the charge vector.
   * LieAlgebraAction: a list of n x n rational matrices acting on the
-    index space; the infinitesimal action extends as a mode-wise
-    derivation (vector species transform by X, covector species by
-    -X^T), and invariants are the exact joint kernel per bidegree.
+    index space; a matrix X acts as the zero mode of the current
+    J_X = -sum_{a,b} X_ba (:gamma^a beta^b: + :c^a b^b:), a derivation
+    (vector species transform by X, covector species by -X^T) applied
+    by the mode kernel ``ope.current_mode``, and invariants are the
+    exact joint kernel per bidegree.
 
 Dimension tables are computed twice, on states and on the graded
 symbols, through separate code paths; the two must agree entrywise.
@@ -34,7 +36,7 @@ vertexfock inv-dims``.
 Strong-generation checks compare the exact span of normally ordered
 words in a generator list against the invariant dimensions, weight by
 weight.  Commutants are joint kernels of all non-negative modes of a
-list of currents, zero modes first.
+list of quadratic currents, zero modes first, through the same kernel.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ import warnings
 
 from . import linalg
 from .fock import (
-    _IDX_MASK,
-    _IDX_SHIFT,
-    _SP_SHIFT,
     B,
     BETA,
+    C,
     GAMMA,
     AlgebraDescriptor,
     Monomial,
@@ -55,16 +55,14 @@ from .fock import (
     basis,
     basis_by_degree,
     charge_counts,
-    generator_state,
     gr_charge_counts,
     mono_charge,
     mono_degree,
     weight as state_weight,
+    word,
 )
 from .linalg import Frozen, Record, Scalar, SparseMatrix, add_into, exact_terms, scalar
-from .ope import _replace_factor, circle, derivative_words, wick, word_products
-
-VECTOR_SPECIES = (BETA, B)
+from .ope import circle, current_mode, derivative_words, word_products
 
 
 # ---------------------------------------------------------------------------
@@ -152,39 +150,30 @@ GroupAction = TorusAction | FiniteAbelianAction | LieAlgebraAction
 # ---------------------------------------------------------------------------
 
 
-def _derive_mono(X, mono: Monomial, rank_n: int) -> dict[Monomial, Scalar]:
-    """Mode-wise derivation of a single matrix on a monomial.
-
-    Only one factor changes per term, the letter's index moving from
-    idx to j; ``ope._replace_factor`` puts the new factor in its place.
-    """
-    out: dict[Monomial, Scalar] = {}
-    for pos, g in enumerate(mono):
-        sp, idx = g >> _SP_SHIFT, g >> _IDX_SHIFT & _IDX_MASK
-        for j in range(1, rank_n + 1):
-            coef = X[j - 1][idx - 1] if sp in VECTOR_SPECIES else -X[idx - 1][j - 1]
-            if coef == 0:
-                continue
-            r = _replace_factor(mono, pos, g + ((j - idx) << _IDX_SHIFT))
-            if r is not None:
-                add_into(out, r[1], r[0] * coef)
-    return out
+def _lie_current(X, alg: AlgebraDescriptor) -> State:
+    """The weight-1 current J_X = -sum_{a,b} X_ba (:gamma^a beta^b: +
+    :c^a b^b:) of a matrix, the pairs of alg's species only, whose zero
+    mode is the derivation of X: vector letters (beta, b) move by X,
+    covector letters (gamma, c) by -X^T."""
+    pairs = [(u, v) for u, v in ((GAMMA, BETA), (C, B)) if u in alg.species]
+    n = alg.rank
+    return State({word([(u, a, -1), (v, b, -1)]): -scalar(X[b - 1][a - 1])
+                  for u, v in pairs for a in range(1, n + 1) for b in range(1, n + 1)})
 
 
 def extend_action(X, alg: AlgebraDescriptor):
     """The weight- and degree-preserving derivation of a single matrix
-    on states, with integer-first coefficients (``linalg.scalar``)."""
-    mats = tuple(tuple(scalar(x) for x in row) for row in X)
-    frac = any(x.__class__ is not int for row in mats for x in row)
+    on states, the zero mode of ``_lie_current(X, alg)`` through
+    ``ope.current_mode``, with integer-first coefficients
+    (``linalg.scalar``)."""
+    mode = current_mode(_lie_current(X, alg), 0)
 
     def op(s: State) -> State:
         acc: dict[Monomial, Scalar] = {}
         for mono, c in s.terms.items():
-            for mono2, v in _derive_mono(mats, mono, alg.rank).items():
+            for mono2, v in mode(mono).items():
                 add_into(acc, mono2, c * v)
-        if frac or any(c.__class__ is not int for c in s.terms.values()):
-            acc = exact_terms(acc)
-        return State._raw(acc)
+        return State._raw(exact_terms(acc))
 
     return op
 
@@ -199,44 +188,38 @@ def _is_diagonal(X) -> bool:
     return all(X[i][j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
-def _split_diagonal(mats, rank_n: int):
-    """The matrices that are not diagonal, and a predicate on monomials:
-    every diagonal matrix X kills the monomial, that is multiplies it
-    by sum_i X_ii q_i = 0, q its ``mono_charge``."""
+def _split_diagonal(mats, alg: AlgebraDescriptor):
+    """The zero modes (``ope.current_mode``) of the currents
+    ``_lie_current`` of the matrices that are not diagonal, and a
+    predicate on monomials: every diagonal matrix X kills the monomial,
+    that is multiplies it by sum_i X_ii q_i = 0, q its ``mono_charge``."""
+    rank_n = alg.rank
     diagonals = {tuple(X[i][i] for i in range(rank_n)) for X in mats if _is_diagonal(X)}
 
     def killed(mono: Monomial) -> bool:
         q = mono_charge(mono, rank_n)
         return all(sum(x * c for x, c in zip(v, q)) == 0 for v in diagonals)
 
-    return [X for X in mats if not _is_diagonal(X)], killed
+    return [current_mode(_lie_current(X, alg), 0) for X in mats if not _is_diagonal(X)], killed
 
 
-def _lie_columns(monos, rest, rank_n):
+def _lie_columns(monos, modes):
     """The images of the monomials (already killed by the diagonal
-    matrices, see ``_split_diagonal``) under the other matrices
-    ``rest``, one column per monomial.  Their joint kernel on the span
-    of the monomials is the space of relations among the columns; an
-    image monomial may break the diagonal conditions and is a row like
-    any other."""
+    matrices, see ``_split_diagonal``) under the zero modes of the
+    other matrices, one column per monomial.  Their joint kernel on the
+    span of the monomials is the space of relations among the columns;
+    an image monomial may break the diagonal conditions and is a row
+    like any other."""
     return [
-        {(t, m2): v for t, X in enumerate(rest) for m2, v in _derive_mono(X, m, rank_n).items()}
+        {(t, m2): v for t, mode in enumerate(modes) for m2, v in mode(m).items()}
         for m in monos
     ]
 
 
-def _lie_kernel(monos, rest, rank_n):
-    """Basis of that joint kernel."""
-    return [
-        {monos[i]: v for i, v in rel.items()}
-        for rel in linalg.kernel_of_columns(_lie_columns(monos, rest, rank_n))
-    ]
-
-
-def _lie_dim(monos, rest, rank_n) -> int:
+def _lie_dim(monos, modes) -> int:
     """Dimension of that joint kernel: the number of monomials minus the
     rank of their images."""
-    return len(monos) - linalg.rank_of_columns(_lie_columns(monos, rest, rank_n))
+    return len(monos) - linalg.rank_of_columns(_lie_columns(monos, modes))
 
 
 def invariant_basis(
@@ -248,9 +231,10 @@ def invariant_basis(
         return []
     if isinstance(action, (TorusAction, FiniteAbelianAction)):
         return [State({m: 1}) for m in basis(alg, weight, degree) if sign(mono_charge(m, alg.rank))]
-    rest, killed = _split_diagonal(action.matrices, alg.rank)
+    modes, killed = _split_diagonal(action.matrices, alg)
     monos = [m for m in basis(alg, weight, degree) if killed(m)]
-    return [State(c) for c in _lie_kernel(monos, rest, alg.rank)]
+    return [State({monos[i]: v for i, v in rel.items()})
+            for rel in linalg.kernel_of_columns(_lie_columns(monos, modes))]
 
 
 def trivial_action() -> TorusAction:
@@ -336,8 +320,8 @@ def dim_table(
     sign = _charge_sign(action, alg.rank)
     if sign is not None:
         return _invariant_table(sign, charge_counts(alg, weight_cap, degree_cap), weight_cap, degree_cap)
-    rest, killed = _split_diagonal(action.matrices, alg.rank)
-    return DimTable({(w, d): _lie_dim([m for m in monos if killed(m)], rest, alg.rank)
+    modes, killed = _split_diagonal(action.matrices, alg)
+    return DimTable({(w, d): _lie_dim([m for m in monos if killed(m)], modes)
                      for w in range(weight_cap + 1)
                      for d, monos in enumerate(basis_by_degree(alg, w, degree_cap))},
                     weight_cap, degree_cap)
@@ -475,13 +459,9 @@ def heisenberg_current(xi, charge_rows, alg: AlgebraDescriptor) -> State:
     m = len(charge_rows)
     if len(xi) != m:
         raise ValueError(f"direction must have {m} components")
-    out = State()
-    for i in range(1, alg.rank + 1):
-        coef = sum(scalar(xi[t]) * charge_rows[t][i - 1] for t in range(m))
-        if coef == 0:
-            continue
-        out = out + coef * wick(generator_state(GAMMA, i), generator_state(BETA, i))
-    return out
+    return State({word([(GAMMA, i, -1), (BETA, i, -1)]):
+                  sum(scalar(xi[t]) * charge_rows[t][i - 1] for t in range(m))
+                  for i in range(1, alg.rank + 1)})
 
 
 def heisenberg_pairing(xi, eta, charge_rows) -> Scalar:
@@ -520,7 +500,9 @@ def commutant_basis(
     degree_cap: int,
 ) -> list[State]:
     """Joint kernel, on the weight slice filtered by degree <= cap, of
-    every non-negative mode of every current.
+    every non-negative mode of every current.  The currents are
+    quadratic, as the Heisenberg currents are, and their modes act
+    through ``ope.current_mode`` (ValueError for any other current).
 
     Modes k >= 1 with weight(current) + weight - k - 1 < 0 vanish
     identically and are skipped.  A zero mode that sends every word in
@@ -530,11 +512,11 @@ def commutant_basis(
     order) is unchanged.  The other modes act on the rest only.
     """
     monos = [m for ms in basis_by_degree(alg, weight, degree_cap) for m in ms]
-    words = [State._raw({m: 1}) for m in monos]
     columns: list[dict] = [{} for _ in monos]
     live = range(len(monos))
     for t, cur in enumerate(currents):
-        images = [circle(cur, 0, words[i]).terms for i in live]
+        mode = current_mode(cur, 0)
+        images = [mode(monos[i]) for i in live]
         if all(img.keys() <= {monos[i]} for i, img in zip(live, images)):
             live = [i for i, img in zip(live, images) if not img]
             continue
@@ -542,8 +524,9 @@ def commutant_basis(
             columns[i].update(((t, 0, m2), v) for m2, v in img.items())
     for t, cur in enumerate(currents):
         for k in range(1, weight + state_weight(cur)):
+            mode = current_mode(cur, k)
             for i in live:
-                columns[i].update(((t, k, m2), v) for m2, v in circle(cur, k, words[i]).terms.items())
+                columns[i].update(((t, k, m2), v) for m2, v in mode(monos[i]).items())
     return [
         State({monos[live[j]]: v for j, v in rel.items()})
         for rel in linalg.kernel_of_columns([columns[i] for i in live])

@@ -38,6 +38,11 @@ one bisected block of codes, and lowering a creator's mode by k adds k
 to its code; ``_lower`` refuses a lowering past the mode field, so two
 letters never share a code.
 
+``current_mode`` applies a mode of a quadratic current (a sum of
+x :u^a d^(l) v^b:) straight to a word with the same edits, memoizing
+nothing: the one mode kernel for the W_{1+infinity} currents, the Lie
+actions and the Heisenberg currents of the other modules.
+
 What is memoized, in module dicts that ``clear_cache`` empties:
 ``_CONTRACTIONS`` holds the contraction list of every pair (ma, mb) with
 a nonempty first word, and ``_MEMO`` every product ma o_n mb with a
@@ -66,6 +71,8 @@ from .fock import (
     _MODE_MASK,
     _ODD,
     _SP_SHIFT,
+    B,
+    BETA,
     CONTRACTION,
     SPECIES_DUAL,
     Monomial,
@@ -294,6 +301,74 @@ def circle(a: State, n: int, b: State) -> State:
             for mono, v in zip(flat, flat):
                 add_into(acc, mono, c * v)
     return State._raw(exact_terms(acc) if frac else acc)
+
+
+def current_mode(current: State, k: int):
+    """The k-th mode of a quadratic current as a map from a canonical
+    word to {word: coefficient}: ``circle(current, k, State({word: 1}))``
+    applied straight to the word, visiting only the letters that
+    contract; nothing is memoized.
+
+    Each term must be x :u^a d^(l) v^b: (the state x u^a(-1) v^b(-l-1),
+    canonically v first, so -x for a fermion pair), u gamma or c and v
+    its dual vector letter; any other term raises ValueError.  Its mode
+    is x sum_m binom(-m-1, l) :u^a(k-m-l-1) v^b(m):, d^(l) = d^l / l!,
+    and the binomial vanishes for -l <= m <= -1.  The annihilator acts
+    first (:u(p) v(m): = -v(m) u(p) for fermions when only u(p)
+    annihilates), in three parts: v(m), m >= 0, contracts, then u(p) is
+    inserted or contracts; u(p), p >= 0, contracts, then v(m) is
+    inserted; both are created.  Coefficients are integer-first.
+    """
+    terms = []
+    for mono, x in current.terms.items():
+        if not (len(mono) == 2 and mono[0] >> _SP_SHIFT in (BETA, B)
+                and mono[1] >> _SP_SHIFT == SPECIES_DUAL[mono[0] >> _SP_SHIFT]
+                and mono[1] & _MODE_MASK == 1):
+            raise ValueError(f"the current term {state_to_text(State._raw({mono: x}))} "
+                             "is not x :u^a d^(l) v^b: for u gamma or c and v its dual")
+        cv, cu = mono
+        l = (cv & _MODE_MASK) - 1
+        odd = cv >= _ODD
+        # u^a(-1) and v^b(-1): lowering by t gives mode -1-t
+        terms.append((cu, cv - l, l, -x if odd else x, -1 if odd else 1))
+    frac = any(x.__class__ is not int for _, _, _, x, _ in terms)
+    comb = math.comb
+
+    def mode(mono: Monomial) -> dict[Monomial, Scalar]:
+        out: dict[Monomial, Scalar] = {}
+        for cu, cv, l, x, reorder in terms:
+            shift = k - l - 1  # u(p) v(m) with p + m = shift
+            xl = -x if l & 1 else x  # binom(-m-1, l) = (-1)^l C(m+l, l) for m >= 0
+            # v(m) annihilates: u(p) (v(m) mono)
+            for m, w1, c1 in _contraction_partners(cv, mono):
+                c1 *= xl * comb(m + l, l)
+                p = shift - m
+                if p < 0:
+                    r = _insert_creation(_lower(cu, -p - 1), w1)
+                    if r is not None:
+                        add_into(out, r[1], r[0] * c1)
+                else:
+                    for j, w2, c2 in _contraction_partners(cu, w1):
+                        if j == p:
+                            add_into(out, w2, c1 * c2)
+            # u(p) annihilates, v(m) is created: (+/-) v(m) (u(p) mono)
+            for p, w1, c1 in _contraction_partners(cu, mono):
+                m = shift - p
+                if m < -l:
+                    r = _insert_creation(_lower(cv, -m - 1), w1)
+                    if r is not None:
+                        add_into(out, r[1], reorder * r[0] * x * comb(-m - 1, l) * c1)
+            # both created: u(p) v(m) mono
+            for m in range(k - l, -l):
+                r = _insert_creation(_lower(cv, -m - 1), mono)
+                if r is None:
+                    continue
+                r2 = _insert_creation(_lower(cu, m - shift - 1), r[1])
+                if r2 is not None:
+                    add_into(out, r2[1], r[0] * r2[0] * x * comb(-m - 1, l))
+        return exact_terms(out) if frac else out
+
+    return mode
 
 
 def wick(a: State, b: State) -> State:

@@ -10,7 +10,8 @@ On top of the module sit the three computations that drive the
 structure theory at desk scale:
 
   * singular vectors: exact kernels of the positive-mode conditions
-    J^l_j (1 <= j <= j_cap, l <= l_cap) on a weight slice;
+    J^l_j (1 <= j <= j_cap, l <= l_cap) on a weight slice, which the
+    j = 1 conditions alone give once l_cap >= 2;
   * the kernel of the projection onto the free-field realization,
     word by word (no caps needed);
   * decoupling relations: exact solves expressing a realized current
@@ -29,7 +30,7 @@ from . import linalg
 from .fock import AlgebraDescriptor, State, degree, vacuum, words_of_weight
 from .linalg import Combination, Record, Scalar, add_into, format_scalar, scalar
 from .ope import circle, derivative_words, word_products
-from .winfinity import DOp, bracket_basis, field_mode, realize_current
+from .winfinity import bracket_basis, field_mode, realize_current
 
 # letter (l, k) means J^l_{-k}, k >= l+1; PBW key orders by weight first
 Letter = tuple[int, int]
@@ -145,16 +146,19 @@ def singular_vectors(
     At N > 0, j_cap < 1 would impose no condition at all and raises
     ValueError.
 
-    The solve starts small: it takes the exact kernel of the j = 1
-    conditions alone, which contains the wanted kernel, and applies
-    every other capped condition to each of its basis vectors.  The
-    conditions that fail on any of them join the system, which is
-    solved once more.  A condition that kills every basis vector kills
-    their span, and with it the smaller second kernel, so after that
-    solve no capped condition fails.  The result is then exactly the
-    kernel of all capped conditions, and since an RREF kernel basis
-    depends only on the subspace and the column order, it is the basis
-    the full system gives.
+    For l_cap >= 2 the j = 1 conditions alone are solved: they imply
+    the rest.  J^l_k = -t^k (D)_l with D = t d/dt, so the J^l_k, l <= L,
+    span t^k P_L (P_L: polynomials in D of degree <= L), and
+    [t f(D), t^b g(D)] = t^{b+1} (f(D+b) g(D) - f(D) g(D+1)), with no
+    central term at positive degree.  The operators that kill v form a
+    Lie algebra, and t P_L with t^b P_L give all of t^{b+1} P_L when
+    L >= 2: f = 1 gives every degree < L, f = D with g = D^L gives
+    (b - L) D^L + ..., and f = D^2 with g = D^{L-1} gives (L + 1) D^L + ...
+    at b = L.  So the kernel is the same subspace, and its RREF basis
+    (fixed by the subspace and the order of the words) the same.  For
+    l_cap <= 1 this fails (c = -1, N = 4, l_cap = 0: 7 vectors from
+    j = 1, 4 from all), and every capped condition is imposed, in one
+    system too.
 
     Only the capped conditions are imposed, so the result is a basis
     of singular vectors up to the caps: it contains every singular
@@ -176,25 +180,18 @@ def singular_vectors(
     words = vacuum_module_basis(weight_n)
     if not words:
         return []
-
-    def kernel(conditions):
-        columns = [{} for _ in words]
-        for column, word in zip(columns, words):
-            for l, j in conditions:
-                img = iter(_act_basis(l, j, word, c))
-                for w2, v in zip(img, img):
-                    column[l, j, w2] = v
-        return [
-            VermaElement({words[i]: v for i, v in rel.items()})
-            for rel in linalg.kernel_of_columns(columns)
-        ]
-
-    capped = [(l, j) for l in range(l_cap + 1) for j in range(1, j_cap + 1)]
-    imposed = [lj for lj in capped if lj[1] == 1]
-    basis = kernel(imposed)
-    failing = [(l, j) for l, j in capped
-               if j > 1 and any(act(DOp.basis_element(l, j), v, c) for v in basis)]
-    return kernel(imposed + failing) if failing else basis
+    j_top = 1 if l_cap >= 2 else j_cap  # the j = 1 conditions imply the rest
+    conditions = [(l, j) for l in range(l_cap + 1) for j in range(1, j_top + 1)]
+    columns = [{} for _ in words]
+    for column, word in zip(columns, words):
+        for l, j in conditions:
+            img = iter(_act_basis(l, j, word, c))
+            for w2, v in zip(img, img):
+                column[l, j, w2] = v
+    return [
+        VermaElement({words[i]: v for i, v in rel.items()})
+        for rel in linalg.kernel_of_columns(columns)
+    ]
 
 
 def project_word(word: Word, alg: AlgebraDescriptor) -> State:

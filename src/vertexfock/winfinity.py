@@ -15,11 +15,10 @@ weight k (= minus the conformal shift of J^l(k+l)).
 The realizations send J^l to sum_i :gamma^i d^l beta^i: (bosonic, the
 central element acting by -n) and to sum_i :c^i d^l b^i: (fermionic,
 central element +n).  ``realize_current`` builds the current as a
-state; ``_current_mode_codes`` applies its mode J^l(k) straight to a
-canonical word as the bilinear sum_i sum_m f_l(m) :u^i(k-m-l-1) v^i(m):
-in the generator modes, with the annihilator applied first, and agrees
-with the circle product of the realized current.  ``verify_rep``, the
-representation check, runs on it.
+state.  ``verify_rep``, the representation check, applies its modes
+J^l(k) to canonical words through ``ope.current_mode``, the package's
+one mode kernel for quadratic currents, which agrees with the circle
+product of the realized current.
 
 The module also builds the matrices used to express an arbitrary
 diagonal mode-shift map as a combination of the operators J^{w+k}(k):
@@ -44,10 +43,9 @@ from .fock import (
     basis,
     generator_state,
     state_to_text,
-    word,
 )
 from .linalg import Record, Scalar, SparseMatrix, add_into, exact_terms, format_scalar, scalar
-from .ope import _contraction_partners, _insert_creation, _lower, derive, iterated_wick
+from .ope import current_mode, derive, iterated_wick
 
 # ---------------------------------------------------------------------------
 # the Lie algebra
@@ -165,7 +163,6 @@ def sub_index(l: int, k_field: int) -> int:
 # ---------------------------------------------------------------------------
 
 _REALIZE_CACHE: dict[tuple[str, int, int], State] = {}
-_FIELD_CODES: dict[tuple[str, int], list[Monomial]] = {}
 
 
 def realize_current(l: int, alg: AlgebraDescriptor) -> State:
@@ -197,70 +194,6 @@ def default_central_value(alg: AlgebraDescriptor) -> Fraction:
     raise ValueError("no realized central value for kind " + alg.kind)
 
 
-def _current_mode_codes(
-    l: int, k: int, mono: Monomial, alg: AlgebraDescriptor
-) -> dict[Monomial, int]:
-    """J^l(k) mono as {word: int}, for a canonical word: the same map as
-    ``circle(realize_current(l, alg), k, State({mono: 1}))``, applied
-    straight to the word.
-
-    The field of the current is :u(z) d^l v(z):, (u, v) = (gamma, beta)
-    for kind bg and (c, b) for kind bc, so
-
-        J^l(k) = sum_i sum_m f_l(m) :u^i(k-m-l-1) v^i(m):,
-        f_l(m) = prod_{s=1..l} -(m+s).
-
-    Normal ordering applies the annihilator first: when v(m) is created
-    and u(p) annihilates, :u(p) v(m): = -v(m) u(p) for the fermions.
-    The sum splits into three parts, none of which visits a term that
-    vanishes on the word: v(m), m >= 0, contracting with a partner of v
-    in the word, then u(p) inserted or contracted; u(p), p >= 0,
-    contracting with a partner of u, then v(m) inserted; and both
-    created, k-l <= m <= -1, where f_l vanishes on -l..-1, so only
-    m <= -l-1 is visited.
-    """
-    if alg.kind not in ("bg", "bc"):
-        raise ValueError("currents are realized in the bg or bc system only")
-    u, v = (GAMMA, BETA) if alg.kind == "bg" else (C, B)
-    reorder = -1 if alg.kind == "bc" else 1
-    shift = k - l - 1  # u(p) v(m) with p + m = shift
-    out: dict[Monomial, int] = {}
-    key = (alg.kind, alg.rank)
-    if key not in _FIELD_CODES:
-        _FIELD_CODES[key] = [word([(u, i, -1), (v, i, -1)]) for i in range(1, alg.rank + 1)]
-    # u^i(-1) and v^i(-1) per index i; lowering by t gives mode -1-t
-    for cu, cv in _FIELD_CODES[key]:
-        # v(m) annihilates: u(p) (v(m) mono)
-        for m, w1, c1 in _contraction_partners(cv, mono):
-            c1 *= _falling(-m - 1, l)
-            p = shift - m
-            if p < 0:
-                r = _insert_creation(_lower(cu, -p - 1), w1)
-                if r is not None:
-                    add_into(out, r[1], r[0] * c1)
-            else:
-                for j, w2, c2 in _contraction_partners(cu, w1):
-                    if j == p:
-                        add_into(out, w2, c1 * c2)
-        # u(p) annihilates, v(m) is created: (+/-) v(m) (u(p) mono)
-        for p, w1, c1 in _contraction_partners(cu, mono):
-            m = shift - p
-            if m >= 0:
-                continue
-            r = _insert_creation(_lower(cv, -m - 1), w1)
-            if r is not None:
-                add_into(out, r[1], reorder * r[0] * _falling(-m - 1, l) * c1)
-        # both created: u(p) v(m) mono
-        for m in range(k - l, -l):
-            r = _insert_creation(_lower(cv, -m - 1), mono)
-            if r is None:
-                continue
-            r2 = _insert_creation(_lower(cu, m - shift - 1), r[1])
-            if r2 is not None:
-                add_into(out, r2[1], r[0] * r2[0] * _falling(-m - 1, l))
-    return out
-
-
 def verify_rep(
     pairs,
     alg: AlgebraDescriptor,
@@ -273,8 +206,8 @@ def verify_rep(
     with the central element specialized.
 
     ``pairs`` is a sequence of (l1, k1, l2, k2), one per bracket
-    [J^{l1}_{k1}, J^{l2}_{k2}].  Modes act through
-    ``_current_mode_codes``, word by word, with integer coefficients.
+    [J^{l1}_{k1}, J^{l2}_{k2}].  Modes act through ``ope.current_mode``
+    on the realized currents, word by word, with integer coefficients.
     The image of each word under each mode is computed once per call
     (in a dict local to the call) and shared by every pair, every
     bracket term and every basis state that meets it.  For each pair
@@ -291,10 +224,6 @@ def verify_rep(
     # images hold one copy of each word, the one in ``words``
     images: dict[tuple[int, int], dict[Monomial, dict[Monomial, int]]] = {}
     words: dict[Monomial, Monomial] = {}
-
-    def image(mode, mono):
-        return {words.setdefault(w, w): c for w, c in _current_mode_codes(*mode, mono, alg).items()}
-
     # per pair: the two modes, the central scalar, the bracket's image
     # caches with their coefficients, and the pair's mismatches
     checks = []
@@ -309,6 +238,11 @@ def verify_rep(
             [(images.setdefault((l, field_mode(l, k)), {}), c) for (l, k), c in br.terms.items()],
             [],
         ))
+    modes = {(l, k): current_mode(realize_current(l, alg), k) for l, k in images}
+
+    def image(mode, mono):
+        return {words.setdefault(w, w): c for w, c in modes[mode](mono).items()}
+
     checked = 0
     for w in range(max_weight + 1):
         for d in range(max_degree + 1):

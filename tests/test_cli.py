@@ -490,6 +490,14 @@ def test_negative_rational_values_parse_space_separated(capsys):
     assert run(capsys, "express-map", "--w", "2", "--m", "1", "--c=1/2,3", "--d=-1,2/3")[1] == out
 
 
+def test_charge_rows_may_start_with_a_negative_entry(capsys):
+    for charges in ("-1,2", "-1,2;0,1"):
+        args = ("--rank", "2", "--max-weight", "2", "--max-degree", "2")
+        rc, out, _ = run(capsys, "commutant", "--charges", charges, *args)
+        assert rc == 0 and json.loads(out)["charges"][0] == [-1, 2], charges
+        assert run(capsys, "commutant", f"--charges={charges}", *args)[1] == out
+
+
 def test_eval_zero_denominator_is_usage_error(capsys):
     rc, out, err = run(capsys, "eval", "1/0 * beta[1]")
     assert rc == 2 and out == "" and err.startswith("error:")

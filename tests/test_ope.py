@@ -548,6 +548,38 @@ def test_oracle_side_imports_nothing_from_the_engine(path):
     assert not {m for m in mods if m == "vertexfock.ope" or m.startswith("vertexfock.ope.")}
 
 
+CODE_BITS = {"_SP_SHIFT", "_IDX_SHIFT", "_IDX_MASK", "_MODE_MASK", "_ODD"}
+
+
+def _private_reads(source: str) -> list[str]:
+    """The code-bit constants of fock and the underscore names of ope
+    that a module imports, or reads off the module by attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            home, names = (node.module or "").rsplit(".", 1)[-1], [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            home, names = node.value.id, [node.attr]
+        else:
+            continue
+        found += [f"{home}.{name}" for name in names
+                  if home == "fock" and name in CODE_BITS or home == "ope" and name.startswith("_")]
+    return found
+
+
+def test_only_fock_and_ope_edit_words_by_their_codes():
+    """Word codes are read by fock, which lays them out, and by ope,
+    whose editors and mode kernel (``current_mode``) serve every other
+    module."""
+    assert _private_reads("from .fock import _ODD, word\nfrom .ope import _lower, circle\n"
+                          "from . import ope\nope._CODES\n") == ["fock._ODD", "ope._lower",
+                                                                   "ope._CODES"]
+    src = Path(__file__).parent.parent / "src" / "vertexfock"
+    found = {path.name: reads for path in sorted(src.glob("*.py"))
+             if path.name not in ("fock.py", "ope.py") if (reads := _private_reads(path.read_text()))}
+    assert found == {}
+
+
 def _names_canonicalize(node: ast.AST) -> bool:
     if isinstance(node, ast.ImportFrom):
         return any(a.name == "canonicalize" for a in node.names)

@@ -116,24 +116,43 @@ def test_singular_vectors_are_the_kernel_of_all_capped_conditions(c):
             assert singular_vectors(c, N, l_cap, j_cap) == oracle, (c, N, l_cap, j_cap)
 
 
-def test_singular_vectors_solve_again_only_when_j_1_falls_short(monkeypatch):
+def test_singular_vectors_solve_once(monkeypatch):
     solves = []
     real = kernel_of_columns
     monkeypatch.setattr("vertexfock.linalg.kernel_of_columns",
                         lambda columns: solves.append(len(columns)) or real(columns))
-    # (c, N, l_cap, dimension from j = 1 alone, dimension under every cap)
+    # (c, N, l_cap, dimension from j = 1 alone, dimension under every cap):
+    # below l_cap 2 every capped condition is imposed, in one system
     for c, N, l_cap, dim_j1, dim in [
         (Fraction(-1), 4, 0, 7, 4), (Fraction(-1), 6, 1, 6, 3), (Fraction(1, 2), 5, 0, 11, 6),
     ]:
         assert len(singular_vectors(c, N, l_cap, 1)) == dim_j1
         solves.clear()
         assert len(singular_vectors(c, N, l_cap)) == dim
-        assert len(solves) == 2, (c, N, l_cap)
+        assert len(solves) == 1, (c, N, l_cap)
     # the benchmark's weight-6 slices stay one j = 1 solve each
     for c in (Fraction(-1), Fraction(7, 3)):
         solves.clear()
         assert singular_vectors(c, 6) == []
         assert len(solves) == 1, c
+
+
+def test_j_1_conditions_imply_the_others_from_l_cap_2():
+    # the bracket argument of singular_vectors: from l_cap 2 on, the j = 1
+    # conditions have the kernel of every capped condition; below it
+    # they need not
+    short = set()
+    for c in (Fraction(-1), Fraction(-2), Fraction(1, 2), Fraction(7, 3), Fraction(1)):
+        for N in range(1, 6):
+            for l_cap in range(N + 3):
+                j1 = _all_conditions_kernel(c, N, l_cap, 1)
+                every = _all_conditions_kernel(c, N, l_cap, N)
+                if l_cap >= 2:
+                    assert j1 == every, (c, N, l_cap)
+                elif j1 != every:
+                    short.add((c, N, l_cap, len(j1), len(every)))
+    assert (Fraction(-1), 4, 0, 7, 4) in short
+    assert {l_cap for _, _, l_cap, _, _ in short} == {0, 1}
 
 
 def test_singular_vector_lies_in_projection_kernel():

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from vertexfock.exprlang import evaluate, parse
-from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, basis, weight, word
+from vertexfock.fock import BETA, GAMMA, AlgebraDescriptor, State, basis, generator_state, weight, word
+from vertexfock.invariants import _lie_current, heisenberg_current
 from vertexfock.linalg import det, rank
-from vertexfock.ope import circle
+from vertexfock.ope import circle, current_mode, derive, iterated_wick, wick
 from vertexfock.winfinity import (
     DOp,
     _REALIZE_CACHE,
-    _current_mode_codes,
     action_block_matrix,
     action_coeffs,
     cocycle,
@@ -107,17 +107,17 @@ def test_mode_index_conversion():
             assert sub_index(l, field_mode(l, k)) == k
 
 
-def _assert_modes_agree_with_circle(alg, max_weight, max_degree) -> int:
+def _assert_modes_agree_with_circle(alg, currents, ks, max_weight, max_degree) -> int:
+    # the mode kernel against the circle product's stage-1/2 path
+    modes = [(cur, k, current_mode(cur, k)) for cur in currents for k in ks]
     images = 0
     for w in range(max_weight + 1):
         for d in range(max_degree + 1):
             for mono in basis(alg, w, d):
                 s = State._raw({mono: 1})
-                for l in range(4):
-                    for k in range(-3, 4):
-                        want = circle(realize_current(l, alg), k, s).terms
-                        assert _current_mode_codes(l, k, mono, alg) == want, (alg, mono, l, k)
-                        images += 1
+                for cur, k, mode in modes:
+                    assert mode(mono) == circle(cur, k, s).terms, (alg, mono, cur, k)
+                    images += 1
     return images
 
 
@@ -125,12 +125,49 @@ def test_current_mode_agrees_with_circle_product():
     # J^l(k) applied word by word against the circle product of the
     # realized current, on every basis state; rank 3 interleaves indices
     images = sum(
-        _assert_modes_agree_with_circle(AlgebraDescriptor(kind, n), 5, 4)
-        for kind in ("bg", "bc") for n in (1, 2)
+        _assert_modes_agree_with_circle(
+            alg, [realize_current(l, alg) for l in range(4)], range(-3, 4), 5, 4)
+        for alg in (AlgebraDescriptor(kind, n) for kind in ("bg", "bc") for n in (1, 2))
     )
     assert images == 59500
     for kind in ("bg", "bc"):
-        _assert_modes_agree_with_circle(AlgebraDescriptor(kind, 3), 1, 4)
+        alg = AlgebraDescriptor(kind, 3)
+        _assert_modes_agree_with_circle(alg, [realize_current(l, alg) for l in range(4)],
+                                        range(-3, 4), 1, 4)
+
+
+def test_heisenberg_and_lie_current_modes_agree_with_circle_product():
+    # Heisenberg currents with zero, negative and rational charges
+    bg3 = AlgebraDescriptor("bg", 3)
+    heis = [heisenberg_current(xi, ((1, 0, -2), (0, -1, 1)), bg3)
+            for xi in ((1, 0), (0, 1), (Fraction(1, 2), -3))]
+    assert len(heis[0].terms) == 2
+    _assert_modes_agree_with_circle(bg3, heis, range(-2, 3), 3, 3)
+    # the currents J_X of rational matrices, whose zero modes are the Lie
+    # actions, index-mixing and on the fermions too
+    X = ((1, Fraction(1, 2)), (-2, Fraction(-1, 3)))
+    for kind in ("bg", "bc", "bcbg"):
+        alg = AlgebraDescriptor(kind, 2)
+        _assert_modes_agree_with_circle(alg, [_lie_current(X, alg)], range(-2, 3), 3, 3)
+    # a quadratic current with a derivative on its vector letter, at
+    # two indices
+    mixed = iterated_wick([generator_state(GAMMA, 2), derive(generator_state(BETA, 1), 2)])
+    _assert_modes_agree_with_circle(BG2, [mixed], range(-2, 4), 3, 3)
+
+
+def test_current_mode_refuses_other_currents():
+    beta, gamma = generator_state(BETA, 1), generator_state(GAMMA, 1)
+    refused = [
+        beta,  # one letter
+        wick(beta, wick(beta, gamma)),  # three letters
+        wick(derive(gamma), beta),  # u at mode -2
+        wick(beta, beta),  # no covector letter
+        wick(gamma, generator_state(BETA, 1)) + 2 * beta,  # one good term, one bad
+        State({(): 1}),  # the vacuum
+    ]
+    for cur in refused:
+        with pytest.raises(ValueError, match="is not x :u"):
+            current_mode(cur, 0)
 
 
 def test_verify_rep_heisenberg_pair():
