@@ -27,23 +27,24 @@ print("== vacuum-module dimensions ==")
 for n_wt in range(6):
     print(f"weight {n_wt}: {len(vacuum_module_basis(n_wt))} words")
 
+alg = AlgebraDescriptor("bg", 1)
+
 print("\n== kernel of the projection (n = 1) ==")
 for n_wt in range(1, 5):
-    k = ideal_kernel(1, n_wt)
+    k = ideal_kernel(alg, n_wt)
     print(f"weight {n_wt}: dim {len(k)}")
 
 print("\n== the weight-4 singular vector ==")
 svs = singular_vectors(Fraction(-1), 4)
 print(svs[0])
-alg = AlgebraDescriptor("bg", 1)
 print("projects to zero:", not project(svs[0], alg))
 print("at a generic central charge (1/2):", singular_vectors(Fraction(1, 2), 4))
 
 print("\n== decoupling ==")
-rel = decoupling_relation(3, 1, 2)
+rel = decoupling_relation(3, alg, 2)
 print(rel.to_text())
-print("re-verified exactly:", verify_decoupling(rel, 1))
-print("J^2 through J^0..J^1:", decoupling_relation(2, 1, 1))
+print("re-verified exactly:", verify_decoupling(rel, alg))
+print("J^2 through J^0..J^1:", decoupling_relation(2, alg, 1))
 
 print("\n== strong generation by three currents ==")
 gens = [realize_current(l, alg) for l in (0, 1, 2)]

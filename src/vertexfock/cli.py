@@ -18,9 +18,13 @@ A JSON document is written in batches as it is encoded: a failure
 before the first batch writes nothing (no --out file is created or
 truncated), and one after it leaves the batches written, a truncated
 document that does not parse; both exit as any other failure would.
-Caps, --rank, --n, --lcap, --jcap and --g included, are guarded by a
-configurable hard ceiling, and so are the D^k powers, J[l] levels and
-CP indices |n| of every expression the CLI evaluates.  What these build
+--n and --kind are second spellings of the global --rank and --algebra,
+so every subcommand builds its algebra from the same two values.  The
+caps --rank, --max-weight, --max-degree, --lmax, --kmax, --w, --m,
+--weight, --lcap, --jcap, --l, --g and --max-len (``CAPS``) are checked
+against a configurable hard ceiling in one pass before any computation,
+and so are the D^k powers, J[l] levels and CP indices |n| of every
+expression the CLI evaluates, before it is evaluated.  What these build
 together is bounded too: every D^k, NO and CP inside an expression
 whose result could have weight or degree above twice the ceiling is
 refused before it is computed (D^k adds k to the weight, NO adds the
@@ -96,6 +100,10 @@ JSON_BATCH = 512  # encoder chunks per write
 
 CSV_COMMANDS = ("ope", "inv-dims", "commutant")
 
+# the destinations of every flag that sizes a computation
+CAPS = ("rank", "max_weight", "max_degree", "lmax", "kmax", "w", "m", "weight",
+        "lcap", "jcap", "l", "g", "max_len")
+
 
 class UsageError(ValueError):
     pass
@@ -122,7 +130,6 @@ def _emit(args, obj, text_fn, csv_rows=None, csv_header=None) -> None:
 
 
 def _alg(args) -> AlgebraDescriptor:
-    _check_caps(args, args.rank)
     return AlgebraDescriptor(args.algebra, args.rank)
 
 
@@ -239,7 +246,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    _check_caps(args, args.max_weight, args.max_degree)
     if args.trials < 0:
         raise UsageError(f"--trials {args.trials} is negative")
     alg = _alg(args)
@@ -249,8 +255,7 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_winf_verify(args) -> int:
-    _check_caps(args, args.n, args.max_weight, args.max_degree, args.lmax, args.kmax)
-    alg = AlgebraDescriptor(args.kind, args.n)
+    alg = _alg(args)
     ks = range(-args.kmax, args.kmax + 1)
     pairs = [
         (l1, k1, l2, k2)
@@ -265,7 +270,6 @@ def cmd_winf_verify(args) -> int:
 
 
 def cmd_matrices(args) -> int:
-    _check_caps(args, args.w, args.m)
     mw = action_block_matrix(args.w, args.m)
     r = args.r if args.r is not None else args.w + args.m + 1
     t = rising_product_matrix(r, max(args.m, 1))
@@ -292,7 +296,6 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_express_map(args) -> int:
-    _check_caps(args, args.w, args.m)
     t = express_diagonal_map(args.w, args.m, args.c.split(","), args.d.split(","))
     obj = {"t": [format_scalar(x) for x in t]}
 
@@ -307,7 +310,6 @@ def cmd_express_map(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    _check_caps(args, args.weight, args.lcap, args.jcap)
     c = parse_scalar(args.c)
     found = singular_vectors(c, args.weight, args.lcap, args.jcap)
     obj = {
@@ -323,22 +325,21 @@ def cmd_singular(args) -> int:
 
 
 def cmd_ideal_kernel(args) -> int:
-    _check_caps(args, args.n, args.weight)
-    found = ideal_kernel(args.n, args.weight)
-    obj = {"n": args.n, "weight": args.weight, "dimension": len(found),
+    found = ideal_kernel(_alg(args), args.weight)
+    obj = {"n": args.rank, "weight": args.weight, "dimension": len(found),
            "vectors": [v.to_json() for v in found]}
     _emit(args, obj, text_fn=lambda: "\n".join(repr(v) for v in found) or "none")
     return EXIT_OK
 
 
 def cmd_decouple(args) -> int:
-    _check_caps(args, args.n, args.l, args.g)
-    rel = decoupling_relation(args.l, args.n, args.g)
+    alg = _alg(args)
+    rel = decoupling_relation(args.l, alg, args.g)
     if rel is None:
         _emit(args, {"target": f"J^{args.l}", "found": False},
               text_fn=lambda: f"J^{args.l} does not decouple through J^0..J^{args.g}")
         return EXIT_NOT_FOUND
-    ok = verify_decoupling(rel, args.n)
+    ok = verify_decoupling(rel, alg)
     obj = rel.to_json()
     obj["found"] = True
     obj["reverified"] = ok
@@ -347,7 +348,6 @@ def cmd_decouple(args) -> int:
 
 
 def cmd_inv_dims(args) -> int:
-    _check_caps(args, args.max_weight, args.max_degree)
     alg = _alg(args)
     action = parse_action_spec(args.action, alg.rank)
     dt = dim_table(action, alg, args.max_weight, args.max_degree)
@@ -373,7 +373,6 @@ def cmd_inv_dims(args) -> int:
 
 
 def cmd_span_check(args) -> int:
-    _check_caps(args, args.max_weight, args.max_len)
     alg = _alg(args)
     action = parse_action_spec(args.action, alg.rank)
     gens = []
@@ -388,10 +387,7 @@ def cmd_span_check(args) -> int:
 
 
 def cmd_commutant(args) -> int:
-    _check_caps(args, args.max_weight, args.max_degree)
     alg = _alg(args)
-    if alg.kind != "bg":
-        raise UsageError("commutants are computed in the bg system")
     rows = _int_rows(args.charges, alg.rank, "charge")
     for r in rows:
         if not any(r):
@@ -425,8 +421,10 @@ def cmd_commutant(args) -> int:
 
 def _add_globals(p, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    p.add_argument("--rank", type=int, default=d(1), help="dimension n of the index space")
-    p.add_argument("--algebra", choices=("bg", "bc", "bcbg"), default=d("bg"))
+    p.add_argument("--rank", "--n", dest="rank", type=int, default=d(1),
+                   help="dimension n of the index space")
+    p.add_argument("--algebra", "--kind", dest="algebra", choices=("bg", "bc", "bcbg"),
+                   default=d("bg"))
     p.add_argument("--format", choices=("json", "csv", "text"), default=d("json"))
     p.add_argument("--out", default=d(None), help="write output to this path")
     p.add_argument("--ceiling", type=int, default=d(12), help="hard cap ceiling for all bounds")
@@ -461,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_verify_identities)
 
     s = sub.add_parser(parents=[common], name="winf-verify", help="realized commutators vs the Lie bracket")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--kind", choices=("bg", "bc"), default="bg")
     s.add_argument("--lmax", type=int, default=2)
     s.add_argument("--kmax", type=int, default=2)
     s.add_argument("--max-weight", type=int, default=3)
@@ -490,12 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_singular)
 
     s = sub.add_parser(parents=[common], name="ideal-kernel", help="kernel of the projection onto the realization")
-    s.add_argument("--n", type=int, required=True)
     s.add_argument("--weight", type=int, required=True)
     s.set_defaults(fn=cmd_ideal_kernel)
 
     s = sub.add_parser(parents=[common], name="decouple", help="solve for a current in lower normally ordered words")
-    s.add_argument("--n", type=int, required=True)
     s.add_argument("--l", type=int, required=True)
     s.add_argument("--g", type=int, required=True)
     s.set_defaults(fn=cmd_decouple)
@@ -522,15 +516,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _glue_rational_values(argv: list[str]) -> list[str]:
+def _read_dashed_values(argv: list[str]) -> list[str]:
     """Attach a value such as -1/2, -1,2/3 or -1,2;0,1 to the --c, --d
     or --charges before it (--c -1/2 -> --c=-1/2): argparse reads a
     token that starts with '-' as an option unless it is a plain
-    negative number."""
+    negative number or holds a space.  A token such as -beta[1] that
+    follows no flag awaiting a value and is not -h is an expression, so
+    it gets a leading space (which the expression language ignores), as
+    "-1 * beta[1]" has spaces."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in ("--c", "--d", "--charges") and tok[:1] == "-" and tok[1:2].isdigit():
+        prev = out[-1] if out else ""
+        if prev in ("--c", "--d", "--charges") and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] += "=" + tok
+        elif (tok[:1] == "-" and tok[1:2] not in ("", "-") and tok != "-h"
+              and not (prev[:2] == "--" and "=" not in prev and prev != "--help")):
+            out.append(" " + tok)
         else:
             out.append(tok)
     return out
@@ -538,12 +539,13 @@ def _glue_rational_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_rational_values(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_read_dashed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         if args.out:
             _check_out(args.out)
         if args.format == "csv" and args.command not in CSV_COMMANDS:
             raise UsageError("this subcommand has no CSV form")
+        _check_caps(args, *(getattr(args, cap, None) for cap in CAPS))
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

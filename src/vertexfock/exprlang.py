@@ -23,11 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fock import (
+    GEN_NAMES,
     AlgebraDescriptor,
-    B,
-    BETA,
-    C,
-    GAMMA,
     State,
     generator_state,
     mono_weight,
@@ -36,9 +33,6 @@ from .fock import (
 from .linalg import Frozen, format_scalar
 from .ope import circle, derive, iterated_wick
 from .winfinity import realize_current
-
-GEN_SPECIES = {"beta": BETA, "gamma": GAMMA, "bb": B, "cc": C}
-SPECIES_GEN = {v: k for k, v in GEN_SPECIES.items()}
 
 
 class ExprSyntaxError(ValueError):
@@ -207,12 +201,12 @@ class _Parser:
         if name == "vac":
             self.next()
             return Vac()
-        if name in GEN_SPECIES:
+        if name in GEN_NAMES:
             self.next()
             self.expect("[")
             idx = int(self.expect("int")[1])
             self.expect("]")
-            return Gen(GEN_SPECIES[name], idx)
+            return Gen(GEN_NAMES.index(name), idx)
         if name == "J":
             self.next()
             self.expect("[")
@@ -250,7 +244,7 @@ class _Parser:
             b = self.sum()
             self.expect(")")
             return CircleProd(a, n, b)
-        raise ExprSyntaxError(t[2], {"vac", "beta", "gamma", "bb", "cc", "J", "D", "NO", "CP"}, name)
+        raise ExprSyntaxError(t[2], {"vac", *GEN_NAMES, "J", "D", "NO", "CP"}, name)
 
 
 def parse(text: str) -> Expr:
@@ -266,7 +260,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Vac):
         return "vac"
     if isinstance(e, Gen):
-        return f"{SPECIES_GEN[e.species]}[{e.index}]"
+        return f"{GEN_NAMES[e.species]}[{e.index}]"
     if isinstance(e, JGen):
         return f"J[{e.level}]"
     if isinstance(e, Deriv):
@@ -354,8 +348,6 @@ def evaluate(
         alg.check_mode((e.species, e.index, -1))
         return generator_state(e.species, e.index)
     if isinstance(e, JGen):
-        if alg.kind not in ("bg", "bc"):
-            raise ValueError("J[l] is only defined in the bg or bc algebra")
         return realize_current(e.level, alg)
     if isinstance(e, Deriv):
         a = evaluate(e.arg, alg, max_weight, max_degree)

@@ -46,6 +46,8 @@ from .linalg import Combination, Frozen, Scalar, add_into, format_scalar, scalar
 BETA, GAMMA, B, C = 0, 1, 2, 3
 SPECIES_NAMES = ("beta", "gamma", "b", "c")
 SPECIES_BY_NAME = {name: code for code, name in enumerate(SPECIES_NAMES)}
+# the generator names of the expression language
+GEN_NAMES = ("beta", "gamma", "bb", "cc")
 
 # conformal weight of the generator field
 SPECIES_WEIGHT = (1, 0, 1, 0)
@@ -607,7 +609,7 @@ def mono_to_text(mono: Monomial) -> str:
     parts = []
     for sp, idx, mode in letters(mono):
         k = -mode - 1
-        gen = f"{'bb' if sp == B else 'cc' if sp == C else SPECIES_NAMES[sp]}[{idx}]"
+        gen = f"{GEN_NAMES[sp]}[{idx}]"
         if k == 0:
             parts.append(gen)
         elif k == 1:

@@ -18,6 +18,9 @@ structure theory at desk scale:
     as a normally ordered polynomial in lower currents and their
     derivatives.
 
+The last two take the realizing algebra, bg or bc of rank n, as an
+``AlgebraDescriptor``, as every function here that realizes a current does.
+
 The module also hosts the spanning-set comparisons for cyclic modules
 under the annihilation-free part of the parabolic (letters J^l(k) with
 0 <= k < l): the full span, the length-bounded span, and the
@@ -210,10 +213,10 @@ def project(v: VermaElement, alg: AlgebraDescriptor) -> State:
     return out
 
 
-def ideal_kernel(n: int, weight_n: int, kind: str = "bg") -> list[VermaElement]:
-    """Exact kernel of the projection onto the realized algebra, on the
-    weight-N slice of the vacuum module (central charge -n for bg)."""
-    alg = AlgebraDescriptor(kind, n)
+def ideal_kernel(alg: AlgebraDescriptor, weight_n: int) -> list[VermaElement]:
+    """Exact kernel of the projection onto the currents realized in alg,
+    on the weight-N slice of the vacuum module (central charge -n for
+    bg, +n for bc, n the rank)."""
     words = vacuum_module_basis(weight_n)
     if not words:
         return []
@@ -276,13 +279,12 @@ class DecouplingRelation(Record):
         return f"J^{self.target} = " + " + ".join(bits)
 
 
-def decoupling_relation(l: int, n: int, g_max: int, kind: str = "bg") -> DecouplingRelation | None:
-    """Solve for the realized current J^l in the exact span of normally
-    ordered words of weight l+1 in J^0..J^{g_max}; None if it is not in
-    the span."""
+def decoupling_relation(l: int, alg: AlgebraDescriptor, g_max: int) -> DecouplingRelation | None:
+    """Solve for the current J^l realized in alg in the exact span of
+    normally ordered words of weight l+1 in J^0..J^{g_max}; None if it
+    is not in the span."""
     if g_max > l - 1:
         raise ValueError("the generator bound must be below the target current")
-    alg = AlgebraDescriptor(kind, n)
     target = realize_current(l, alg)
     words = free_words(l + 1, g_max)
     currents = [realize_current(b, alg) for b in range(g_max + 1)]
@@ -294,9 +296,8 @@ def decoupling_relation(l: int, n: int, g_max: int, kind: str = "bg") -> Decoupl
     return DecouplingRelation(l, l + 1, terms)
 
 
-def verify_decoupling(rel: DecouplingRelation, n: int, kind: str = "bg") -> bool:
-    """Re-evaluate both sides of a found relation from scratch."""
-    alg = AlgebraDescriptor(kind, n)
+def verify_decoupling(rel: DecouplingRelation, alg: AlgebraDescriptor) -> bool:
+    """Re-evaluate both sides of a relation found in alg from scratch."""
     currents = [realize_current(b, alg) for b in range(rel.target)]
     products = word_products(currents, [w for w, _ in rel.terms])
     rhs = State()

@@ -191,8 +191,8 @@ def test_criterion_5_matrix_lemmas():
 
 def test_criterion_6_singular_vector_and_ideal():
     for N in (1, 2, 3):
-        assert ideal_kernel(1, N) == []
-    k4 = ideal_kernel(1, 4)
+        assert ideal_kernel(BG1, N) == []
+    k4 = ideal_kernel(BG1, 4)
     assert k4 != []
     svs = singular_vectors(Fraction(-1), 4)
     assert svs != []
@@ -206,12 +206,12 @@ def test_criterion_6_singular_vector_and_ideal():
 
 def test_criterion_7_decoupling():
     t0 = time.time()
-    rel3 = decoupling_relation(3, 1, 2)
-    rel4 = decoupling_relation(4, 1, 2)
-    rel2 = decoupling_relation(2, 1, 1)
+    rel3 = decoupling_relation(3, BG1, 2)
+    rel4 = decoupling_relation(4, BG1, 2)
+    rel2 = decoupling_relation(2, BG1, 1)
     elapsed = time.time() - t0
-    assert rel3 is not None and verify_decoupling(rel3, 1)
-    assert rel4 is not None and verify_decoupling(rel4, 1)
+    assert rel3 is not None and verify_decoupling(rel3, BG1)
+    assert rel4 is not None and verify_decoupling(rel4, BG1)
     assert rel2 is None
     assert elapsed < 60
     report(7, f"J^3 and J^4 decouple through J^0..J^2 (exactly re-verified), "
@@ -339,11 +339,11 @@ def test_criterion_12_vacuum_module_at_n_2():
     svs = singular_vectors(Fraction(-2), 9)
     assert len(svs) == 1
     assert not project(svs[0], BG2)
-    assert svs == ideal_kernel(2, 9)
-    rel = decoupling_relation(8, 2, 7)
+    assert svs == ideal_kernel(BG2, 9)
+    rel = decoupling_relation(8, BG2, 7)
     assert rel is not None and len(rel.terms) == 94
-    assert verify_decoupling(rel, 2)
-    assert decoupling_relation(7, 2, 6) is None
+    assert verify_decoupling(rel, BG2)
+    assert decoupling_relation(7, BG2, 6) is None
     report(12, "at c = -2 the weight-9 singular vector spans the projection kernel "
                "onto bg:2; J^8 decouples through J^0..J^7 (94 terms, re-verified), "
                "J^7 does not decouple through J^0..J^6")

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,8 @@ from vertexfock.cli import main
 from vertexfock.fock import AlgebraDescriptor, state_to_json
 from vertexfock.ope import IdentityReport
 from vertexfock.verify import random_homogeneous_state
-from vertexfock.verma import singular_vectors
+from vertexfock.verma import decoupling_relation, ideal_kernel, singular_vectors
+from vertexfock.winfinity import verify_rep
 
 
 def run(capsys, *argv):
@@ -85,6 +87,47 @@ def test_winf_verify(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["mismatches"] == [] and obj["checked"] > 0
+
+
+def test_algebra_reaches_every_command(capsys):
+    # --n and --kind are spellings of --rank and --algebra, so a bc
+    # question gets the library's bc answer, not the bg one
+    bc = AlgebraDescriptor("bc", 1)
+    rc, out, _ = run(capsys, "ideal-kernel", "--n", "1", "--weight", "2", "--algebra", "bc")
+    obj = json.loads(out)
+    assert rc == 0 and obj["dimension"] == 1
+    assert obj["vectors"] == [v.to_json() for v in ideal_kernel(bc, 2)]
+    rc, out, _ = run(capsys, "decouple", "--n", "1", "--l", "1", "--g", "0", "--algebra", "bc")
+    want = decoupling_relation(1, bc, 0)
+    assert rc == 0 and json.loads(out) == {**want.to_json(), "found": True, "reverified": True}
+    caps = ("--lmax", "1", "--kmax", "1", "--max-weight", "2", "--max-degree", "2")
+    rc, out, _ = run(capsys, "winf-verify", "--n", "1", "--algebra", "bc", *caps)
+    ks = range(-1, 2)
+    pairs = [(l1, k1, l2, k2) for l1 in range(2) for k1 in ks for l2 in range(l1, 2) for k2 in ks]
+    assert rc == 0 and json.loads(out) == verify_rep(pairs, bc, 2, 2)
+    assert run(capsys, "winf-verify", "--n", "1", "--kind", "bc", *caps) == (rc, out, "")
+    assert run(capsys, "--algebra", "bc", "winf-verify", *caps) == (rc, out, "")
+
+
+def test_an_expression_may_start_with_a_minus(capsys):
+    # argparse reads a token that starts with '-' as an option
+    want = run(capsys, "eval", "-1 * beta[1]")
+    assert want[0] == 0
+    assert run(capsys, "eval", "-beta[1]") == want
+    assert run(capsys, "eval", "--format", "json", "-beta[1]") == want
+    want = run(capsys, "ope", "-1 * beta[1]", "gamma[1]")
+    assert want[0] == 0 and json.loads(want[1])["poles"]
+    assert run(capsys, "ope", "-beta[1]", "gamma[1]") == want
+    rc, out, _ = run(capsys, "ope", "-beta[1]", "-gamma[1]", "--format", "text")
+    assert rc == 0 and out.endswith("~ [vac] (z-w)^-1\n")
+    # a flag's value and -h are read as before
+    for argv, code in ((["eval", "beta[1]", "--out", "-x"], 2),
+                       (["singular", "--c", "-x", "--weight", "2"], 2),
+                       (["eval", "-h"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code, argv
+    capsys.readouterr()
 
 
 def test_matrices(capsys):
@@ -383,18 +426,48 @@ def test_negative_caps_and_trials_are_usage_errors(capsys):
 
 def test_condition_caps_are_bounded(capsys, monkeypatch):
     # a negative --lcap or --jcap imposes no condition, so every word
-    # would pass as singular; --g is a cap like them
+    # would pass as singular; every cap of every subcommand, --rank and
+    # its spelling --n included, is refused before any computation
     def refuse(*args, **kwargs):
         raise AssertionError("the computation ran on a refused cap")
 
-    monkeypatch.setattr("vertexfock.cli.singular_vectors", refuse)
-    monkeypatch.setattr("vertexfock.cli.decoupling_relation", refuse)
-    for flag, value in (("--lcap", "-1"), ("--jcap", "-2"), ("--lcap", "13"), ("--jcap", "13")):
-        rc, out, err = run(capsys, "singular", "--c", "-1", "--weight", "4", flag, value)
-        assert rc == 2 and out == "" and err.startswith("error: cap"), (flag, value)
-    for value in ("-1", "13"):
-        rc, out, err = run(capsys, "decouple", "--n", "1", "--l", "3", "--g", value)
-        assert rc == 2 and out == "" and err.startswith("error: cap"), value
+    for name in ("evaluate", "identity_suite", "verify_rep", "action_block_matrix",
+                 "express_diagonal_map", "singular_vectors", "ideal_kernel",
+                 "decoupling_relation", "dim_table", "span_check", "commutant_basis"):
+        monkeypatch.setattr(f"vertexfock.cli.{name}", refuse)
+    # per subcommand: valid arguments, then its own cap flags
+    commands = {
+        "ope": (["beta[1]", "gamma[1]"], []),
+        "eval": (["beta[1]"], []),
+        "verify-identities": (["--trials", "1"], ["--max-weight", "--max-degree"]),
+        "winf-verify": ([], ["--lmax", "--kmax", "--max-weight", "--max-degree"]),
+        "matrices": (["--w", "1", "--m", "1"], ["--w", "--m"]),
+        "express-map": (["--w", "1", "--m", "0", "--c", "1", "--d", "1"], ["--w", "--m"]),
+        "singular": (["--c", "-1", "--weight", "4"], ["--weight", "--lcap", "--jcap"]),
+        "ideal-kernel": (["--weight", "4"], ["--weight"]),
+        "decouple": (["--l", "3", "--g", "2"], ["--l", "--g"]),
+        "inv-dims": (["--action", "trivial", "--max-weight", "2", "--max-degree", "2"],
+                     ["--max-weight", "--max-degree"]),
+        "span-check": (["--action", "trivial", "--gens", "/dev/null", "--max-weight", "2",
+                        "--max-len", "2"], ["--max-weight", "--max-len"]),
+        "commutant": (["--charges", "1", "--max-weight", "2", "--max-degree", "2"],
+                      ["--max-weight", "--max-degree"]),
+    }
+    # the module docstring lists the caps that main checks, in order
+    listed = re.search(r"caps (.*?) \(``CAPS``\)", cli.__doc__, re.S)[1]
+    assert re.findall(r"--([\w-]+)", listed) == [cap.replace("_", "-") for cap in cli.CAPS]
+    # the table names every integer flag but the uncapped ones
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a.choices, dict))
+    assert set(sub.choices) == set(commands)
+    for command, parser in sub.choices.items():
+        ints = {o for a in parser._actions if a.type is int for o in a.option_strings}
+        assert ints - {"--trials", "--seed", "--r", "--ceiling"} == {
+            "--rank", "--n", *commands[command][1]}, command
+    for command, (argv, caps) in commands.items():
+        for flag in ["--rank", "--n", *caps]:
+            for value in ("-1", "13"):
+                rc, out, err = run(capsys, command, *argv, flag, value)
+                assert rc == 2 and out == "" and err.startswith("error: cap"), (command, flag, value)
 
 
 def test_singular_jcap_zero_is_refused(capsys):
@@ -458,7 +531,7 @@ def test_row_parsing_usage_errors(capsys):
         (("commutant", "--charges", "1,2", "--rank", "1"),
          "charge row (1, 2) does not match --rank 1"),
         (("commutant", "--charges", "0"), "charge row (0,) is zero, so its current vanishes"),
-        (("commutant", "--algebra", "bc", "--charges", "1"), "commutants are computed in the bg system"),
+        (("commutant", "--algebra", "bc", "--charges", "1"), "Heisenberg currents live in the bosonic system"),
         (("inv-dims", "--action", "torus:1,,1", "--rank", "2"),
          "charge row '1,,1' is not a list of integers"),
         (("inv-dims", "--action", "gl:x", "--rank", "2"), "action 'gl:x' does not name an integer rank"),

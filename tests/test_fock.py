@@ -346,7 +346,7 @@ def test_integral_coefficients_are_ints_beyond_states():
     u = VermaElement({((0, 1),): Fraction(2), (): "6/3"})
     for w in (u + u, u - u, -u, Fraction(3) * u, act(DOp.basis_element(0, 1), u, Fraction(-1))):
         assert all(type(c) is int for c in w.terms.values())
-    for rel in ideal_kernel(1, 4):
+    for rel in ideal_kernel(BG1, 4):
         assert _int_first(rel.terms)
     x = DOp({(2, -1): Fraction(1), (1, 3): "-4/2"}, kappa=Fraction(6, 3))
     assert x.terms == {(2, -1): 1, (1, 3): -2} and _int_first(x.terms) and type(x.kappa) is int

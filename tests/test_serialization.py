@@ -53,7 +53,7 @@ def test_verma_element_json():
 
 
 def test_decoupling_json_shape():
-    rel = decoupling_relation(3, 1, 2)
+    rel = decoupling_relation(3, BG1, 2)
     obj = rel.to_json()
     assert obj["target"] == "J^3"
     assert obj["weight"] == 4

@@ -89,7 +89,7 @@ def test_singular_vectors():
     assert singular_vectors(Fraction(-1), 4) != []
     for N in (1, 2, 3):
         assert singular_vectors(Fraction(-1), N) == []
-        assert ideal_kernel(1, N) == []
+        assert ideal_kernel(BG1, N) == []
     for c in (Fraction(1, 2), Fraction(3, 7)):
         assert singular_vectors(c, 4) == []
 
@@ -160,18 +160,18 @@ def test_singular_vector_lies_in_projection_kernel():
     for sv in svs:
         assert not project(sv, BG1)
     # the capped singular span lies in the capless projection kernel
-    kernel = [v.terms for v in ideal_kernel(1, 4)]
+    kernel = [v.terms for v in ideal_kernel(BG1, 4)]
     assert rank_of_columns(kernel + [sv.terms for sv in svs]) == rank_of_columns(kernel)
 
 
 def test_ideal_kernel():
-    k4 = ideal_kernel(1, 4)
+    k4 = ideal_kernel(BG1, 4)
     assert len(k4) == 1  # frozen regression value
     assert not project(k4[0], BG1)
     # W_{1+inf,-n} has its first relation at weight (n+1)^2
     for N in range(1, 9):
-        assert ideal_kernel(2, N) == []
-    assert len(ideal_kernel(2, 9)) == 1
+        assert ideal_kernel(BG2, N) == []
+    assert len(ideal_kernel(BG2, 9)) == 1
 
 
 def test_free_words():
@@ -184,15 +184,15 @@ def test_free_words():
 
 
 def test_decoupling():
-    rel = decoupling_relation(3, 1, 2)
+    rel = decoupling_relation(3, BG1, 2)
     assert rel is not None
-    assert verify_decoupling(rel, 1)
-    rel4 = decoupling_relation(4, 1, 2)
+    assert verify_decoupling(rel, BG1)
+    rel4 = decoupling_relation(4, BG1, 2)
     assert rel4 is not None
-    assert verify_decoupling(rel4, 1)
-    assert decoupling_relation(2, 1, 1) is None
+    assert verify_decoupling(rel4, BG1)
+    assert decoupling_relation(2, BG1, 1) is None
     with pytest.raises(ValueError):
-        decoupling_relation(3, 1, 3)
+        decoupling_relation(3, BG1, 3)
 
 
 def test_strong_generation_monotone():
@@ -233,10 +233,10 @@ def test_cyclic_span_ordered_never_exceeds_full():
 
 
 def test_decoupling_reverification_sees_a_wrong_coefficient():
-    rel = decoupling_relation(3, 1, 2)
+    rel = decoupling_relation(3, BG1, 2)
     (w0, c0), *rest = rel.terms
     wrong = type(rel)(rel.target, rel.weight, [(w0, c0 + 1)] + rest)
-    assert not verify_decoupling(wrong, 1)
+    assert not verify_decoupling(wrong, BG1)
 
 
 def test_bc_vacuum_module_facts():
@@ -244,16 +244,17 @@ def test_bc_vacuum_module_facts():
     # generate W_{1+inf,+n}: the projection kernel starts at weight n+1
     # and J^n decouples through J^0..J^{n-1}
     for n in (1, 2):
+        bc = AlgebraDescriptor("bc", n)
         for N in range(n + 1):
-            assert ideal_kernel(n, N, "bc") == []
-        assert len(ideal_kernel(n, n + 1, "bc")) == 1
-        rel = decoupling_relation(n, n, n - 1, "bc")
-        assert rel is not None and verify_decoupling(rel, n, "bc")
+            assert ideal_kernel(bc, N) == []
+        assert len(ideal_kernel(bc, n + 1)) == 1
+        rel = decoupling_relation(n, bc, n - 1)
+        assert rel is not None and verify_decoupling(rel, bc)
     # J^1 = 1/2 dJ^0 - 1/2 :J^0 J^0: at n = 1
-    assert decoupling_relation(1, 1, 0, "bc").terms == [
+    assert decoupling_relation(1, AlgebraDescriptor("bc", 1), 0).terms == [
         (((0, 1),), Fraction(1, 2)), (((0, 0), (0, 0)), Fraction(-1, 2)),
     ]
-    assert decoupling_relation(1, 2, 0, "bc") is None
+    assert decoupling_relation(1, AlgebraDescriptor("bc", 2), 0) is None
 
 
 def test_cyclic_spans_are_exact():
