@@ -2,8 +2,10 @@
 
 Dimension tables of invariant subspaces are computed twice, on states
 and on graded symbols, and agree entrywise; the commutant of the rank-
-one Heisenberg current is computed as an exact joint kernel of its
-non-negative modes, exposing generators of weights 2 and 3.
+one Heisenberg current, that of the torus with charge (1), is computed
+as an exact joint kernel of its non-negative modes: a charge test on
+the words, then one kernel of the images under the positive modes. It
+exposes generators of weights 2 and 3.
 """
 
 from vertexfock import (
@@ -43,13 +45,13 @@ for s in invariant_basis(sl2_standard(), alg2, 1, 2):
 print("\n== Heisenberg commutant, rank 1, charge (1) ==")
 rows = ((1,),)
 print("current normalization contract holds:", validate_heisenberg(rows, alg1))
-j = heisenberg_current((1,), rows, alg1)
 found = {}
 for w in range(5):
-    found[w] = commutant_basis([j], alg1, w, 6)
+    found[w] = commutant_basis(TorusAction(rows), alg1, w, 6)
     print(f"weight {w}: dim {len(found[w])}")
 print("weight-2 element (a Virasoro-type vector):")
 print(" ", state_to_text(found[2][0]))
 print("its Wick square is still killed by every non-negative mode:")
+j = heisenberg_current((1,), rows, alg1)
 p = wick(found[2][0], found[2][0])
 print(" ", all(not circle(j, k, p) for k in range(weight(p) + 1)))

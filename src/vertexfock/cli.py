@@ -67,7 +67,6 @@ from .invariants import (
     dim_table_csv_rows,
     gl_standard,
     gr_dim_table,
-    heisenberg_current,
     sl2_standard,
     span_check,
     trivial_action,
@@ -394,12 +393,10 @@ def cmd_commutant(args) -> int:
             raise UsageError(f"charge row {r} is zero, so its current vanishes")
     if not validate_heisenberg(rows, alg):
         raise UsageError("charge matrix fails the current-normalization contract")
-    m = len(rows)
-    units = [[1 if t == s else 0 for t in range(m)] for s in range(m)]
-    currents = [heisenberg_current(u, rows, alg) for u in units]
+    torus = TorusAction(rows)
     entries = []
     for w in range(args.max_weight + 1):
-        kb = commutant_basis(currents, alg, w, args.max_degree)
+        kb = commutant_basis(torus, alg, w, args.max_degree)
         entries.append(
             {"weight": w, "dimension": len(kb), "elements": [state_to_json(s) for s in kb]}
         )

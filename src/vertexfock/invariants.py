@@ -11,8 +11,16 @@ space:
     index space; a matrix X acts as the zero mode of the current
     J_X = -sum_{a,b} X_ba (:gamma^a beta^b: + :c^a b^b:), a derivation
     (vector species transform by X, covector species by -X^T) applied
-    by the mode kernel ``ope.current_mode``, and invariants are the
-    exact joint kernel per bidegree.
+    by the mode kernel ``ope.current_mode``.
+
+Every action, and the torus behind a commutant, has one shape
+(``_split``): a charge test on the monomials and a list of modes.  A
+torus or finite group is all test.  A diagonal matrix multiplies a
+monomial by a linear form in its charge vector, so it is a test too,
+and the other matrices give their zero modes.  Invariant bases, the
+kernel route of the dimension tables and commutants keep the monomials
+that pass the test, then take one exact kernel, or rank, of their
+images under the modes (``_mode_kernel``).
 
 Dimension tables are computed twice, on states and on the graded
 symbols, through separate code paths; the two must agree entrywise.
@@ -24,19 +32,19 @@ monomials by (weight, degree, charge vector) without listing them
 over symbols), weighs each charge vector once (``_charge_sign``: 1 or 0
 for invariance under a torus or finite group, the sign of a Weyl shift
 for sl2 and gl_n) and adds up.  The symbol side only counts, and
-refuses any other action.  The state side eliminates the other
-Lie-algebra actions: it enumerates a weight once, every degree up to
-the cap from one walk (``fock.basis_by_degree``), keeps the monomials
-the diagonal matrices kill, and an entry is the size of an exact joint
-kernel of the other matrices, one exact system per bidegree: the
-number of those monomials minus the rank of their images.  The
-command line runs as ``vertexfock inv-dims`` or ``python -m
-vertexfock inv-dims``.
+refuses any other action.  The state side takes the kernel route for
+the other Lie-algebra actions: it enumerates a weight once, every
+degree up to the cap from one walk (``fock.basis_by_degree``), and an
+entry is the number of monomials that pass the test minus the rank of
+their images, one exact system per bidegree.  The command line runs
+as ``vertexfock inv-dims`` or ``python -m vertexfock inv-dims``.
 
 Strong-generation checks compare the exact span of normally ordered
 words in a generator list against the invariant dimensions, weight by
-weight.  Commutants are joint kernels of all non-negative modes of a
-list of quadratic currents, zero modes first, through the same kernel.
+weight.  The commutant of a torus is the joint kernel of every
+non-negative mode of its Heisenberg currents: their zero modes are the
+torus's charge test, and the modes k >= 1 act on the monomials that
+pass it.
 """
 
 from __future__ import annotations
@@ -70,6 +78,14 @@ from .ope import circle, current_mode, derivative_words, word_products
 # ---------------------------------------------------------------------------
 
 
+def _integer(x) -> int:
+    """x as an int, or a ValueError where int() would truncate it."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"group action entry {x!r} is not an integer")
+    return i
+
+
 class TorusAction(Frozen):
     """Diagonal torus with an m x n integer charge matrix (rows = torus
     coordinates)."""
@@ -77,14 +93,10 @@ class TorusAction(Frozen):
     __slots__ = ("rows",)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(_integer(x) for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         if rows and linalg.rank(SparseMatrix.from_rows(rows)) < len(rows):
             warnings.warn("charge matrix is not of full rank: the torus does not act faithfully")
-
-    @property
-    def rank_n(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
     def is_invariant_charge(self, q) -> bool:
         return all(sum(r[i] * q[i] for i in range(len(q))) == 0 for r in self.rows)
@@ -97,7 +109,7 @@ class FiniteAbelianAction(Frozen):
     __slots__ = ("chars",)
 
     def __post_init__(self):
-        chars = tuple((int(o), tuple(int(x) for x in v)) for o, v in self.chars)
+        chars = tuple((_integer(o), tuple(_integer(x) for x in v)) for o, v in self.chars)
         object.__setattr__(self, "chars", chars)
         for o, _ in chars:
             if o < 1:
@@ -161,13 +173,9 @@ def _lie_current(X, alg: AlgebraDescriptor) -> State:
                   for u, v in pairs for a in range(1, n + 1) for b in range(1, n + 1)})
 
 
-def extend_action(X, alg: AlgebraDescriptor):
-    """The weight- and degree-preserving derivation of a single matrix
-    on states, the zero mode of ``_lie_current(X, alg)`` through
-    ``ope.current_mode``, with integer-first coefficients
-    (``linalg.scalar``)."""
-    mode = current_mode(_lie_current(X, alg), 0)
-
+def _on_states(mode):
+    """A mode on words (``ope.current_mode``) as a linear map on states,
+    with integer-first coefficients (``linalg.scalar``)."""
     def op(s: State) -> State:
         acc: dict[Monomial, Scalar] = {}
         for mono, c in s.terms.items():
@@ -176,6 +184,12 @@ def extend_action(X, alg: AlgebraDescriptor):
         return State._raw(exact_terms(acc))
 
     return op
+
+
+def extend_action(X, alg: AlgebraDescriptor):
+    """The weight- and degree-preserving derivation of a single matrix
+    on states, the zero mode of ``_lie_current(X, alg)``."""
+    return _on_states(current_mode(_lie_current(X, alg), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -188,53 +202,44 @@ def _is_diagonal(X) -> bool:
     return all(X[i][j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
-def _split_diagonal(mats, alg: AlgebraDescriptor):
-    """The zero modes (``ope.current_mode``) of the currents
-    ``_lie_current`` of the matrices that are not diagonal, and a
-    predicate on monomials: every diagonal matrix X kills the monomial,
-    that is multiplies it by sum_i X_ii q_i = 0, q its ``mono_charge``."""
+def _split(action: GroupAction, alg: AlgebraDescriptor):
+    """A test on monomials, of their ``mono_charge`` q, and the modes of
+    the rest of the action: a torus or finite group tests
+    ``is_invariant_charge`` and has none; a Lie action tests that each
+    diagonal matrix X multiplies the monomial by sum_i X_ii q_i = 0, and
+    its modes are the zero modes of ``_lie_current`` of the others."""
     rank_n = alg.rank
-    diagonals = {tuple(X[i][i] for i in range(rank_n)) for X in mats if _is_diagonal(X)}
-
-    def killed(mono: Monomial) -> bool:
-        q = mono_charge(mono, rank_n)
-        return all(sum(x * c for x, c in zip(v, q)) == 0 for v in diagonals)
-
-    return [current_mode(_lie_current(X, alg), 0) for X in mats if not _is_diagonal(X)], killed
-
-
-def _lie_columns(monos, modes):
-    """The images of the monomials (already killed by the diagonal
-    matrices, see ``_split_diagonal``) under the zero modes of the
-    other matrices, one column per monomial.  Their joint kernel on the
-    span of the monomials is the space of relations among the columns;
-    an image monomial may break the diagonal conditions and is a row
-    like any other."""
-    return [
-        {(t, m2): v for t, mode in enumerate(modes) for m2, v in mode(m).items()}
-        for m in monos
-    ]
+    test, modes = _charge_sign(action, rank_n), []
+    if isinstance(action, LieAlgebraAction):
+        mats = action.matrices
+        diagonals = {tuple(X[i][i] for i in range(rank_n)) for X in mats if _is_diagonal(X)}
+        test = lambda q: all(sum(x * c for x, c in zip(v, q)) == 0 for v in diagonals)
+        modes = [current_mode(_lie_current(X, alg), 0) for X in mats if not _is_diagonal(X)]
+    return (lambda mono: test(mono_charge(mono, rank_n))), modes
 
 
-def _lie_dim(monos, modes) -> int:
-    """Dimension of that joint kernel: the number of monomials minus the
-    rank of their images."""
-    return len(monos) - linalg.rank_of_columns(_lie_columns(monos, modes))
+def _mode_kernel(monos, modes, dimension_only: bool = False):
+    """The joint kernel of the modes on the span of the monomials: the
+    RREF basis of the relations among their images (one column per
+    monomial; an image may fail the test of ``_split`` and is a row like
+    any other), or with ``dimension_only`` the monomials' number minus
+    the images' rank.  With no modes the monomials are the basis."""
+    columns = [{(t, m2): v for t, mode in enumerate(modes) for m2, v in mode(m).items()}
+               for m in monos]
+    if dimension_only:
+        return len(monos) - linalg.rank_of_columns(columns)
+    return [State({monos[i]: v for i, v in rel.items()})
+            for rel in linalg.kernel_of_columns(columns)]
 
 
 def invariant_basis(
     action: GroupAction, alg: AlgebraDescriptor, weight: int, degree: int
 ) -> list[State]:
     """Exact basis of the invariant subspace of one bidegree."""
-    sign = _charge_sign(action, alg.rank)
+    test, modes = _split(action, alg)
     if degree < 0:
         return []
-    if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        return [State({m: 1}) for m in basis(alg, weight, degree) if sign(mono_charge(m, alg.rank))]
-    modes, killed = _split_diagonal(action.matrices, alg)
-    monos = [m for m in basis(alg, weight, degree) if killed(m)]
-    return [State({monos[i]: v for i, v in rel.items()})
-            for rel in linalg.kernel_of_columns(_lie_columns(monos, modes))]
+    return _mode_kernel([m for m in basis(alg, weight, degree) if test(m)], modes)
 
 
 def trivial_action() -> TorusAction:
@@ -320,8 +325,17 @@ def dim_table(
     sign = _charge_sign(action, alg.rank)
     if sign is not None:
         return _invariant_table(sign, charge_counts(alg, weight_cap, degree_cap), weight_cap, degree_cap)
-    modes, killed = _split_diagonal(action.matrices, alg)
-    return DimTable({(w, d): _lie_dim([m for m in monos if killed(m)], modes)
+    return _kernel_table(action, alg, weight_cap, degree_cap)
+
+
+def _kernel_table(
+    action: GroupAction, alg: AlgebraDescriptor, weight_cap: int, degree_cap: int
+) -> DimTable:
+    """``dim_table`` by the kernel route, for any action: one walk per
+    weight, then per bidegree the monomials that pass the charge test
+    and the dimension of their ``_mode_kernel``."""
+    test, modes = _split(action, alg)
+    return DimTable({(w, d): _mode_kernel([m for m in monos if test(m)], modes, dimension_only=True)
                      for w in range(weight_cap + 1)
                      for d, monos in enumerate(basis_by_degree(alg, w, degree_cap))},
                     weight_cap, degree_cap)
@@ -356,10 +370,8 @@ def dim_table_csv_rows(state_side: DimTable, gr_side: DimTable) -> list[list]:
 
 
 def is_invariant_state(action: GroupAction, alg: AlgebraDescriptor, s: State) -> bool:
-    sign = _charge_sign(action, alg.rank)
-    if isinstance(action, (TorusAction, FiniteAbelianAction)):
-        return all(sign(mono_charge(m, alg.rank)) for m in s.terms)
-    return not any(extend_action(X, alg)(s) for X in action.matrices)
+    test, modes = _split(action, alg)
+    return all(map(test, s.terms)) and not any(_on_states(mode)(s) for mode in modes)
 
 
 class SpanCheckReport(Record):
@@ -459,6 +471,9 @@ def heisenberg_current(xi, charge_rows, alg: AlgebraDescriptor) -> State:
     m = len(charge_rows)
     if len(xi) != m:
         raise ValueError(f"direction must have {m} components")
+    for r in charge_rows:
+        if len(r) != alg.rank:
+            raise ValueError(f"charge rows have length {len(r)}, but the algebra has rank {alg.rank}")
     return State({word([(GAMMA, i, -1), (BETA, i, -1)]):
                   sum(scalar(xi[t]) * charge_rows[t][i - 1] for t in range(m))
                   for i in range(1, alg.rank + 1)})
@@ -493,41 +508,16 @@ def validate_heisenberg(charge_rows, alg: AlgebraDescriptor) -> bool:
     return True
 
 
-def commutant_basis(
-    currents: list[State],
-    alg: AlgebraDescriptor,
-    weight: int,
-    degree_cap: int,
-) -> list[State]:
+def commutant_basis(torus: TorusAction, alg: AlgebraDescriptor, weight: int, degree_cap: int) -> list[State]:
     """Joint kernel, on the weight slice filtered by degree <= cap, of
-    every non-negative mode of every current.  The currents are
-    quadratic, as the Heisenberg currents are, and their modes act
-    through ``ope.current_mode`` (ValueError for any other current).
-
-    Modes k >= 1 with weight(current) + weight - k - 1 < 0 vanish
-    identically and are skipped.  A zero mode that sends every word in
-    play to a multiple of itself drops the words with a nonzero
-    multiple: only their own column meets their row, so no relation
-    uses them, and the RREF basis (fixed by the kernel and the column
-    order) is unchanged.  The other modes act on the rest only.
-    """
-    monos = [m for ms in basis_by_degree(alg, weight, degree_cap) for m in ms]
-    columns: list[dict] = [{} for _ in monos]
-    live = range(len(monos))
-    for t, cur in enumerate(currents):
-        mode = current_mode(cur, 0)
-        images = [mode(monos[i]) for i in live]
-        if all(img.keys() <= {monos[i]} for i, img in zip(live, images)):
-            live = [i for i, img in zip(live, images) if not img]
-            continue
-        for i, img in zip(live, images):
-            columns[i].update(((t, 0, m2), v) for m2, v in img.items())
-    for t, cur in enumerate(currents):
-        for k in range(1, weight + state_weight(cur)):
-            mode = current_mode(cur, k)
-            for i in live:
-                columns[i].update(((t, k, m2), v) for m2, v in mode(monos[i]).items())
-    return [
-        State({monos[live[j]]: v for j, v in rel.items()})
-        for rel in linalg.kernel_of_columns([columns[i] for i in live])
-    ]
+    every non-negative mode of the torus's Heisenberg currents, one per
+    coordinate direction.  A zero mode multiplies a word by its charge
+    along the direction, so the words that pass the torus's charge test
+    (``_split``) span their kernel; the modes k = 1..weight (higher ones
+    vanish on the slice) act on those, through ``_mode_kernel``."""
+    test, _ = _split(torus, alg)
+    m = len(torus.rows)
+    currents = [heisenberg_current([int(t == s) for t in range(m)], torus.rows, alg) for s in range(m)]
+    modes = [current_mode(cur, k) for cur in currents for k in range(1, weight + 1)]
+    return _mode_kernel([mono for monos in basis_by_degree(alg, weight, degree_cap)
+                         for mono in monos if test(mono)], modes)

@@ -217,6 +217,7 @@ def ideal_kernel(alg: AlgebraDescriptor, weight_n: int) -> list[VermaElement]:
     """Exact kernel of the projection onto the currents realized in alg,
     on the weight-N slice of the vacuum module (central charge -n for
     bg, +n for bc, n the rank)."""
+    realize_current(0, alg)  # refuses an algebra that realizes no current, at weight 0 too
     words = vacuum_module_basis(weight_n)
     if not words:
         return []

@@ -1,6 +1,8 @@
+import ast
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -197,7 +199,7 @@ def test_symbol_side_never_reaches_the_state_enumerator(monkeypatch):
     reordered = invariants.LieAlgebraAction(sl2_standard().matrices[::-1])
     cases = [(TorusAction(((1, -1),)), BG2), (sl2_standard(), BG2)]
     want = [dim_table(act, alg, 4, 4) for act, alg in cases]
-    assert dim_table(reordered, BG2, 4, 4).entries == _kernel_table(reordered, BG2, 4)
+    assert dim_table(reordered, BG2, 4, 4) == invariants._kernel_table(reordered, BG2, 4, 4)
 
     def refuse(what):
         def refused(*args, **kwargs):
@@ -298,7 +300,7 @@ def diagonal_matrices(draw):
 def test_split_diagonal_keeps_the_killed_monomials(kind, rank_mats, w, cap):
     rank, mats = rank_mats
     alg = AlgebraDescriptor(kind, rank)
-    modes, killed = invariants._split_diagonal(mats, alg)
+    killed, modes = invariants._split(invariants.LieAlgebraAction(mats), alg)
     assert modes == []
 
     def direct(m):
@@ -320,15 +322,6 @@ def test_sl2_tables_walk_no_words(monkeypatch):
     assert dim_table(act, BG2, 7, 7) == gr_dim_table(act, BG2, 7, 7)
 
 
-def _kernel_table(act, alg, cap):
-    """The exact joint-kernel dimension of each bidegree, by the state
-    side's route for the actions that are not counted."""
-    modes, killed = invariants._split_diagonal(act.matrices, alg)
-    return {(w, d): invariants._lie_dim([m for m in monos if killed(m)], modes)
-            for w in range(cap + 1)
-            for d, monos in enumerate(fock.basis_by_degree(alg, w, cap))}
-
-
 # each side's Weyl count against the state side's kernels (the symbol
 # side has no kernels of its own)
 @pytest.mark.parametrize("table", [dim_table, gr_dim_table], ids=["state", "symbol"])
@@ -343,7 +336,7 @@ def _kernel_table(act, alg, cap):
 ], ids=["sl2-bg2", "sl2-bc2", "sl2-bcbg2", "gl2-bg2", "gl3-bc3", "gl2-bcbg2", "gl3-bg3"])
 def test_weyl_count_is_the_kernel_dimension(table, act, alg, cap):
     assert invariants._charge_sign(act, alg.rank) is not None
-    assert table(act, alg, cap, cap).entries == _kernel_table(act, alg, cap)
+    assert table(act, alg, cap, cap) == invariants._kernel_table(act, alg, cap, cap)
 
 
 def test_lie_tables_agree_beyond_the_reach_of_the_kernels():
@@ -367,7 +360,7 @@ def test_other_lie_actions_take_the_kernel_route():
                      (invariants.LieAlgebraAction(sl2_standard().matrices[::-1]), BG2)):
         assert invariants._charge_sign(act, alg.rank) is None
     act = invariants.LieAlgebraAction((e12, h))
-    assert dim_table(act, bg3, 3, 3).entries == _kernel_table(act, bg3, 3)
+    assert dim_table(act, bg3, 3, 3) == invariants._kernel_table(act, bg3, 3, 3)
     with pytest.raises(ValueError, match="symbol side counts"):
         gr_dim_table(act, bg3, 3, 3)
 
@@ -516,8 +509,7 @@ def test_heisenberg_current():
 
 
 def test_commutant_regression_dims():
-    j = heisenberg_current((1,), ((1,),), BG1)
-    dims = {w: len(commutant_basis([j], BG1, w, 6)) for w in range(5)}
+    dims = {w: len(commutant_basis(TORUS1, BG1, w, 6)) for w in range(5)}
     assert dims == {0: 1, 1: 0, 2: 1, 3: 2, 4: 2}  # frozen regression values
 
 
@@ -525,7 +517,7 @@ def test_commutant_annihilation_and_wick_closure():
     j = heisenberg_current((1,), ((1,),), BG1)
     found = []
     for w in range(0, 4):
-        found += commutant_basis([j], BG1, w, 6)
+        found += commutant_basis(TORUS1, BG1, w, 6)
     for s in found:
         for k in range(0, 5):
             assert circle(j, k, s) == State()
@@ -538,8 +530,11 @@ def test_commutant_annihilation_and_wick_closure():
                     assert circle(j, k, p) == State()
 
 
-def _commutant_reference(currents, alg, w, degree_cap):
-    """Every non-negative mode on every word, then one exact kernel."""
+def _commutant_reference(torus, alg, w, degree_cap):
+    """Every non-negative mode of every Heisenberg current of the torus
+    on every word, by ``circle``, then one exact kernel."""
+    m = len(torus.rows)
+    currents = [heisenberg_current([int(t == s) for t in range(m)], torus.rows, alg) for s in range(m)]
     monos = [m for ms in fock.basis_by_degree(alg, w, degree_cap) for m in ms]
     columns = [
         {(t, k, m2): v
@@ -551,39 +546,77 @@ def _commutant_reference(currents, alg, w, degree_cap):
 
 
 def test_commutant_on_the_zero_mode_kernel_keeps_the_basis(monkeypatch):
-    heis = [heisenberg_current(u, ((1, 0), (0, 1)), BG2) for u in ((1, 0), (0, 1))]
-    skew = heisenberg_current((1,), ((1, -1),), BG2)
-    # :gamma^1 beta^2: has a zero mode that moves index 2 to index 1
-    hop = wick(generator_state(GAMMA, 1), generator_state(BETA, 2))
-    cases = [
-        ([heisenberg_current((1,), ((1,),), BG1)], BG1),
-        (heis, BG2),
-        ([skew], BG2),
-        ([hop], BG2),
-        ([hop, skew], BG2),
-        ([skew, hop, heis[0]], BG2),
-    ]
-    # one call per mode applied to a word
-    calls = []
+    # the zero modes are a charge test on the words, so no zero mode is
+    # built, and the modes k = 1..w act on the words that pass it only
+    cases = [(TORUS1, BG1), (TorusAction(((1, 0), (0, 1))), BG2), (TorusAction(((1, -1),)), BG2)]
+    modes, calls = [], []
     real = invariants.current_mode
 
     def counted(cur, k):
+        modes.append(k)
         mode = real(cur, k)
         return lambda mono: calls.append(k) or mode(mono)
 
     monkeypatch.setattr(invariants, "current_mode", counted)
-    for currents, alg in cases:
+    for torus, alg in cases:
         for w in range(5):
-            del calls[:]
-            got = commutant_basis(currents, alg, w, 5)
-            assert got == _commutant_reference(currents, alg, w, 5), (currents, w)
-            words = sum(map(len, fock.basis_by_degree(alg, w, 5)))
-            full = words * sum(w + weight(cur) for cur in currents)
-            if currents[0] is not hop and w > 1:
-                assert len(calls) < full, (currents, w)
-            if currents == [hop]:
-                # a zero mode that is not diagonal prunes nothing
-                assert len(calls) == full
+            del modes[:], calls[:]
+            got = commutant_basis(torus, alg, w, 5)
+            assert got == _commutant_reference(torus, alg, w, 5), (torus, w)
+            assert 0 not in modes
+            assert sorted(modes) == sorted(list(range(1, w + 1)) * len(torus.rows)), (torus, w)
+            kept = sum(torus.is_invariant_charge(mono_charge(m, alg.rank))
+                       for ms in fock.basis_by_degree(alg, w, 5) for m in ms)
+            assert len(calls) == kept * len(modes), (torus, w)
+
+
+def test_heisenberg_current_refuses_rows_of_another_rank():
+    # a short row would be indexed past its end, and a long one would
+    # lose its extra charges
+    for rows in (((1,),), ((1, 2, 3),)):
+        message = f"rows have length {len(rows[0])}, but the algebra has rank 2"
+        for call in (lambda: heisenberg_current((1,), rows, BG2), lambda: validate_heisenberg(rows, BG2),
+                     lambda: commutant_basis(TorusAction(rows), BG2, 2, 2)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_group_actions_refuse_entries_that_are_not_integers():
+    # int() would truncate them, (1/2, 1) to (0, 1) and order 2.7 to 2,
+    # and so count another group
+    for make in (lambda: TorusAction(((Fraction(1, 2), 1),)),
+                 lambda: FiniteAbelianAction(((2.7, (1,)),)),
+                 lambda: FiniteAbelianAction(((2, (1.9,)),))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            make()
+    assert TorusAction(((Fraction(4, 2), -1),)).rows == ((2, -1),)
+    assert FiniteAbelianAction(((Fraction(3), (Fraction(-6, 3),)),)).chars == ((3, (-2,)),)
+
+
+def _references(source: str, names) -> list[str]:
+    """The top-level definition of a module ("<module>" for any other
+    statement) that holds each reference to one of the names: read off a
+    module by attribute, used bare, or imported."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            ref = (node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name)
+                   else node.name if isinstance(node, ast.alias) else None)
+            if ref in names:
+                found.append(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_one_helper_takes_every_invariant_and_commutant_kernel():
+    """Invariant bases, the kernel route of the dimension tables and the
+    commutants build their mode-image columns and take their kernel or
+    rank in ``invariants._mode_kernel`` alone."""
+    names = ("kernel_of_columns", "rank_of_columns")
+    assert _references("from .linalg import kernel_of_columns\n"
+                       "def f(c):\n    return linalg.rank_of_columns(c) + linalg.rank(c)\n"
+                       "def g(c):\n    return [kernel_of_columns(c)]\n", names) == ["<module>", "f", "g"]
+    source = (Path(__file__).parent.parent / "src" / "vertexfock" / "invariants.py").read_text()
+    assert _references(source, names) == ["_mode_kernel", "_mode_kernel"]
 
 
 def test_nonfaithful_torus_warns():

@@ -174,6 +174,14 @@ def test_ideal_kernel():
     assert len(ideal_kernel(BG2, 9)) == 1
 
 
+def test_ideal_kernel_refuses_bcbg_at_every_weight():
+    # weight 0 projects only the empty word, which realizes no current,
+    # so the algebra is checked before any word is projected
+    for N in range(3):
+        with pytest.raises(ValueError, match="realized in the bg or bc system only"):
+            ideal_kernel(AlgebraDescriptor("bcbg", 1), N)
+
+
 def test_free_words():
     words = free_words(2, 1)
     # weight 2 in J^0, J^1: dJ^0, J^1, :J^0 J^0:
